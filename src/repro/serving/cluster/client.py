@@ -136,6 +136,19 @@ class _StreamReader:
                     f"frame {index}: {payload.decode('utf-8', 'replace')}"
                 )
             yield int(index), array_from_npy_bytes(payload)
+        # The chunked terminator is still unread after the last frame; a
+        # connection recycled before it is consumed cannot send again.
+        try:
+            trailing = self._response.read()
+        except _TRANSPORT_ERRORS as exc:
+            raise ReplicaUnavailable(
+                f"replica {self._client.replica_id} died mid-stream: {exc}"
+            ) from exc
+        if trailing:
+            raise ReplicaUnavailable(
+                f"replica {self._client.replica_id} sent {len(trailing)} "
+                "bytes past the last frame"
+            )
         self._clean = True
 
     def close(self) -> None:

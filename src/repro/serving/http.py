@@ -79,7 +79,8 @@ Endpoints
 ``GET /stats``
     The wrapped server's :class:`ServerStats` (latency percentiles, cache
     counters — including shared-cache imports/hits — and queue depth) plus
-    HTTP-level request/error counters, request latency percentiles, and
+    HTTP-level request/error counters, ``disconnects`` (clients that hung
+    up before their reply was written), request latency percentiles, and
     per-wire-form transport byte counters (``http-raw`` / ``http-base64``
     / ``http-json``, each with measured ``bytes_per_image``).
 
@@ -105,6 +106,7 @@ import json
 import os
 import secrets
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -212,7 +214,7 @@ class RawRequest:
 class StreamingResponse:
     """A chunked response: an iterator of body chunks, written as they come.
 
-    The socket handler sends ``Transfer-Encoding: chunked`` and flushes one
+    The socket handler sends ``Transfer-Encoding: chunked`` and writes one
     HTTP chunk per yielded ``bytes``, so a bulk client starts consuming
     label maps while later images are still being segmented.
     """
@@ -571,6 +573,7 @@ class _HttpStats:
         self._lock = threading.Lock()
         self._requests = 0
         self._errors = 0
+        self._disconnects = 0
         self._by_route: dict = {}
         self._latencies = LatencyReservoir(latency_window)
         self._transport: dict = {}
@@ -583,6 +586,11 @@ class _HttpStats:
                 self._errors += 1
             self._by_route[route] = self._by_route.get(route, 0) + 1
             self._latencies.add(float(seconds))
+
+    def record_disconnect(self) -> None:
+        """Count one request whose client hung up before the reply was out."""
+        with self._lock:
+            self._disconnects += 1
 
     def record_transport(
         self, path: str, *, images: int, bytes_in: int, bytes_out: int
@@ -617,6 +625,7 @@ class _HttpStats:
         with self._lock:
             requests = self._requests
             errors = self._errors
+            disconnects = self._disconnects
             by_route = dict(self._by_route)
             latencies = self._latencies.snapshot()
             latency_total = self._latencies.total
@@ -626,6 +635,7 @@ class _HttpStats:
         return {
             "requests": requests,
             "errors": errors,
+            "disconnects": disconnects,
             "by_route": by_route,
             "latency": latency_percentiles(latencies, total=latency_total),
             "transport": aggregate_transport(transport),
@@ -642,6 +652,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "seghdc-http/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket.  A reply leaves as headers then
+    # body (or one write per chunk); with Nagle on, a sub-MSS second write
+    # waits for the ACK of the first, which the client delays by ~40 ms.
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> "SegmentationHTTPServer":
@@ -711,11 +725,13 @@ class _Handler(BaseHTTPRequestHandler):
     def _write_stream(self, status: int, payload: StreamingResponse) -> None:
         """Send a chunked response, one HTTP chunk per produced body chunk.
 
-        A fault while producing chunks cannot be turned into an error
-        status any more (the 200 and headers are long gone), so the only
-        honest signal is tearing the connection down mid-stream — the
-        client sees a truncated chunked body, which no spec-conforming
-        decoder mistakes for success.
+        Each chunk — size line, payload, CRLF — is one socket write, so a
+        small chunk leaves in one segment instead of three.  A fault while
+        producing chunks cannot be turned into an error status any more
+        (the 200 and headers are long gone), so the only honest signal is
+        tearing the connection down mid-stream — the client sees a
+        truncated chunked body, which no spec-conforming decoder mistakes
+        for success.
         """
         self.send_response(status)
         self.send_header("Content-Type", payload.content_type)
@@ -725,10 +741,7 @@ class _Handler(BaseHTTPRequestHandler):
             for chunk in payload.chunks:
                 if not chunk:
                     continue
-                self.wfile.write(f"{len(chunk):X}\r\n".encode("ascii"))
-                self.wfile.write(chunk)
-                self.wfile.write(b"\r\n")
-                self.wfile.flush()
+                self.wfile.write(b"%X\r\n%b\r\n" % (len(chunk), chunk))
         except Exception:
             self.close_connection = True
             raise
@@ -748,6 +761,20 @@ class _BoundHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     app: "SegmentationHTTPServer"
+
+    def handle_error(self, request, client_address) -> None:
+        """Count client hang-ups; keep the default traceback for the rest.
+
+        A client that closes its socket before the reply is out (a
+        cancelled stream, a timed-out load generator) surfaces as a
+        :class:`ConnectionError` from the handler's writes.  That is the
+        client's choice, not a server fault, so it becomes the
+        ``http.disconnects`` counter instead of a stderr traceback.
+        """
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            self.app.http_stats.record_disconnect()
+            return
+        super().handle_error(request, client_address)
 
 
 class SegmentationHTTPServer:

@@ -314,6 +314,34 @@ class TestGatewayRouting:
         for index, labels in entries:
             assert np.array_equal(labels, reference[index].labels)
 
+    def test_sequential_streams_recycle_one_clean_connection(self):
+        """Each stream is read to its chunked terminator before the replica
+        connection goes back to the pool; a half-read connection recycled
+        early fails the next stream on it (an error frame + a failover on
+        a perfectly healthy fleet)."""
+        images = [_image(seed=s) for s in range(2)]
+        reference = SegHDCEngine(_config()).segment_batch(images)
+        with _replica_server() as server:
+            with ClusterGateway(port=0) as gateway:
+                gateway.register_replica("replica-0", server.host, server.port)
+                gateway.wait_ready(timeout=30.0)
+                for _ in range(10):
+                    status, payload = gateway.handle_request(
+                        "POST",
+                        "/v1/segment-stream",
+                        pack_frames(enumerate(images)),
+                        content_type=_OCTET,
+                    )
+                    assert status == 200
+                    # unpack_frames raises on any non-zero frame status.
+                    entries = dict(unpack_frames(b"".join(payload.chunks)))
+                    for index, expected in enumerate(reference):
+                        assert np.array_equal(entries[index], expected.labels)
+                _, stats = gateway.handle_request("GET", "/stats", b"")
+                client = gateway._client_for("replica-0")
+                assert stats["gateway"]["failovers"] == 0
+                assert client.connections_created == 1
+
     @staticmethod
     def _add_dead_replica(gateway, replica_id="replica-dead"):
         """Register a replica on a dead port and force it into routing.

@@ -1,6 +1,6 @@
 """Tests for the stdlib HTTP serving front end (:mod:`repro.serving.http`).
 
-Three layers of coverage:
+Four layers of coverage:
 
 * payload codecs — both wire forms of an image (base64 ``.npy`` and nested
   lists), both response encodings, and the validation errors;
@@ -10,12 +10,21 @@ Three layers of coverage:
 * a real ``ThreadingHTTPServer`` socket round-trip via ``urllib``, with
   label-map parity against a direct :class:`SegHDCEngine` run on both
   compute backends, plus the process-mode shared grid cache observed
-  through ``GET /stats``.
+  through ``GET /stats``;
+* the socket write discipline — small keep-alive replies must not wait out
+  the ~40 ms Nagle x delayed-ACK stall, each streamed chunk is one write,
+  and a client hang-up is a counted disconnect, not a traceback.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
+import struct
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,6 +33,7 @@ import pytest
 
 from repro.seghdc import SegHDCConfig, SegHDCEngine
 from repro.serving import HTTPRequestError, SegmentationHTTPServer
+from repro.serving.cluster import ClusterGateway
 from repro.serving.http import (
     FRAME_MAGIC,
     RawResponse,
@@ -553,7 +563,8 @@ class TestDispatch:
         # HTTP counters come from the socket layer; dispatch-only calls do
         # not count, so the dict is present with its full shape.
         assert set(payload["http"]) == {
-            "requests", "errors", "by_route", "latency", "transport",
+            "requests", "errors", "disconnects", "by_route", "latency",
+            "transport",
         }
 
     def test_everything_is_json_serializable(self, app):
@@ -772,6 +783,172 @@ class TestOverSocket:
         assert sorted(entries) == list(range(len(images)))
         for index, reference in enumerate(expected):
             assert np.array_equal(entries[index], reference.labels)
+
+
+def _threshold_server() -> SegmentationHTTPServer:
+    """A started server around the ``threshold`` probe (compute ~ 0)."""
+    return SegmentationHTTPServer(
+        "threshold", port=0, serving={"mode": "thread", "num_workers": 1}
+    ).start()
+
+
+def _keepalive_median_rtt(host, port, body, *, requests=20) -> float:
+    """Median seconds of sequential raw-npy POSTs on one keep-alive socket."""
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    rtts = []
+    try:
+        for _ in range(requests):
+            start = time.perf_counter()
+            connection.request(
+                "POST",
+                "/v1/segment",
+                body=body,
+                headers={"Content-Type": _OCTET},
+            )
+            response = connection.getresponse()
+            response.read()
+            rtts.append(time.perf_counter() - start)
+            assert response.status == 200
+    finally:
+        connection.close()
+    return statistics.median(rtts)
+
+
+class _WriteSpy:
+    """Wraps a handler's ``wfile`` and records every write it is given."""
+
+    def __init__(self, inner, writes: list) -> None:
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestWireDiscipline:
+    """How replies leave the socket: no Nagle stall, one write per chunk.
+
+    With Nagle on, a sub-MSS body written after the headers waits for the
+    client's ACK of the header segment, and Linux delays that ACK by 40 ms
+    — so every small keep-alive reply used to take >= 40 ms.  The 20 ms
+    bound sits well clear of both the stall and a working reply (~1-2 ms).
+    """
+
+    def test_small_keepalive_requests_skip_the_delayed_ack_stall(self):
+        body = npy_bytes(_image(shape=(16, 16)))
+        with _threshold_server() as server:
+            median = _keepalive_median_rtt(server.host, server.port, body)
+        assert median < 0.020, f"median RTT {median * 1000:.1f} ms"
+
+    def test_small_requests_through_a_one_replica_gateway(self):
+        body = npy_bytes(_image(shape=(16, 16)))
+        with _threshold_server() as replica:
+            with ClusterGateway(port=0, probe_interval=0.5).start() as gateway:
+                gateway.register_replica("replica-0", replica.host, replica.port)
+                gateway.wait_ready(timeout=30.0)
+                median = _keepalive_median_rtt(
+                    gateway.host, gateway.port, body
+                )
+        assert median < 0.020, f"median RTT {median * 1000:.1f} ms"
+
+    def test_each_streamed_chunk_is_one_socket_write(self, monkeypatch):
+        from repro.serving.http import _Handler
+
+        writes: list = []
+        nodelay: list = []
+        original_setup = _Handler.setup
+
+        def spying_setup(handler):
+            original_setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+            handler.wfile = _WriteSpy(handler.wfile, writes)
+
+        monkeypatch.setattr(_Handler, "setup", spying_setup)
+        images = [_image(shape=(16, 16), seed=s) for s in range(4)]
+        with _threshold_server() as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=30
+            )
+            try:
+                connection.request(
+                    "POST",
+                    "/v1/segment-stream",
+                    body=pack_frames(enumerate(images)),
+                    headers={"Content-Type": _OCTET},
+                )
+                response = connection.getresponse()
+                body = response.read()
+            finally:
+                connection.close()
+        assert nodelay and all(nodelay), nodelay
+        headers, *chunks, terminator = writes
+        assert headers.startswith(b"HTTP/1.1 200") and headers.endswith(
+            b"\r\n\r\n"
+        )
+        assert terminator == b"0\r\n\r\n"
+        # Container header + one frame per image, each a complete chunk.
+        assert len(chunks) == 1 + len(images)
+        payloads = []
+        for write in chunks:
+            size_line, rest = write.split(b"\r\n", 1)
+            assert rest.endswith(b"\r\n")
+            assert int(size_line, 16) == len(rest) - 2
+            payloads.append(rest[:-2])
+        assert b"".join(payloads) == body
+        assert sorted(index for index, _ in unpack_frames(body)) == [0, 1, 2, 3]
+
+    def test_client_hangup_is_counted_not_traced(self, monkeypatch, capfd):
+        hung_up = threading.Event()
+
+        def chunks():
+            yield b"first"
+            hung_up.wait(10)
+            for _ in range(256):
+                yield b"x" * 1024
+
+        with _threshold_server() as server:
+            monkeypatch.setattr(
+                server,
+                "handle_request",
+                lambda *args, **kwargs: (
+                    200,
+                    StreamingResponse(chunks=chunks()),
+                ),
+            )
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as client:
+                client.sendall(
+                    b"POST /v1/segment-stream HTTP/1.1\r\n"
+                    b"Host: test\r\nContent-Length: 0\r\n\r\n"
+                )
+                received = b""
+                while b"first" not in received:
+                    data = client.recv(4096)
+                    assert data, received
+                    received += data
+                # Linger 0: close() resets the connection at once, so the
+                # next server write fails instead of filling a buffer.
+                client.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            hung_up.set()
+            deadline = time.monotonic() + 10
+            while (
+                server.http_stats.snapshot()["disconnects"] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+        assert server.http_stats.snapshot()["disconnects"] == 1
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestConfigEndpoint:

@@ -11,7 +11,11 @@ sockets):
    ``/stats`` fleet rollup must show **exactly one** position-grid build
    per shape fleet-wide — each shape's grid was built on the one replica
    the ring routes it to, and each replica's build count equals the number
-   of shapes in its routing-table slice.
+   of shapes in its routing-table slice.  Six sequential
+   ``/v1/segment-stream`` requests then re-use the gateway's pooled
+   replica connections: every frame must carry status 0, bit-exact, with
+   **zero** failovers — a connection recycled before its stream was read
+   to the end would fail the next stream on it.
 2. **Exactly-once failover** — a long ``/v1/segment-stream`` request runs
    while a replica that owns at least one shape is SIGKILLed mid-stream:
    the stream must still deliver **every frame exactly once** (zero lost,
@@ -165,6 +169,19 @@ def smoke_parity_and_affinity(output_dir: Path) -> None:
             )
             assert entry["replica"], entry
 
+        # Sequential streams re-use pooled replica connections; unpack_frames
+        # raises on any error frame, and the failover check below catches
+        # a stream that only succeeded on its second replica.
+        framed = pack_frames(enumerate(images[: len(_SHAPES)]))
+        for _ in range(6):
+            streamed = dict(
+                unpack_frames(_post_raw(f"{url}/v1/segment-stream", framed))
+            )
+            for index in range(len(_SHAPES)):
+                assert np.array_equal(
+                    streamed[index], reference[index].labels
+                ), f"fleet: streamed label map {index} diverged"
+
         # Affinity proof: refresh the prober cache, then read the rollup.
         gateway.prober.probe_all()
         stats = _get(f"{url}/stats")
@@ -186,7 +203,10 @@ def smoke_parity_and_affinity(output_dir: Path) -> None:
         for replica_id in routing.values():
             owned[replica_id] += 1
         assert builds == owned, (builds, owned)
-        assert stats["gateway"]["failovers"] == 0, stats["gateway"]
+        assert stats["gateway"]["failovers"] == 0, (
+            "failovers on a healthy fleet (sequential streams recycled a "
+            f"dirty replica connection?): {stats['gateway']}"
+        )
         (output_dir / "stats_parity_affinity.json").write_text(
             json.dumps(stats, indent=2) + "\n"
         )
@@ -194,7 +214,8 @@ def smoke_parity_and_affinity(output_dir: Path) -> None:
         supervisor.stop()
         gateway.close()
     print(
-        "[cluster-smoke] parity + affinity: 12 images bit-exact, "
+        "[cluster-smoke] parity + affinity: 12 images + 6 sequential "
+        "streams bit-exact, 0 failovers, "
         f"{total_builds} grid builds for {len(_SHAPES)} shapes "
         f"({builds}) OK"
     )

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI ``http-smoke`` driver: boot ``seghdc serve`` and hit it over the wire.
 
-What it proves, end to end (real subprocess, real sockets, ``urllib`` only):
+What it proves, end to end (real subprocess, real sockets, stdlib clients only):
 
 1. **Parity on both backends** — for ``dense`` and ``packed``, a thread-mode
    ``seghdc serve`` is booted, a 2-image batch is POSTed to
@@ -29,6 +29,10 @@ What it proves, end to end (real subprocess, real sockets, ``urllib`` only):
    ``config_generation`` 2 on the packed backend, and an invalid diff must
    come back 400 naming the offending field.  Pass 1 additionally asserts
    that a server booted *without* ``--allow-reconfig`` answers 403.
+5. **Wire latency** — a thread-mode ``threshold`` server answers 20
+   sequential keep-alive raw-npy POSTs of a 16x16 image with a median
+   round trip under 20 ms.  A reply that waits out Nagle x delayed ACK
+   takes >= 40 ms, so this gates the write discipline of the front end.
 
 Stats payloads are written under ``--output-dir`` so CI can upload them as
 artifacts.  Exit code is non-zero on any failed assertion, so the CI job
@@ -43,9 +47,11 @@ from __future__ import annotations
 
 import argparse
 import base64
+import http.client
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -513,6 +519,57 @@ def smoke_hot_reconfig(port: int, output_dir: Path) -> None:
     )
 
 
+def smoke_wire_latency(port: int, output_dir: Path) -> None:
+    """Pass 5: small keep-alive requests must not pay a 40 ms TCP stall.
+
+    The ``threshold`` probe computes in well under a millisecond, so the
+    round trip is almost all front end.  A reply whose body segment waits
+    for the delayed ACK of its header segment takes >= 40 ms; a working
+    front end answers in a few.
+    """
+    from repro.serving.http import npy_bytes
+
+    body = npy_bytes(
+        np.random.default_rng(5).integers(0, 256, size=(16, 16), dtype=np.uint8)
+    )
+    with _Server(
+        port,
+        "--mode", "thread",
+        "--workers", "1",
+        "--segmenter", "threshold",
+        seghdc_flags=False,
+    ):
+        connection = http.client.HTTPConnection(_HOST, port, timeout=30)
+        rtts = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request(
+                    "POST",
+                    "/v1/segment",
+                    body=body,
+                    headers={"Content-Type": "application/octet-stream"},
+                )
+                response = connection.getresponse()
+                response.read()
+                rtts.append(time.perf_counter() - start)
+                assert response.status == 200, response.status
+        finally:
+            connection.close()
+    median_ms = statistics.median(rtts) * 1000
+    (output_dir / "wire_latency.json").write_text(
+        json.dumps({"requests": len(rtts), "median_ms": median_ms}) + "\n"
+    )
+    print(
+        f"[http-smoke] wire latency: 16x16 keep-alive median "
+        f"{median_ms:.1f} ms over {len(rtts)} requests"
+    )
+    assert median_ms < 20.0, (
+        f"wire latency: keep-alive median {median_ms:.1f} ms "
+        "(gate: < 20 ms; >= 40 ms means replies wait out delayed ACKs)"
+    )
+
+
 def main(argv: "list[str] | None" = None) -> int:
     """Run the full smoke; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -525,7 +582,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "--base-port",
         type=int,
         default=18080,
-        help="first TCP port to use (five consecutive ports are taken)",
+        help="first TCP port to use (six consecutive ports are taken)",
     )
     args = parser.parse_args(argv)
     output_dir = Path(args.output_dir)
@@ -535,6 +592,7 @@ def main(argv: "list[str] | None" = None) -> int:
     smoke_shared_grid_cache(args.base_port + 2, output_dir)
     smoke_zero_copy(args.base_port + 3, output_dir)
     smoke_hot_reconfig(args.base_port + 4, output_dir)
+    smoke_wire_latency(args.base_port + 5, output_dir)
     print("[http-smoke] all checks passed")
     return 0
 
