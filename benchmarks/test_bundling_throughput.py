@@ -5,9 +5,9 @@ assignment-sized problem at d = 4096 for three implementations:
 
 * ``dense`` — uint8 fancy-index + ``int64`` sum (the historical reference);
 * ``packed`` — the bit-sliced carry-save vertical-count kernel;
-* ``packed-unpack`` — the replaced chunked dense round-trip, retained on
-  :class:`PackedBackend` as ``bundle_masked_unpacked`` precisely so this
-  harness can hold the new kernel to its >= 2x acceptance gate.
+* ``packed-unpack`` — the replaced chunked dense round-trip over packed
+  storage (:func:`_bundle_unpacked` below), kept here as the baseline the
+  new kernel's >= 2x acceptance gate is measured against.
 
 ``test_bitsliced_bundle_2x_and_bit_exact`` is the acceptance check: the
 bit-sliced kernel must be bit-identical to both baselines and >= 2x faster
@@ -26,11 +26,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.hdc import make_backend
+from repro.hdc import make_backend, unpack_hvs
 
 _ROWS = 96 * 112
 _DIM = 4096
 _SPEEDUP_FLOOR = 2.0
+_UNPACK_CHUNK_ROWS = 8192
+
+
+def _bundle_unpacked(storage, mask):
+    """Baseline bundle: unpack the member rows chunk by chunk, then sum."""
+    indices = np.flatnonzero(mask)
+    total = np.zeros(storage.dimension, dtype=np.int64)
+    for start in range(0, indices.size, _UNPACK_CHUNK_ROWS):
+        rows = storage.data[indices[start : start + _UNPACK_CHUNK_ROWS]]
+        total += unpack_hvs(rows, storage.dimension).sum(axis=0, dtype=np.int64)
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +71,7 @@ def test_bench_bundle_kernel(benchmark, bundle_problem, kernel):
     backend = make_backend("packed" if kernel.startswith("packed") else "dense")
     storage = backend.pack(hvs)
     bundle = (
-        backend.bundle_masked_unpacked
-        if kernel == "packed-unpack"
-        else backend.bundle_masked
+        _bundle_unpacked if kernel == "packed-unpack" else backend.bundle_masked
     )
     total = benchmark(bundle, storage, mask)
     assert total.shape == (_DIM,)
@@ -82,7 +91,7 @@ def test_bitsliced_bundle_2x_and_bit_exact(bundle_problem):
         lambda: dense.bundle_masked(dense_storage, mask)
     )
     unpack_seconds, unpack_total = _best_of(
-        lambda: packed.bundle_masked_unpacked(packed_storage, mask)
+        lambda: _bundle_unpacked(packed_storage, mask)
     )
     sliced_seconds, sliced_total = _best_of(
         lambda: packed.bundle_masked(packed_storage, mask)

@@ -31,11 +31,11 @@ __all__ = [
     "serving_estimate",
 ]
 
-_FLOAT_BYTES = 4  # both PyTorch and the numpy pipeline run in float32
+_FLOAT_BYTES = 4  # float32 element size
 _HV_BYTES = 1  # dense binary hypervectors are stored as uint8
 _WORD_BYTES = 8  # the packed backend stores 64 HV bits per uint64 word
-# Rows per float32 chunk during the K-Means assignment; matches the default
-# chunk size of repro.seghdc.clusterer.HDKMeans so the modelled peak memory
+# Rows per chunk during the K-Means assignment; matches the default chunk
+# size of repro.seghdc.clusterer.HDKMeans so the modelled peak memory
 # reflects what the implementation actually allocates.
 _ASSIGNMENT_CHUNK_ROWS = 8192
 
@@ -128,8 +128,9 @@ def seghdc_cost(
       norms (``2 * N * d``), and the centroid update re-reads the member HVs
       once more (``N * d``).
     * Memory: the pixel-HV matrix (``N * d`` bytes as uint8) dominates; the
-      float32 chunk used during the assignment adds one chunk of
-      ``chunk * d * 4`` bytes.
+      assignment converts half-chunks of ``chunk / 2`` rows to float64,
+      which adds ``chunk * d * 4`` bytes, and keeps the ``(N, k)`` integer
+      dot matrix with its float64 ranking keys (``16 * N * k`` bytes).
 
     Packed backend (64 HV bits per uint64 word, ``w = ceil(d / 64)`` words):
 
@@ -146,7 +147,8 @@ def seghdc_cost(
       ``N * d / 8`` dense unpack round-trip).
     * Memory: the packed pixel matrix and position grid are ``N * w * 8``
       bytes each (8x smaller than dense); one dense color band and the
-      integer dot-product chunk are the transient extras.
+      ``(N, k)`` integer dot matrix with its float64 ranking keys are the
+      transient extras.
 
     ``counter_depth`` / ``bundle_chunk_rows`` mirror the packed backend's
     bundling tunables and only affect the packed formula.
@@ -169,7 +171,8 @@ def seghdc_cost(
         bytes_moved = hv_matrix_bytes * (1 + 2 * num_iterations)
         peak_memory = (
             2.0 * hv_matrix_bytes  # position grid + bound pixel grid
-            + chunk_rows * dimension * _FLOAT_BYTES  # float32 assignment chunk
+            + chunk_rows * dimension * _FLOAT_BYTES  # float64 half-chunk
+            + num_pixels * num_clusters * 16  # int64 dots + float64 keys
             + num_pixels * (_FLOAT_BYTES + 4)  # intensities + labels
         )
     elif backend == "packed":
@@ -201,7 +204,7 @@ def seghdc_cost(
         peak_memory = (
             2.0 * hv_matrix_bytes  # packed position grid + packed pixel matrix
             + band_bytes  # one dense color band during encoding
-            + chunk_rows * num_clusters * 8  # int64 dot-product chunk
+            + num_pixels * num_clusters * 16  # int64 dots + float64 keys
             + num_pixels * (_FLOAT_BYTES + 4)  # intensities + labels
         )
     else:

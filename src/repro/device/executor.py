@@ -181,8 +181,8 @@ class EdgeDeviceSimulator:
         """Convenience wrapper: cost-model + estimate for a SegHDC run.
 
         ``backend`` selects the compute-backend cost model: the packed
-        backend trades the float32 assignment for word-wide AND/popcount
-        operations and shrinks the resident HV matrices ~8x.
+        backend trades the dense assignment matmul for word-wide
+        AND/popcount operations and shrinks the resident HV matrices ~8x.
         ``counter_depth`` / ``bundle_chunk_rows`` mirror the packed
         backend's bundling tunables (ignored under ``backend="dense"``).
         """

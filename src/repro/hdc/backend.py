@@ -4,8 +4,9 @@ The SegHDC hot path needs exactly three kernels:
 
 1. **XOR-bind** of the row/column position grids and of position HVs with
    color HVs (producing the per-pixel HV matrix);
-2. **similarity of pixel HVs against integer-valued centroids** (the cosine
-   assignment of the HD K-Means clusterer);
+2. **exact integer dots of pixel HVs against integer-valued centroids**,
+   from which :meth:`HDCBackend.assign` makes the cosine assignment of the
+   HD K-Means clusterer;
 3. **masked bundling** (element-wise summation of the member HVs of one
    cluster, producing the next centroid).
 
@@ -13,29 +14,20 @@ A :class:`HDCBackend` owns the storage format of the pixel-HV matrix and the
 implementation of these kernels, so the rest of the pipeline never touches
 raw bits directly:
 
-* :class:`DenseBackend` stores one byte per bit (``uint8`` 0/1 arrays) and is
-  bit-exact with the historical implementation, including its float32
-  assignment arithmetic.  It is the default.
+* :class:`DenseBackend` stores one byte per bit (``uint8`` 0/1 arrays) and
+  computes the dots with a float64 matmul, exact because every partial sum
+  is an integer far below ``2^53``.  It is the default.
 * :class:`PackedBackend` stores hypervectors as ``uint64`` words produced by
-  ``np.packbits`` (~8x less memory) and performs the assignment with pure
-  integer arithmetic: the integer-valued centroids are decomposed into
-  binary bit-planes and each pixel-centroid dot product becomes a sum of
-  popcounts of ANDed words, ``x . c = sum_j 2^j * popcount(x & plane_j)``.
-  Popcounts use ``np.bitwise_count`` when available and otherwise fall back
-  to a 16-bit lookup table (the classic embedded-friendly kernel).  Hamming
-  distances between packed HVs use the same popcount primitive on XORed
-  words.  Masked bundling — the centroid update — is a **bit-sliced
-  vertical-count kernel**: member rows are compressed with word-wide 3:2
-  carry-save adders into a small set of weighted bit-planes (a distributed
-  binary counter per dimension) that is flushed into the ``int64`` totals,
-  so the centroid update never materialises the dense ``(n, d)`` matrix
+  ``np.packbits`` (~8x less memory).  Its dots decompose the centroids into
+  binary bit-planes, ``x . c = sum_j 2^j * popcount(x & plane_j)``, and its
+  masked bundling is a **bit-sliced vertical-count kernel** of word-wide
+  3:2 carry-save adders that never materialises the dense ``(n, d)`` matrix
   (see :meth:`PackedBackend.bundle_masked` for the math).
 
-Because the packed dot products and the bit-sliced bundle sums are exact
-integers, the packed backend selects the same argmax centroid and produces
-the same centroid bundles as the dense float path (up to float32 rounding
-of near-ties in the assignment, which do not occur on realistic images), so
-both backends produce identical label maps for a fixed seed.
+Backends supply only exact integers — dots and bundle sums.  The cosine
+rule (normalisation, argmax, tie-break, inertia) exists once, in
+:meth:`HDCBackend.assign`, so both backends produce identical label maps
+for a fixed seed by construction.
 """
 
 from __future__ import annotations
@@ -129,6 +121,38 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     return table[np.ascontiguousarray(words).view(np.uint16)].sum(
         axis=1, dtype=np.int64
     )
+
+
+def _integer_centroids(centroids: np.ndarray) -> np.ndarray:
+    """Centroid bundles as ``int64``; refuses non-integer or negative ones."""
+    values = np.asarray(centroids)
+    integral = np.rint(values).astype(np.int64)
+    if not np.array_equal(integral, values):
+        raise ValueError(
+            "cosine assignment needs integer-valued centroids (bundles)"
+        )
+    if integral.size and integral.min() < 0:
+        raise ValueError("centroid bundles must be non-negative")
+    return integral
+
+
+def _exact_argmax(dots: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Per row, the lowest index maximising ``dot_j / ||c_j||``, exactly.
+
+    Dots and norms are non-negative, so ``dot_a / ||c_a|| > dot_b / ||c_b||``
+    iff ``dot_a^2 * ||c_b||^2 > dot_b^2 * ||c_a||^2``.  Both sides are Python
+    ints (``||c||^2`` passes ``2^63`` near 30 Mpx at d = 10^4), and the
+    strict comparison keeps the lower index on exact ties.
+    """
+    norms_sq = [max(1, sum(v * v for v in row)) for row in centroids.tolist()]
+    labels = []
+    for row in dots.tolist():
+        best = 0
+        for j in range(1, len(row)):
+            if row[j] ** 2 * norms_sq[best] > row[best] ** 2 * norms_sq[j]:
+                best = j
+        labels.append(best)
+    return np.array(labels, dtype=np.intp)
 
 
 @dataclass(eq=False)
@@ -244,9 +268,22 @@ class HDCBackend(ABC):
         return HVStorage(out, dimension, self)
 
     # ------------------------------------------------------------------ #
-    # kernel 2: similarity against centroids
+    # kernel 2: dots against centroids, and the one cosine rule over them
     # ------------------------------------------------------------------ #
     @abstractmethod
+    def dots(
+        self,
+        storage: HVStorage,
+        centroids: np.ndarray,
+        *,
+        chunk_size: int = 8192,
+    ) -> np.ndarray:
+        """Exact ``int64`` dot of every row with every centroid, ``(n, k)``.
+
+        ``centroids`` is the ``(k, d)`` ``int64`` matrix of non-negative
+        bundles; ``chunk_size`` bounds the rows converted per pass.
+        """
+
     def assign(
         self,
         storage: HVStorage,
@@ -254,12 +291,37 @@ class HDCBackend(ABC):
         *,
         chunk_size: int = 8192,
     ) -> tuple[np.ndarray, float]:
-        """Nearest centroid per row by cosine distance.
+        """Nearest centroid per row by cosine similarity (Eq. 7), exactly.
 
-        ``centroids`` is the ``(k, d)`` float64 matrix of integer-valued
-        bundles.  Returns ``(labels, inertia)`` where ``inertia`` is the sum
-        of ``1 - cosine_similarity`` over the winning assignments.
+        ``centroids`` is the ``(k, d)`` matrix of non-negative integer
+        bundles (anything else raises ``ValueError``).  Clusters are ranked
+        by the float64 key ``dot / ||c||`` (the row norm cancels; a zero
+        centroid counts as norm 1), and rows whose runner-up lies within the
+        keys' rounding margin of the best are re-decided by
+        :func:`_exact_argmax`.  Returns ``(labels, inertia)``, ``inertia``
+        being the sum of ``1 - cosine_similarity`` of the winners.
         """
+        integral = _integer_centroids(centroids)
+        dots = self.dots(storage, integral, chunk_size=chunk_size)
+        norms = np.linalg.norm(integral, axis=1)
+        norms[norms == 0.0] = 1.0
+        # Dots (<= d * n, far below 2^53) are exact in float64, so a key's
+        # relative error is at most (d/2 + 2) unit roundoffs: the norm's
+        # d-term sum, its sqrt and the division.  Keys farther apart than
+        # twice that rank exactly like the cosines; the margin doubles it.
+        margin = (storage.dimension + 4) * np.finfo(np.float64).eps
+        keys = dots / norms
+        labels = np.argmax(keys, axis=1)
+        rows = np.arange(labels.size)
+        best = keys[rows, labels]
+        floor = best * (1.0 - margin)
+        near = np.count_nonzero(keys >= floor[:, None], axis=1) > 1
+        if near.any():
+            labels[near] = _exact_argmax(dots[near], integral)
+        row_norms = np.sqrt(storage.row_popcounts().astype(np.float64))
+        row_norms[row_norms == 0.0] = 1.0
+        cosine = dots[rows, labels] / (row_norms * norms[labels])
+        return labels.astype(np.int32), float(np.sum(1.0 - cosine))
 
     # ------------------------------------------------------------------ #
     # kernel 3: masked bundling
@@ -346,37 +408,26 @@ class DenseBackend(HDCBackend):
         grid = np.bitwise_xor(rows[:, None, :], cols[None, :, :])
         return HVStorage(grid.reshape(height * width, dimension), dimension, self)
 
-    def assign(
+    def dots(
         self,
         storage: HVStorage,
         centroids: np.ndarray,
         *,
         chunk_size: int = 8192,
-    ) -> tuple[np.ndarray, float]:
-        """Chunked float32 cosine assignment (the historical path)."""
+    ) -> np.ndarray:
+        """Chunked float64 matmul, exact: every partial sum is an integer
+        ``<= d * n``, far below ``2^53``.  Chunks of ``chunk_size // 2`` rows
+        keep the float64 transient the size of a ``chunk_size``-row float32
+        chunk."""
         hvs = storage.data
-        num_pixels = hvs.shape[0]
-        labels = np.empty(num_pixels, dtype=np.int32)
-        centroid_norms = np.linalg.norm(centroids, axis=1)
-        centroid_norms[centroid_norms == 0.0] = 1.0
-        # Hoisted out of the chunk loop: the transposed float32 centroid
-        # matrix is identical for every chunk of the iteration.
-        centroids_t = centroids.T.astype(np.float32)
-        total_distance = 0.0
-        for start in range(0, num_pixels, chunk_size):
-            stop = min(start + chunk_size, num_pixels)
-            chunk = hvs[start:stop].astype(np.float32)
-            chunk_norms = np.linalg.norm(chunk, axis=1)
-            chunk_norms[chunk_norms == 0.0] = 1.0
-            similarity = (chunk @ centroids_t) / (
-                chunk_norms[:, None] * centroid_norms[None, :]
+        centroids_t = centroids.T.astype(np.float64)
+        out = np.empty((hvs.shape[0], centroids.shape[0]), dtype=np.int64)
+        step = max(1, chunk_size // 2)
+        for start in range(0, hvs.shape[0], step):
+            out[start : start + step] = (
+                hvs[start : start + step].astype(np.float64) @ centroids_t
             )
-            chunk_labels = np.argmax(similarity, axis=1)
-            labels[start:stop] = chunk_labels
-            total_distance += float(
-                np.sum(1.0 - similarity[np.arange(stop - start), chunk_labels])
-            )
-        return labels, total_distance
+        return out
 
     def bundle_masked(self, storage: HVStorage, mask: np.ndarray) -> np.ndarray:
         """Fancy-index the member rows and sum them as ``int64``."""
@@ -399,11 +450,6 @@ class PackedBackend(HDCBackend):
         Member rows gathered per numpy slab while bundling; bounds the
         transient packed working set of the kernel.  The effective block
         size is ``min(bundle_chunk_rows, 2^counter_depth - 1)``.
-    unpack_chunk_rows:
-        Rows per chunk of the *reference* bundling path
-        (:meth:`bundle_masked_unpacked`), the historical dense round-trip
-        kept as the correctness/throughput baseline of the bit-sliced
-        kernel.
     """
 
     name = "packed"
@@ -413,16 +459,10 @@ class PackedBackend(HDCBackend):
         *,
         counter_depth: int = 16,
         bundle_chunk_rows: int = 16384,
-        unpack_chunk_rows: int = 8192,
     ) -> None:
         self.counter_depth, self.bundle_chunk_rows = validate_bundling_tunables(
             counter_depth, bundle_chunk_rows
         )
-        if unpack_chunk_rows < 1:
-            raise ValueError(
-                f"unpack_chunk_rows must be positive, got {unpack_chunk_rows}"
-            )
-        self.unpack_chunk_rows = int(unpack_chunk_rows)
 
     def capabilities(self) -> dict:
         """Packed storage + the bit-sliced bundling tunables."""
@@ -432,14 +472,13 @@ class PackedBackend(HDCBackend):
             "tunables": {
                 "counter_depth": self.counter_depth,
                 "bundle_chunk_rows": self.bundle_chunk_rows,
-                "unpack_chunk_rows": self.unpack_chunk_rows,
             },
         }
 
     def __reduce__(self):
         return (
             _rebuild_packed_backend,
-            (self.counter_depth, self.bundle_chunk_rows, self.unpack_chunk_rows),
+            (self.counter_depth, self.bundle_chunk_rows),
         )
 
     def storage_nbytes(self, num_rows: int, dimension: int) -> int:
@@ -486,14 +525,7 @@ class PackedBackend(HDCBackend):
         ``centroids[c, i] = sum_j 2^j * plane[j, c, i]``, which turns the
         float matmul of the assignment into AND + popcount word kernels.
         """
-        values = np.asarray(centroids)
-        integral = np.rint(values).astype(np.int64)
-        if not np.array_equal(integral, values):
-            raise ValueError(
-                "packed assignment needs integer-valued centroids (bundles)"
-            )
-        if integral.min() < 0:
-            raise ValueError("centroid bundles must be non-negative")
+        integral = _integer_centroids(centroids)
         num_planes = max(1, int(integral.max()).bit_length())
         planes = np.empty(
             (num_planes, integral.shape[0], packed_words_per_hv(dimension)),
@@ -504,43 +536,28 @@ class PackedBackend(HDCBackend):
             planes[plane_index] = pack_hvs(bits, dimension=dimension)
         return planes
 
-    def assign(
+    def dots(
         self,
         storage: HVStorage,
         centroids: np.ndarray,
         *,
         chunk_size: int = 8192,
-    ) -> tuple[np.ndarray, float]:
-        """Integer cosine assignment via AND + popcount bit-planes."""
+    ) -> np.ndarray:
+        """Integer dots via AND + popcount over the centroid bit-planes."""
         words = storage.data
-        num_pixels = words.shape[0]
-        num_clusters = centroids.shape[0]
-        centroid_norms = np.linalg.norm(centroids, axis=1)
-        centroid_norms[centroid_norms == 0.0] = 1.0
         planes = self.centroid_bit_planes(centroids, storage.dimension)
-        row_norms = np.sqrt(storage.row_popcounts().astype(np.float64))
-        row_norms[row_norms == 0.0] = 1.0
-        labels = np.empty(num_pixels, dtype=np.int32)
-        total_distance = 0.0
-        for start in range(0, num_pixels, chunk_size):
-            stop = min(start + chunk_size, num_pixels)
-            chunk = words[start:stop]
-            dots = np.zeros((stop - start, num_clusters), dtype=np.int64)
+        num_clusters = planes.shape[1]
+        out = np.zeros((words.shape[0], num_clusters), dtype=np.int64)
+        for start in range(0, words.shape[0], chunk_size):
+            chunk = words[start : start + chunk_size]
+            block = out[start : start + chunk_size]
             for plane_index in range(planes.shape[0]):
                 for cluster in range(num_clusters):
-                    dots[:, cluster] += (
+                    block[:, cluster] += (
                         popcount_words(chunk & planes[plane_index, cluster])
                         << plane_index
                     )
-            similarity = dots / (
-                row_norms[start:stop, None] * centroid_norms[None, :]
-            )
-            chunk_labels = np.argmax(similarity, axis=1)
-            labels[start:stop] = chunk_labels
-            total_distance += float(
-                np.sum(1.0 - similarity[np.arange(stop - start), chunk_labels])
-            )
-        return labels, total_distance
+        return out
 
     def bundle_masked(self, storage: HVStorage, mask: np.ndarray) -> np.ndarray:
         """Bit-sliced vertical-count bundle of the rows selected by ``mask``.
@@ -585,8 +602,7 @@ class PackedBackend(HDCBackend):
         a multiple of 64 never perturbs the counts.
 
         **Parity contract.**  The kernel is exact integer arithmetic, so its
-        output is bit-identical to :meth:`DenseBackend.bundle_masked` (and
-        to the retained :meth:`bundle_masked_unpacked` reference path) for
+        output is bit-identical to :meth:`DenseBackend.bundle_masked` for
         the same logical rows — asserted per kernel by the bundling tests
         and end-to-end by the dense/packed parity sweep and golden fixtures.
         """
@@ -641,38 +657,13 @@ class PackedBackend(HDCBackend):
                     else np.concatenate([pending, merged])
                 )
 
-    def bundle_masked_unpacked(
-        self, storage: HVStorage, mask: np.ndarray
-    ) -> np.ndarray:
-        """Reference bundling path: chunked unpack to dense, then sum.
-
-        This is the historical implementation the bit-sliced kernel
-        replaced.  It is retained (not dead code) as the independent oracle
-        of the bundling tests and as the baseline the throughput harness
-        (``benchmarks/test_bundling_throughput.py``) measures the >= 2x
-        speedup of :meth:`bundle_masked` against.
-        """
-        indices = np.flatnonzero(np.asarray(mask))
-        total = np.zeros(storage.dimension, dtype=np.int64)
-        for start in range(0, indices.size, self.unpack_chunk_rows):
-            chunk_indices = indices[start : start + self.unpack_chunk_rows]
-            dense = unpack_hvs(storage.data[chunk_indices], storage.dimension)
-            total += dense.sum(axis=0, dtype=np.int64)
-        return total
-
-    def hamming(self, storage: HVStorage, reference_row: np.ndarray) -> np.ndarray:
-        """Hamming distance of every row against one packed reference row."""
-        return popcount_words(storage.data ^ reference_row[None, :])
-
 
 def _rebuild_packed_backend(
-    counter_depth: int, bundle_chunk_rows: int, unpack_chunk_rows: int
+    counter_depth: int, bundle_chunk_rows: int
 ) -> "PackedBackend":
     """Unpickle helper preserving :class:`PackedBackend` constructor state."""
     return PackedBackend(
-        counter_depth=counter_depth,
-        bundle_chunk_rows=bundle_chunk_rows,
-        unpack_chunk_rows=unpack_chunk_rows,
+        counter_depth=counter_depth, bundle_chunk_rows=bundle_chunk_rows
     )
 
 
@@ -692,10 +683,10 @@ def make_backend(name: str | HDCBackend, **options) -> HDCBackend:
 
     Keyword ``options`` are forwarded to the backend's constructor — the
     tunable surface each backend documents in its ``capabilities()`` (for
-    ``"packed"``: ``counter_depth``, ``bundle_chunk_rows``,
-    ``unpack_chunk_rows``).  An option the backend does not accept raises
-    ``ValueError`` naming the backend, so a typo in a config or spec fails
-    loudly instead of silently running defaults.  Passing an already-built
+    ``"packed"``: ``counter_depth``, ``bundle_chunk_rows``).  An option the
+    backend does not accept raises ``ValueError`` naming the backend, so a
+    typo in a config or spec fails loudly instead of silently running
+    defaults.  Passing an already-built
     backend instance returns it unchanged and rejects options (the instance
     already fixed its tunables).
     """

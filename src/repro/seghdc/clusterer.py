@@ -20,9 +20,10 @@ centroids (e.g. the previous video frame's converged bundles) instead of
 the largest-color-difference pixels.
 
 The distance and bundling arithmetic is delegated to a
-:class:`repro.hdc.backend.HDCBackend`, so the same clusterer runs on dense
-uint8 hypervectors (bit-exact with the historical implementation) or on
-bit-packed ``uint64`` words with integer-only kernels.
+:class:`repro.hdc.backend.HDCBackend`.  Backends supply only exact integers
+(pixel-centroid dots and bundle sums) and the cosine rule is decided
+exactly, once, in :meth:`HDCBackend.assign`, so the clusterer returns the
+same labels on dense uint8 hypervectors and on bit-packed ``uint64`` words.
 """
 
 from __future__ import annotations

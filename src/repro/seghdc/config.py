@@ -53,12 +53,10 @@ class SegHDCConfig:
         Compute backend for HV storage and kernels: ``"dense"`` (one byte
         per bit, bit-exact with the historical implementation) or
         ``"packed"`` (uint64 bit-packing, ~8x less memory, integer-only
-        assignment and bit-sliced bundling).  The packed kernels are exact
-        integer arithmetic, so the two backends produce identical label
-        maps except in the theoretical case of a near-tie that float32
-        rounding of the dense path resolves differently (never observed on
-        the reference datasets, and pinned by the parity tests for fixed
-        seeds).
+        dots and bit-sliced bundling).  Both backends feed exact integer
+        dots and bundle sums to one exact cosine rule
+        (:meth:`repro.hdc.backend.HDCBackend.assign`), so they produce
+        identical label maps by construction.
     counter_depth:
         Packed-backend tunable: bit-width ``k`` of the vertical counters of
         the bit-sliced bundling kernel; one accumulation block holds at

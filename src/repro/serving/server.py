@@ -18,7 +18,7 @@ Two execution modes share the queueing/batching front end:
 
 * ``mode="thread"`` — N worker threads call **one shared segmenter**.  For
   SegHDC the engine's LRU cache is lock-protected and the numpy kernels
-  (XOR binds, the float32 assignment matmul, popcounts) release the GIL, so
+  (XOR binds, the assignment matmul, popcounts) release the GIL, so
   same-machine threads overlap on multi-core hosts with zero serialization
   cost for the grids.  A user-supplied segmenter instance must be
   thread-safe in this mode.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,22 @@ def backend(request):
     return make_backend(request.param)
 
 
+def _cosine_argmax_reference(hvs, centroids):
+    """Eq. 7 in exact rationals: per row, the lowest index maximising
+    ``cos^2 = dot^2 / ||c||^2`` (the row norm is common to a row)."""
+    rows = hvs.astype(np.int64).tolist()
+    bundles = [[int(v) for v in c] for c in centroids]
+    norms_sq = [max(1, sum(v * v for v in c)) for c in bundles]
+    labels = []
+    for row in rows:
+        keys = [
+            Fraction(sum(x * v for x, v in zip(row, c)) ** 2, n)
+            for c, n in zip(bundles, norms_sq)
+        ]
+        labels.append(keys.index(max(keys)))
+    return np.array(labels)
+
+
 class TestKernels:
     """Both backends implement the same three kernels, bit-for-bit."""
 
@@ -151,30 +169,63 @@ class TestKernels:
         big, _ = backend.assign(storage, centroids, chunk_size=10_000)
         assert np.array_equal(small, big)
 
+    @pytest.mark.parametrize("chunk_size", [1, 7, 8192])
+    def test_dots_are_exact_integers(self, backend, rng, chunk_size):
+        hvs = self._hvs(rng, n=57)
+        centroids = rng.integers(0, 1 << 40, size=(3, 300))
+        dots = backend.dots(backend.pack(hvs), centroids, chunk_size=chunk_size)
+        assert dots.dtype == np.int64
+        assert np.array_equal(dots, hvs.astype(np.int64) @ centroids.T)
+
+    @pytest.mark.parametrize("high", [50, 1 << 30])
+    def test_assign_exact_tie_goes_to_lowest_index(self, backend, high):
+        """``c_b = 3 c_a`` gives every row two equal cosines; the lowest
+        index must win all of them, even where ``||c||^2`` passes 2^63."""
+        rng = np.random.default_rng(11)
+        hvs = rng.integers(0, 2, size=(4000, 1000), dtype=np.uint8)
+        base = rng.integers(1, high, size=1000)
+        centroids = np.stack([base, 3 * base]).astype(np.float64)
+        labels, _ = backend.assign(backend.pack(hvs), centroids)
+        assert np.count_nonzero(labels) == 0
+
+    def test_assign_near_tie_matches_exact_reference(self, backend):
+        """``c_b = 3 c_a`` with one coordinate moved by +-2: the cosines
+        differ in the ~7th digit, below float32 resolution."""
+        dimension = 256
+        for seed in range(300):
+            trial = np.random.default_rng(seed)
+            base = trial.integers(1, 1 << 17, size=dimension)
+            other = 3 * base
+            other[trial.integers(dimension)] += trial.choice([-2, 2])
+            centroids = np.stack([base, other]).astype(np.float64)
+            hvs = trial.integers(0, 2, size=(4, dimension), dtype=np.uint8)
+            labels, _ = backend.assign(backend.pack(hvs), centroids)
+            expected = _cosine_argmax_reference(hvs, centroids)
+            assert np.array_equal(labels, expected), f"seed {seed}"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(0.5, "integer-valued"), (-1.0, "non-negative")],
+    )
+    def test_assign_rejects_non_integer_and_negative_centroids(
+        self, backend, rng, bad, message
+    ):
+        storage = backend.pack(rng.integers(0, 2, size=(4, 64), dtype=np.uint8))
+        centroids = np.ones((2, 64))
+        centroids[0, 5] = bad
+        with pytest.raises(ValueError, match=message):
+            backend.assign(storage, centroids)
+
 
 class TestDensePackedParity:
     """Backend-specific contracts.  Label-map parity itself is covered by
     the systematic grid in ``test_parity_sweep.py``."""
-
-    def test_packed_rejects_non_integer_centroids(self, rng):
-        packed = PackedBackend()
-        storage = packed.pack(rng.integers(0, 2, size=(4, 64), dtype=np.uint8))
-        with pytest.raises(ValueError, match="integer-valued"):
-            packed.assign(storage, np.array([[0.5] * 64, [1.0] * 64]))
 
     def test_packed_storage_is_about_8x_smaller(self, rng):
         hvs = rng.integers(0, 2, size=(100, 1024), dtype=np.uint8)
         dense_bytes = DenseBackend().pack(hvs).nbytes
         packed_bytes = PackedBackend().pack(hvs).nbytes
         assert packed_bytes * 8 == dense_bytes
-
-    def test_hamming_kernel(self, rng):
-        packed = PackedBackend()
-        hvs = rng.integers(0, 2, size=(20, 500), dtype=np.uint8)
-        storage = packed.pack(hvs)
-        reference = packed.pack(hvs[:1]).data[0]
-        expected = (hvs ^ hvs[0]).sum(axis=1)
-        assert np.array_equal(packed.hamming(storage, reference), expected)
 
 
 class TestPickling:
@@ -185,10 +236,10 @@ class TestPickling:
 
         dense = pickle.loads(pickle.dumps(DenseBackend()))
         assert isinstance(dense, DenseBackend)
-        packed = pickle.loads(pickle.dumps(PackedBackend(unpack_chunk_rows=7)))
+        packed = pickle.loads(pickle.dumps(PackedBackend(bundle_chunk_rows=7)))
         assert isinstance(packed, PackedBackend)
         # Constructor parameters survive the round trip.
-        assert packed.unpack_chunk_rows == 7
+        assert packed.bundle_chunk_rows == 7
 
     @pytest.mark.parametrize("name", ["dense", "packed"])
     def test_storage_roundtrip_drops_cached_popcounts(self, rng, name):

@@ -1,8 +1,8 @@
 """Tests for the bit-sliced vertical-count bundling kernel and its plumbing.
 
 The kernel itself (``PackedBackend.bundle_masked``) is held to bit-exactness
-against two independent oracles — the dense uint8 sum and the retained
-chunked-unpack reference path — across the edge cases that stress its
+against two independent oracles — ``DenseBackend.bundle_masked`` and a plain
+numpy sum of the member rows — across the edge cases that stress its
 invariants: empty and all-member masks, dimensions that are not multiples of
 64 (padding bits), single-row storage, and member counts that cross the
 ``2^counter_depth - 1`` block capacity (counter overflow boundary).  The
@@ -31,10 +31,9 @@ def _assert_bundle_exact(packed, hvs, mask):
     dense_total = DenseBackend().bundle_masked(DenseBackend().pack(hvs), mask)
     storage = packed.pack(hvs)
     sliced_total = packed.bundle_masked(storage, mask)
-    unpack_total = packed.bundle_masked_unpacked(storage, mask)
     assert sliced_total.dtype == np.int64
     assert np.array_equal(sliced_total, dense_total)
-    assert np.array_equal(sliced_total, unpack_total)
+    assert np.array_equal(sliced_total, hvs[mask].sum(0))
 
 
 class TestBitSlicedKernel:
@@ -152,15 +151,10 @@ class TestTunableSurface:
 
     def test_pickle_preserves_bundling_tunables(self):
         clone = pickle.loads(
-            pickle.dumps(
-                PackedBackend(
-                    counter_depth=7, bundle_chunk_rows=11, unpack_chunk_rows=13
-                )
-            )
+            pickle.dumps(PackedBackend(counter_depth=7, bundle_chunk_rows=11))
         )
         assert clone.counter_depth == 7
         assert clone.bundle_chunk_rows == 11
-        assert clone.unpack_chunk_rows == 13
 
 
 class TestConfigPlumbing:
