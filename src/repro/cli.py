@@ -583,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--iterations",
         type=int,
         default=12,
-        help="K-Means iteration budget; early stop quits at the fixed "
+        help="K-Means iteration budget; the loop quits at the fixed "
         "point, so this is the cold-start ceiling the warm start cuts",
     )
     video_parser.add_argument(

@@ -152,6 +152,11 @@ def seghdc_cost(
 
     ``counter_depth`` / ``bundle_chunk_rows`` mirror the packed backend's
     bundling tunables and only affect the packed formula.
+
+    ``num_iterations`` is the clusterer's ceiling: the HD K-Means loop stops
+    at its exact fixed point, often well before it, so the predicted
+    operations, bytes moved and time are upper bounds (peak memory does not
+    depend on the iteration count).
     """
     if height <= 0 or width <= 0:
         raise ValueError("image dimensions must be positive")

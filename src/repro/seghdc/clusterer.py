@@ -7,12 +7,10 @@ A revised K-Means over pixel hypervectors:
   their length grows with cluster size, and cosine distance ignores length;
 * the initial centroids are the pixels with the **largest color difference**
   (most extreme mean intensities), not random picks;
-* the loop runs for a fixed, preset number of iterations (10 by default in
-  the paper, 3 in the latency experiments); with ``early_stop=True`` the
-  loop additionally stops as soon as an assignment pass reproduces the
-  previous labels — a *true* fixed point (identical member sets bundle to
-  identical centroids, so every further iteration returns the same labels),
-  which makes early stopping bit-exact with the full run.
+* the loop runs for at most ``num_iterations`` passes (10 by default in the
+  paper, 3 in the latency experiments) with an exact fixed-point stop: it
+  quits as soon as an assignment pass reproduces the previous labels, which
+  is bit-identical to running every pass (see :meth:`HDKMeans.fit`).
 
 The clusterer also exposes a **warm-start seam**: :meth:`HDKMeans.fit`
 accepts ``initial_centroids=`` to seed the loop from externally supplied
@@ -85,9 +83,11 @@ class ClusteringResult:
 
     ``labels`` has one entry per pixel (flattened).  ``history`` holds the
     label assignment after each iteration when history recording is enabled
-    (needed to reproduce Fig. 8).  ``iterations_run`` is the number of
-    assignment passes actually executed — equal to ``num_iterations``
-    unless early stopping cut the loop at a fixed point.
+    (needed to reproduce Fig. 8); it always has ``num_iterations`` entries,
+    the passes skipped after the fixed point repeating its labels.
+    ``iterations_run`` is the number of assignment passes actually
+    executed: the pass that reached the fixed point, or ``num_iterations``
+    if the labels were still changing.
     ``warm_started`` records whether the run was seeded from externally
     supplied centroids instead of the intensity-extreme pixels.
     """
@@ -108,21 +108,13 @@ class HDKMeans:
     num_clusters:
         Number of clusters ``k``.
     num_iterations:
-        Fixed number of assignment/update rounds.
+        Maximum number of assignment/update rounds; the loop stops earlier
+        at an exact fixed point (see :meth:`fit`).
     chunk_size:
         Pixels are processed in chunks of this many rows when computing the
         pixel-to-centroid similarities, bounding peak memory for large images.
     record_history:
         When true, the label vector after every iteration is kept.
-    early_stop:
-        When true, the loop breaks as soon as an assignment pass returns
-        the same labels as the previous pass.  Unchanged labels mean
-        unchanged cluster member sets, whose bundles are the exact same
-        centroids, so every subsequent iteration would reproduce the same
-        assignment — the cut is a true fixed point and the final labels and
-        centroids are bit-identical to the full ``num_iterations`` run.
-        Off by default to preserve the paper's fixed-iteration semantics
-        (and the historical per-iteration timing profile).
     backend:
         Compute backend (name or instance) used for the similarity and
         bundling kernels.  Defaults to the dense uint8 backend.  When
@@ -137,7 +129,6 @@ class HDKMeans:
         *,
         chunk_size: int = 8192,
         record_history: bool = False,
-        early_stop: bool = False,
         backend: str | HDCBackend | None = None,
     ) -> None:
         if num_clusters < 2:
@@ -152,7 +143,6 @@ class HDKMeans:
         self.num_iterations = int(num_iterations)
         self.chunk_size = int(chunk_size)
         self.record_history = bool(record_history)
-        self.early_stop = bool(early_stop)
         self.backend = make_backend(backend) if backend is not None else DenseBackend()
 
     def fit(
@@ -172,6 +162,13 @@ class HDKMeans:
         warm-start seam: a video session passes the previous frame's
         converged centroid bundles so the loop starts next to the fixed
         point instead of at the intensity extremes.
+
+        The loop breaks as soon as an assignment pass returns the same
+        labels as the previous pass.  Unchanged labels mean unchanged
+        member sets, whose bundles are the centroids that pass just used
+        (an empty cluster keeps its centroid either way), so every later
+        pass would reproduce the same labels, centroids and inertia: the
+        result is bit-identical to running all ``num_iterations`` passes.
         """
         if isinstance(pixel_hvs, HVStorage):
             storage = pixel_hvs
@@ -230,25 +227,24 @@ class HDKMeans:
         previous_labels: np.ndarray | None = None
         history: list[np.ndarray] = []
         inertia = 0.0
-        iterations_run = 0
-        for _ in range(self.num_iterations):
+        for iterations_run in range(1, self.num_iterations + 1):
             labels, inertia = backend.assign(
                 storage, centroids, chunk_size=self.chunk_size
             )
-            iterations_run += 1
             if self.record_history:
                 history.append(labels.copy())
-            if (
-                self.early_stop
-                and previous_labels is not None
-                and np.array_equal(labels, previous_labels)
-            ):
+            if previous_labels is not None and np.array_equal(labels, previous_labels):
                 # Fixed point: the members of every cluster are unchanged,
                 # so the centroid update below would rebuild the exact
                 # centroids this assignment just used; skip it and stop.
                 break
             centroids = self._update_centroids(backend, storage, labels, centroids)
             previous_labels = labels
+        if self.record_history:
+            # Every skipped pass would have reproduced the fixed point.
+            history.extend(
+                labels.copy() for _ in range(self.num_iterations - len(history))
+            )
         return ClusteringResult(
             labels=labels,
             centroids=centroids,

@@ -30,7 +30,8 @@ class SegHDCConfig:
     num_clusters:
         ``k`` of the HD K-Means clusterer (2 for BBBC005/DSB2018, 3 for MoNuSeg).
     num_iterations:
-        Number of K-Means refinement iterations.
+        Maximum number of K-Means refinement iterations; the loop stops
+        earlier at an exact fixed point with bit-identical results.
     alpha:
         Decay factor of the position encoding (Eq. 5): the fraction of each
         half hypervector that the row/column flips may span.
@@ -73,20 +74,13 @@ class SegHDCConfig:
         shape's converged centroid bundles and seeds the next same-shape
         clustering run from them instead of the intensity-extreme pixels.
         Consecutive similar frames then start next to the fixed point, so
-        with ``early_stop`` the per-frame iteration count drops.  The warm
-        state lives inside one engine instance and never crosses a pickle
-        boundary (process-pool workers each keep their own), so warm
-        sessions are served from thread-mode servers.  Off by default:
+        the loop reaches it in fewer passes and the per-frame iteration
+        count (``iterations_run``) drops.  The warm state lives inside one
+        engine instance and never crosses a pickle boundary (process-pool
+        workers each keep their own), so warm sessions are served from
+        thread-mode servers.  Off by default:
         warm-started runs are history-dependent, which would break the
         bit-exact golden fixtures.
-    early_stop:
-        Stop the HD K-Means loop as soon as an assignment pass reproduces
-        the previous labels.  The cut happens at an exact fixed point, so
-        labels and centroids stay bit-identical to the full
-        ``num_iterations`` run (see :class:`repro.seghdc.clusterer.HDKMeans`);
-        only the iteration count — reported as ``iterations_run`` in every
-        result workload — changes.  Off by default to preserve the paper's
-        fixed-iteration latency profile.
     """
 
     dimension: int = 10_000
@@ -104,7 +98,6 @@ class SegHDCConfig:
     counter_depth: int = 16
     bundle_chunk_rows: int = 16384
     warm_start: bool = False
-    early_stop: bool = False
 
     def __post_init__(self) -> None:
         if self.dimension < 6:

@@ -398,7 +398,6 @@ class SegHDCEngine:
             config.num_clusters,
             config.num_iterations,
             record_history=config.record_history,
-            early_stop=config.early_stop,
             backend=self.backend,
         )
         shape_key = (height, width, channels)

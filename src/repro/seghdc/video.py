@@ -4,7 +4,7 @@ Consecutive video frames are nearly identical, so their converged HD
 K-Means centroids are too.  With ``SegHDCConfig(warm_start=True)`` the
 engine seeds each frame's clustering from the previous same-shape frame's
 converged centroid bundles (see :class:`repro.seghdc.engine.SegHDCEngine`),
-and with ``early_stop=True`` the loop quits at the fixed point — so a
+and the HD K-Means loop always quits at its exact fixed point — so a
 frame that starts next to its predecessor's solution finishes in a
 fraction of the cold iteration budget.  That iteration cut is the whole
 payoff of the temporal mode, and :func:`warm_start_cut` measures it:
@@ -105,8 +105,8 @@ def synthetic_video(
 class VideoSession:
     """A stateful temporal segmentation session over one SegHDC engine.
 
-    Forces ``warm_start=True`` and ``early_stop=True`` on the given config
-    (the combination that turns frame-to-frame similarity into an
+    Forces ``warm_start=True`` on the given config (which, with the
+    clusterer's fixed-point stop, turns frame-to-frame similarity into an
     iteration cut) and tracks per-frame iteration counts.  Not
     thread-safe — a session is one ordered frame stream; run several
     sessions for several streams.
@@ -114,7 +114,7 @@ class VideoSession:
 
     def __init__(self, config: "SegHDCConfig | None" = None, **engine_kwargs) -> None:
         base = config or SegHDCConfig()
-        self.config = base.with_overrides(warm_start=True, early_stop=True)
+        self.config = base.with_overrides(warm_start=True)
         self._segmenter = SegHDC(self.config, **engine_kwargs)
         self.iterations_per_frame: list[int] = []
 
@@ -153,8 +153,7 @@ def warm_start_cut(
 
     Streams the same frames through two thread-mode single-worker
     :class:`repro.serving.SegmentationServer` sessions — cold
-    (``warm_start=False``) and warm (``warm_start=True``), both with
-    ``early_stop=True`` so the iteration counts are comparable — via
+    (``warm_start=False``) and warm (``warm_start=True``) — via
     :meth:`SegmentationServer.map`.  Returns a JSON-ready dict with
     per-frame iteration counts, the two means, the cut ratio, and whether
     the final-frame label maps agree.  (Agreement is reported, not
@@ -169,7 +168,7 @@ def warm_start_cut(
 
     if not frames:
         raise ValueError("need at least one frame")
-    base = (config or SegHDCConfig()).with_overrides(early_stop=True)
+    base = config or SegHDCConfig()
     runs = {}
     final_labels = {}
     for label, warm in (("cold", False), ("warm", True)):

@@ -516,12 +516,6 @@ class SegmentationServer:
         :class:`repro.api.Segmenter` instance (which must be thread-safe in
         thread mode and spec-picklable — ``describe()`` — in process mode).
         ``None`` serves a default-config SegHDC.
-    config:
-        **Deprecated** alias for ``segmenter`` (the first parameter was
-        named ``config`` when the server only wrapped SegHDC).  Using it
-        emits :class:`DeprecationWarning`; it will be removed in a future
-        release — pass the config positionally or use
-        :meth:`from_options`.
     mode:
         ``"thread"`` (shared engine, GIL-releasing kernels) or ``"process"``
         (one engine per worker process; see the module docstring).
@@ -570,7 +564,6 @@ class SegmentationServer:
         self,
         segmenter: "Segmenter | SegHDCConfig | Mapping | str | None" = None,
         *,
-        config: "SegHDCConfig | None" = None,
         mode: str = "thread",
         num_workers: int = 2,
         max_queue_depth: int = 64,
@@ -581,25 +574,6 @@ class SegmentationServer:
         share_grid_cache: bool = True,
         engine_kwargs: dict | None = None,
     ) -> None:
-        if config is not None:
-            # Backward-compatible alias: the first parameter was named
-            # ``config`` when the server only wrapped SegHDC.
-            if segmenter is not None:
-                raise TypeError(
-                    "pass either segmenter or config (deprecated alias), "
-                    "not both"
-                )
-            import warnings
-
-            warnings.warn(
-                "SegmentationServer(config=...) is deprecated and will be "
-                "removed in a future release; pass the config as the first "
-                "(segmenter) argument, a registered spec dict, or use "
-                "SegmentationServer.from_options",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            segmenter = config
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         if num_workers < 1:

@@ -302,6 +302,9 @@ class TestConfigRoundTrips:
     def test_unknown_key_names_the_field(self):
         with pytest.raises(ValueError, match="'dimenson'"):
             SegHDCConfig.from_dict({"dimenson": 500})
+        # A retired option is refused like any other unknown key.
+        with pytest.raises(ValueError, match="'early_stop'"):
+            SegHDCConfig.from_dict({"early_stop": True})
         with pytest.raises(ValueError, match="'learning_rte'"):
             CNNBaselineConfig.from_dict({"learning_rte": 0.1})
         with pytest.raises(ValueError, match="'workers'"):

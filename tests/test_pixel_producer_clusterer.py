@@ -265,6 +265,96 @@ class TestHDKMeans:
         assert np.array_equal(from_storage.labels, from_dense.labels)
 
 
+def _reference_fit(backend, storage, centroids, num_clusters, num_iterations):
+    """The paper's loop: exactly ``num_iterations`` assign + bundle passes,
+    empty clusters keeping their centroid."""
+    history = []
+    for _ in range(num_iterations):
+        labels, inertia = backend.assign(storage, centroids, chunk_size=8192)
+        history.append(labels)
+        updated = centroids.copy()
+        for cluster in range(num_clusters):
+            members = labels == cluster
+            if members.any():
+                updated[cluster] = backend.bundle_masked(storage, members)
+        centroids = updated
+    return labels, centroids, inertia, history
+
+
+def _noisy_copies(rng, prototype, count, flips):
+    rows = np.repeat(prototype[None, :], count, axis=0)
+    for row in rows:
+        row[rng.choice(prototype.size, size=flips, replace=False)] ^= 1
+    return rows
+
+
+class TestFixedPointStop:
+    """``HDKMeans.fit`` stops at the first repeated assignment; that must be
+    bit-identical to running every one of the ``num_iterations`` passes."""
+
+    NUM_ITERATIONS = 10
+
+    def _case(self, name, rng):
+        """``(hvs, intensities, num_clusters, initial_centroids)``."""
+        space = HypervectorSpace(512, seed=4)
+        center_a, center_b = space.random(), space.random()
+        if name == "early":
+            # Overlapping groups: a few passes of real movement, then a
+            # fixed point well inside the budget.
+            mixed = center_a.copy()
+            mixed[:400] = center_b[:400]
+            hvs = np.concatenate([
+                _noisy_copies(rng, center_a, 40, 150),
+                _noisy_copies(rng, mixed, 40, 150),
+            ])
+            intensities = rng.uniform(0.0, 255.0, size=len(hvs))
+            return hvs, intensities, 2, None
+        if name == "warm":
+            hvs = np.concatenate([
+                _noisy_copies(rng, center_a, 30, 60),
+                _noisy_copies(rng, center_b, 30, 60),
+            ])
+            intensities = np.r_[np.full(30, 20.0), np.full(30, 230.0)]
+            # Both warm seeds sit in group A, far from the answer.
+            initial = np.stack([hvs[0] + hvs[1], hvs[2]]).astype(np.float64)
+            return hvs, intensities, 2, initial
+        # "empty": k=3 on two modes.  Group A is one repeated HV holding the
+        # two darkest seeds, so its two centroids tie and the higher index
+        # never wins a pixel.
+        hvs = np.concatenate([
+            np.repeat(center_a[None, :], 40, axis=0),
+            _noisy_copies(rng, center_b, 20, 25),
+        ])
+        intensities = np.r_[np.full(40, 20.0), np.full(20, 230.0)]
+        return hvs, intensities, 3, None
+
+    @pytest.mark.parametrize("backend_name", ["dense", "packed"])
+    @pytest.mark.parametrize("case", ["early", "warm", "empty"])
+    def test_matches_full_iteration_reference(self, rng, backend_name, case):
+        hvs, intensities, num_clusters, initial = self._case(case, rng)
+        backend = make_backend(backend_name)
+        storage = backend.pack(hvs)
+        result = HDKMeans(
+            num_clusters, self.NUM_ITERATIONS, record_history=True
+        ).fit(storage, intensities, initial_centroids=initial)
+        if initial is None:
+            seeds = select_initial_centroid_indices(intensities, num_clusters)
+            initial = backend.unpack(storage, seeds).astype(np.float64)
+        labels, centroids, inertia, history = _reference_fit(
+            backend, storage, initial, num_clusters, self.NUM_ITERATIONS
+        )
+        assert np.array_equal(result.labels, labels)
+        assert np.array_equal(result.centroids, centroids)
+        assert result.inertia == inertia
+        assert len(result.history) == self.NUM_ITERATIONS
+        for got, want in zip(result.history, history):
+            assert np.array_equal(got, want)
+        assert result.warm_started is (case == "warm")
+        assert 2 <= result.iterations_run < self.NUM_ITERATIONS
+        if case == "empty":
+            assert np.bincount(labels, minlength=num_clusters).min() == 0
+
+
 @given(
     num_points=st.integers(min_value=6, max_value=60),
     num_clusters=st.integers(min_value=2, max_value=4),

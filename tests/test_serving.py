@@ -514,17 +514,6 @@ class TestUnifiedSegmenterServing:
             )
             assert server.segmenter is segmenter
 
-    def test_config_keyword_alias_deprecated(self):
-        """PR-2 callers used SegmentationServer(config=...); the renamed
-        first parameter keeps that spelling as a deprecated alias that now
-        warns on use and is scheduled for removal."""
-        with pytest.warns(DeprecationWarning, match="config=.*deprecated"):
-            server = SegmentationServer(config=_config(), num_workers=1)
-        with server:
-            assert server.config == _config()
-        with pytest.raises(TypeError, match="not both"):
-            SegmentationServer(_config(), config=_config())
-
     def test_server_accepts_registered_name(self):
         with SegmentationServer("cnn_baseline", num_workers=1) as server:
             assert isinstance(server.segmenter, CNNUnsupervisedSegmenter)

@@ -1,9 +1,9 @@
 """Temporal mode: warm-started sessions, determinism, and the iteration cut.
 
 The contract under test is the one the video mode ships on: seeding a
-frame's HD K-Means from the previous frame's converged centroids (plus
-fixed-point early stop) cuts the mean iterations per frame versus a cold
-start on the same frames.  Label agreement between warm and cold runs is
+frame's HD K-Means from the previous frame's converged centroids (the
+loop always stops at its exact fixed point) cuts the mean iterations per
+frame versus a cold start on the same frames.  Label agreement between warm and cold runs is
 *not* part of the contract (K-Means is only locally convergent); identical
 re-runs of the same session being bit-identical *is*.
 """
@@ -60,10 +60,10 @@ class TestSyntheticVideo:
 
 
 class TestVideoSession:
-    def test_forces_warm_start_and_early_stop(self):
-        session = VideoSession(SegHDCConfig(dimension=256, num_iterations=4))
-        assert session.config.warm_start is True
-        assert session.config.early_stop is True
+    def test_forces_warm_start(self):
+        config = SegHDCConfig(dimension=256, num_iterations=4)
+        session = VideoSession(config)
+        assert session.config == config.with_overrides(warm_start=True)
 
     def test_tracks_iterations_and_warm_state(self):
         session = VideoSession(_CONFIG)
@@ -91,7 +91,7 @@ class TestVideoSession:
             assert a.workload["iterations_run"] == b.workload["iterations_run"]
 
     def test_warm_state_never_crosses_pickle(self):
-        config = _CONFIG.with_overrides(warm_start=True, early_stop=True)
+        config = _CONFIG.with_overrides(warm_start=True)
         segmenter = SegHDC(config)
         segmenter.segment(_frames(1)[0])
         rebuilt = pickle.loads(pickle.dumps(segmenter))
@@ -120,7 +120,6 @@ class TestWarmStartCut:
         assert json.loads(json.dumps(report)) == json.loads(json.dumps(again))
         assert report["num_frames"] == 4
         assert report["frame_shape"] == [48, 48]
-        assert report["config"]["early_stop"] is True
 
     def test_rejects_empty_stream(self):
         with pytest.raises(ValueError, match="at least one frame"):

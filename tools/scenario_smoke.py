@@ -53,11 +53,10 @@ _TILE = 128
 _BATCH = 64
 #: Per-tile base config: empirically the cheapest recipe that segments a
 #: 128x128 blob-field tile bit-exactly (dimension 512 / budget 8); the
-#: fixed-point early stop cuts most tiles to 2-3 actual passes.
+#: fixed-point stop cuts most tiles to 2-3 actual passes.
 _BASE_CONFIG_OVERRIDES = {
     "dimension": 512,
     "num_iterations": 8,
-    "early_stop": True,
 }
 
 
