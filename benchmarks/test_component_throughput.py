@@ -13,10 +13,7 @@ labels.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,21 +155,6 @@ def test_packed_assignment_is_2x_faster_and_bit_identical(assignment_problem):
     )
     assert np.array_equal(dense_labels, packed_labels)
     speedup = dense_seconds / packed_seconds
-    payload = {
-        "benchmark": "assignment",
-        "pixels": _HEIGHT * _WIDTH,
-        "dimension": _ASSIGN_DIM,
-        "dense_ms": round(dense_seconds * 1e3, 3),
-        "packed_ms": round(packed_seconds * 1e3, 3),
-        "speedup": round(speedup, 2),
-        "speedup_floor": 2.0,
-    }
-    print("\nBENCH " + json.dumps(payload))
-    output = os.environ.get("COMPONENT_BENCH_JSON")
-    if output:
-        path = Path(output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
     assert speedup >= 2.0, (
         f"packed assignment speedup {speedup:.2f}x below the 2x floor "
         f"(dense {dense_seconds * 1e3:.1f} ms, packed {packed_seconds * 1e3:.1f} ms)"

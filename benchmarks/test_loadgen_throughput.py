@@ -13,15 +13,9 @@ cost is the harness's own):
   under-drive every SLO experiment and hide real breaches), and latency
   must stay in single-digit milliseconds, proving the harness adds no
   meaningful floor to what the chaos runs measure.
-
-Emits BENCH JSON (``LOADGEN_BENCH_JSON``) like the other benchmarks.
 """
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
 
 from repro.loadgen import (
     ConstantSchedule,
@@ -34,18 +28,6 @@ from repro.serving import SegmentationServer
 MIX = "48x64:3,32x40:1"
 OPEN_RATE = 150.0
 DURATION = 2.0
-
-
-def _emit(payload: dict) -> None:
-    """Print the BENCH line and optionally persist it for CI artifacts."""
-    print("  BENCH " + json.dumps(payload))
-    output = os.environ.get("LOADGEN_BENCH_JSON")
-    if output:
-        name = payload["benchmark"]
-        path = Path(output)
-        path = path.with_name(f"{path.stem}_{name}{path.suffix}")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def test_closed_loop_ceiling_preserves_exactly_once():
@@ -65,16 +47,6 @@ def test_closed_loop_ceiling_preserves_exactly_once():
         f"  closed loop: {summary['issued']} requests, "
         f"{summary['sustained_rps']:.0f} rps sustained, "
         f"p99 {summary['latency']['p99'] * 1000:.2f} ms"
-    )
-    _emit(
-        {
-            "benchmark": "closed_loop_ceiling",
-            "issued": summary["issued"],
-            "sustained_rps": round(summary["sustained_rps"], 1),
-            "p99_ms": round(summary["latency"]["p99"] * 1000, 3),
-            "lost": summary["lost"],
-            "duplicated": summary["duplicated"],
-        }
     )
     assert summary["lost"] == 0 and summary["duplicated"] == 0
     assert summary["by_status"] == {"ok": summary["issued"]}
@@ -101,18 +73,6 @@ def test_open_loop_tracks_the_offered_schedule():
         f"  open loop: offered {summary['offered_rps']:.1f} rps, "
         f"sustained {summary['sustained_rps']:.1f} rps ({drift:.3f}x), "
         f"p99 {summary['latency']['p99'] * 1000:.2f} ms"
-    )
-    _emit(
-        {
-            "benchmark": "open_loop_fidelity",
-            "offered_rps": round(summary["offered_rps"], 1),
-            "sustained_rps": round(summary["sustained_rps"], 1),
-            "drift": round(drift, 4),
-            "p99_ms": round(summary["latency"]["p99"] * 1000, 3),
-            "slo_violation_seconds": summary["slo_violation_seconds"],
-            "lost": summary["lost"],
-            "duplicated": summary["duplicated"],
-        }
     )
     assert summary["lost"] == 0 and summary["duplicated"] == 0
     # A laggy sender would under-drive every SLO experiment: the generator

@@ -24,10 +24,8 @@ The zero-copy PR adds two more measurements:
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,29 +119,6 @@ def test_scaling_profile_and_bit_exactness(benchmark, backend):
             f"  [{backend}] {workers} workers: {ips:7.2f} images/s "
             f"({ips / serial_ips:.2f}x)"
         )
-    payload = {
-        "benchmark": "serving_scaling",
-        "backend": backend,
-        "cpus": _CPUS,
-        "images": BATCH,
-        "shape": list(SHAPE),
-        "serial_images_per_second": round(serial_ips, 2),
-        "workers": {
-            str(workers): {
-                "images_per_second": round(ips, 2),
-                "speedup": round(ips / serial_ips, 2),
-            }
-            for workers, ips in rows.items()
-        },
-    }
-    print("  BENCH " + json.dumps(payload))
-    output = os.environ.get("SERVING_BENCH_JSON")
-    if output:
-        # One file per backend parametrization: <stem>_<backend><suffix>.
-        path = Path(output)
-        path = path.with_name(f"{path.stem}_{backend}{path.suffix}")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 @pytest.mark.parametrize("backend", ["dense", "packed"])
@@ -220,7 +195,6 @@ def test_4_worker_shm_transport_at_least_1p3x_pickle():
     """
     images = _transport_images()
     best = 0.0
-    measurements = {}
     for _ in range(3):
         shm_ips, shm_labels, shm_transport = _transport_run(images, True)
         pickle_ips, pickle_labels, pickle_transport = _transport_run(
@@ -235,32 +209,8 @@ def test_4_worker_shm_transport_at_least_1p3x_pickle():
         assert shm_transport["shm"]["bytes_in"] == 0, shm_transport
         assert pickle_transport["pickle"]["bytes_in"] > 0, pickle_transport
         best = max(best, shm_ips / pickle_ips)
-        measurements = {
-            "shm_images_per_second": round(shm_ips, 2),
-            "pickle_images_per_second": round(pickle_ips, 2),
-            "shm_bytes_per_image": shm_transport["shm"]["bytes_per_image"],
-            "pickle_bytes_per_image": (
-                pickle_transport["pickle"]["bytes_per_image"]
-            ),
-        }
         if best >= 1.3:
             break
-    payload = {
-        "benchmark": "serving_shm_transport",
-        "segmenter": "threshold",
-        "cpus": _CPUS,
-        "images": _SHM_BATCH,
-        "shape": list(_SHM_SHAPE),
-        "speedup": round(best, 2),
-        **measurements,
-    }
-    print("\n  BENCH " + json.dumps(payload))
-    output = os.environ.get("SERVING_BENCH_JSON")
-    if output:
-        path = Path(output)
-        path = path.with_name(f"{path.stem}_shm{path.suffix}")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2) + "\n")
     assert best >= 1.3, (
         f"shm transport reached only {best:.2f}x the pickle transport on "
         f"{_CPUS} cpus"

@@ -11,7 +11,7 @@ at 512x512 spends seconds in kernels, drowning any transport delta).
 
 Registered as ``"threshold"``, so it rides every API surface the other
 segmenters do: run-specs, ``seghdc serve --segmenter threshold``,
-``serve-bench``, and the HTTP front end.
+the load/chaos harness, and the HTTP front end.
 """
 
 from __future__ import annotations

@@ -349,7 +349,7 @@ class WorkerRecommendation:
     estimate: ServingEstimate
 
     def as_dict(self) -> dict:
-        """JSON-ready form for BENCH JSON payloads."""
+        """JSON-ready form for result payloads."""
         return {
             "num_workers": self.num_workers,
             "feasible": self.feasible,
@@ -384,7 +384,7 @@ def recommend_workers(
 
     This is the autoscaler's prediction seam: the control loop's measured
     converged worker count is checked against this recommendation (see
-    ``tests/test_device.py``), and ``seghdc autoscale-bench`` reports both.
+    ``tests/test_device.py``).
     """
     if target_images_per_second <= 0:
         raise ValueError(

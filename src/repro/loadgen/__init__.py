@@ -18,13 +18,13 @@ this package is what *checks* them under heavy traffic:
   (:class:`ChaosInjector`) firing worker/replica kills mid-run;
 * :mod:`repro.loadgen.results` — timestamped multi-run result folders;
 * :mod:`repro.loadgen.experiments` — the canned single-host + cluster
-  chaos scenarios (:func:`run_experiments`, cheap CI variant
-  :func:`test_run_experiments`).
+  chaos scenarios (:func:`run_experiments`; ``quick=True`` is the cheap
+  CI variant).
 
 The autoscaler itself lives with the serving code
 (:mod:`repro.serving.autoscale`); this package supplies the traffic that
 makes its OBSERVE/DECIDE/ACTUATE loop do something worth measuring.
-The CLI front ends are ``seghdc loadgen`` and ``seghdc autoscale-bench``.
+The CLI front end is ``seghdc loadgen``.
 """
 
 from repro.loadgen.chaos import ChaosEvent, ChaosInjector

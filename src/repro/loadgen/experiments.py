@@ -17,7 +17,7 @@ result folder per invocation:
 
 Both scenarios gate the exactly-once invariant (``lost == duplicated ==
 0``) in their summaries; the CLI and CI smoke turn that into exit codes.
-:func:`test_run_experiments` is the cheap sweep variant (seconds, not
+``run_experiments(quick=True)`` is the cheap sweep variant (seconds, not
 minutes) CI runs on every push — same code paths, shorter phases.
 """
 
@@ -43,7 +43,6 @@ __all__ = [
     "run_cluster_chaos",
     "run_experiments",
     "run_single_host_chaos",
-    "test_run_experiments",
 ]
 
 #: Shape mix both scenarios use: small grayscale frames, two shapes so the
@@ -287,9 +286,3 @@ def run_experiments(
     folder.write_meta(meta)
     return meta
 
-
-def test_run_experiments(
-    *, out_dir="results", timestamp: "str | None" = None
-) -> dict:
-    """The cheap CI sweep: both scenarios with short phases (~10 s total)."""
-    return run_experiments(out_dir=out_dir, quick=True, timestamp=timestamp)

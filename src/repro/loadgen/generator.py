@@ -262,7 +262,7 @@ class LoadReport:
         return max(1e-9, self.finished_at - self.started_at)
 
     def summary(self, *, slo_p99_seconds: "float | None" = None) -> dict:
-        """Roll the records up into the BENCH JSON shape.
+        """Roll the records up into the run-summary JSON shape.
 
         The exactly-once invariant is computed here: ``lost`` counts issued
         requests that never produced a record, ``duplicated`` counts

@@ -32,10 +32,10 @@ knobs — this module turns ``/stats`` observations into knob turns.  One
 Every round appends a decision record (observation, verdict, reason,
 actuation outcome, reaction latency) to :attr:`Autoscaler.decisions`, and
 :meth:`Autoscaler.summary` rolls them up — scale-up/scale-down counts and
-latencies, integrated SLO-violation seconds — into the shape
-``seghdc autoscale-bench`` emits as BENCH JSON.  The loop is fully
-deterministic under an injected ``clock`` + scripted observations, which is
-how ``tests/test_autoscale.py`` pins the hysteresis behavior.
+latencies, integrated SLO-violation seconds — into the shape the
+single-host chaos scenario (``seghdc loadgen``) records.  The loop is
+fully deterministic under an injected ``clock`` + scripted observations,
+which is how ``tests/test_autoscale.py`` pins the hysteresis behavior.
 
 The *predictor* seam ties the loop to the device cost model: a callable
 mapping an observed arrival rate to a recommended worker count (built on

@@ -116,7 +116,7 @@ class ServerStats:
         return self.submitted - self.completed - self.failed
 
     def as_dict(self) -> dict:
-        """JSON-friendly representation (used by ``serve-bench``)."""
+        """JSON-friendly representation (the ``serving`` block of ``/stats``)."""
         payload = {
             "mode": self.mode,
             "num_workers": self.num_workers,
@@ -365,7 +365,7 @@ class StatsCollector:
         with ``completed``/``failed`` mid-update (a worker landing between
         two separate lock acquisitions would bump a counter whose latency
         the sample missed, or vice versa — visible as ``latency.count``
-        drifting from the finished-job count under ``cluster-bench`` load).
+        drifting from the finished-job count under fleet load).
         The O(n log n) percentile math itself runs *outside* the lock on
         the copied sample: a fleet prober polling every replica's
         ``/stats`` each probe round must not stall ``record_completed`` on

@@ -8,7 +8,8 @@ the SLO holding steady (no flapping), cooldown deferring actuation,
 failure-triggered heals outranking scale decisions, the ``min_samples``
 noise guard, queue-pressure breaches without a latency signal, and the
 predictor jump.  The live-loop integration (real control plane, real
-load) rides in ``tests/test_loadgen_chaos.py`` and the CLI bench.
+load, a worker SIGKILL) rides in ``tests/test_loadgen_chaos.py``; the
+model-predicted pool size is gated in ``tests/test_device.py``.
 """
 
 from __future__ import annotations

@@ -172,7 +172,7 @@ class TestParser:
         segment_args = build_parser().parse_args(["segment"])
         assert segment_args.dimension is None
         assert segment_args.dimension_default == 2000
-        serve_args = build_parser().parse_args(["serve-bench"])
+        serve_args = build_parser().parse_args(["serve"])
         assert serve_args.dimension is None
         assert serve_args.dimension_default == 1000
 
@@ -180,7 +180,7 @@ class TestParser:
         args = build_parser().parse_args(["segment", "--segmenter", "cnn_baseline"])
         assert args.segmenter == "cnn_baseline"
         args = build_parser().parse_args(
-            ["serve-bench", "--segmenter", "cnn_baseline"]
+            ["serve", "--segmenter", "cnn_baseline"]
         )
         assert args.segmenter == "cnn_baseline"
         with pytest.raises(SystemExit):
@@ -209,22 +209,38 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--scale", "huge"])
 
-    def test_serve_bench_options(self):
+    def test_serve_mode_options(self):
         args = build_parser().parse_args(
-            ["serve-bench", "--mode", "process", "--workers", "2", "--backend", "packed"]
+            ["serve", "--mode", "process", "--workers", "2", "--backend", "packed"]
         )
-        assert args.command == "serve-bench"
+        assert args.command == "serve"
         assert args.mode == "process"
         assert args.workers == 2
         assert args.backend == "packed"
 
-    def test_serve_bench_rejects_unknown_mode(self):
+    def test_serve_rejects_unknown_mode(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve-bench", "--mode", "fiber"])
+            build_parser().parse_args(["serve", "--mode", "fiber"])
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("command", ["loadgen", "tile"])
+    @pytest.mark.parametrize(
+        "url", ["http://127.0.0.1:1", "127.0.0.1:", ":8080", "127.0.0.1"]
+    )
+    def test_url_must_be_bare_host_port(self, command, url, monkeypatch):
+        """A scheme prefix or an empty host/port is a usage error naming
+        --url, raised before any connection is attempted."""
+        import socket
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a malformed --url opened a connection")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        with pytest.raises(SystemExit, match="--url must be HOST:PORT"):
+            main([command, "--url", url])
 
 
 class TestMain:
@@ -257,77 +273,6 @@ class TestMain:
         out = capsys.readouterr().out
         assert "IoU=" in out
         assert any(path.suffix == ".png" for path in tmp_path.iterdir())
-
-    def test_serve_bench_runs_end_to_end_with_json(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "serving" / "bench.json"
-        exit_code = main(
-            [
-                "serve-bench",
-                "--mode",
-                "thread",
-                "--workers",
-                "2",
-                "--images",
-                "4",
-                "--height",
-                "24",
-                "--width",
-                "32",
-                "--dimension",
-                "300",
-                "--iterations",
-                "2",
-                "--output",
-                str(out_path),
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "server" in out
-        assert "speedup" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["parity_mismatches"] == 0
-        assert payload["server_images_per_second"] > 0
-        assert payload["stats"]["completed"] == 4
-        assert payload["modeled_pi4"]["images_per_second"] > 0
-        # The payload records what the engine actually ran, not the flags.
-        assert payload["backend"] == "dense"
-        assert payload["backend_capabilities"]["name"] == "dense"
-
-    def test_serve_bench_json_records_resolved_backend_options(
-        self, capsys, tmp_path
-    ):
-        """Regression: per-backend JSON must carry the resolved backend
-        capabilities (tunables included), not just the request-side flags —
-        CI reuses one serve-bench invocation shape across backends."""
-        import json
-
-        out_path = tmp_path / "packed.json"
-        exit_code = main(
-            [
-                "serve-bench",
-                "--mode", "thread",
-                "--workers", "2",
-                "--images", "3",
-                "--height", "20",
-                "--width", "24",
-                "--config-json",
-                '{"backend": "packed", "counter_depth": 8, '
-                '"dimension": 300, "num_iterations": 2}',
-                "--output", str(out_path),
-            ]
-        )
-        assert exit_code == 0
-        capsys.readouterr()
-        payload = json.loads(out_path.read_text())
-        # --backend was never passed; the backend came in via --config-json
-        # and must still be reported as the resolved value.
-        assert payload["backend"] == "packed"
-        capabilities = payload["backend_capabilities"]
-        assert capabilities["name"] == "packed"
-        assert capabilities["tunables"]["counter_depth"] == 8
 
     def test_serve_parser_accepts_http_options(self):
         args = build_parser().parse_args(
@@ -415,39 +360,6 @@ class TestMain:
         assert payload["spec"]["segmenter"] == "cnn_baseline"
         assert "serving" not in payload  # serial run: no server stats
 
-    def test_serve_bench_with_cnn_baseline(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "bench.json"
-        exit_code = main(
-            [
-                "serve-bench",
-                "--segmenter",
-                "cnn_baseline",
-                "--mode",
-                "thread",
-                "--workers",
-                "2",
-                "--images",
-                "3",
-                "--height",
-                "16",
-                "--width",
-                "20",
-                "--iterations",
-                "2",
-                "--output",
-                str(out_path),
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "segmenter=cnn_baseline" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["parity_mismatches"] == 0
-        assert payload["segmenter"]["segmenter"] == "cnn_baseline"
-        assert "modeled_pi4" not in payload  # cost model is SegHDC-only
-
     def test_segment_with_packed_backend(self, capsys):
         exit_code = main(
             [
@@ -478,10 +390,7 @@ class TestTileCommand:
         assert args.runner == "serial"
         assert args.check_parity is False
 
-    def test_tile_serial_with_parity_and_json(self, capsys, tmp_path):
-        import json as json_module
-
-        out_path = tmp_path / "tile.json"
+    def test_tile_serial_with_parity(self, capsys):
         code = main(
             [
                 "tile",
@@ -491,17 +400,12 @@ class TestTileCommand:
                 "--dimension", "1024",
                 "--iterations", "10",
                 "--check-parity",
-                "--output", str(out_path),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "BIT-EXACT" in out
-        assert "BENCH " in out
-        payload = json_module.loads(out_path.read_text())
-        assert payload["parity_bit_exact"] is True
-        assert payload["tiling"]["grid_shape"] == [2, 2]
-        assert payload["tiling"]["tile_shape"] == [48, 48]
+        assert "parity vs direct whole-image run: BIT-EXACT" in out
+        assert "2x2 tiles of 48x48" in out
 
     def test_tile_threshold_base_via_config_json(self, capsys):
         code = main(
@@ -524,32 +428,3 @@ class TestTileCommand:
         with pytest.raises(SystemExit, match="--tile must be HxW"):
             main(["tile", "--tile", "64by64"])
 
-
-class TestVideoBenchCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["video-bench"])
-        assert args.frames == 10
-        assert args.dimension == 512
-        assert args.beta == 4
-
-    def test_video_bench_reports_a_cut(self, capsys, tmp_path):
-        import json as json_module
-
-        out_path = tmp_path / "video.json"
-        code = main(
-            [
-                "video-bench",
-                "--frames", "6",
-                "--output", str(out_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cut:" in out
-        assert "BENCH " in out
-        report = json_module.loads(out_path.read_text())
-        assert (
-            report["warm"]["mean_iterations"]
-            < report["cold"]["mean_iterations"]
-        )
-        assert report["warm"]["frames_warm_started"] == 5

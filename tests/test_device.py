@@ -326,6 +326,50 @@ class TestServingEstimate:
             DeviceProfile("x", 1, 1, 1, 1, num_cores=0)
 
 
+class TestWireBytesModel:
+    """``http_wire_bytes`` against the serving codecs' actual output."""
+
+    @pytest.mark.parametrize(
+        "spec, shape",
+        [
+            ({"segmenter": "threshold"}, (128, 128)),
+            (
+                {
+                    "segmenter": "seghdc",
+                    "config": {
+                        "dimension": 256,
+                        "num_iterations": 2,
+                        "backend": "packed",
+                    },
+                },
+                (64, 64),
+            ),
+        ],
+        ids=["threshold-128", "seghdc-packed-64"],
+    )
+    def test_model_equals_encoded_pixels_plus_labels(self, spec, shape):
+        """Exact, not approximate: the model counts the same ``.npy``
+        headers and base64 padding the codecs emit, for the label map a
+        real segmenter returns."""
+        import numpy as np
+
+        from repro.api import make_segmenter
+        from repro.device import http_wire_bytes
+        from repro.serving.http import array_to_b64_npy, npy_bytes
+
+        image = np.random.default_rng(5).integers(
+            0, 256, size=shape, dtype=np.uint8
+        )
+        labels = make_segmenter(spec).segment(image).labels
+        measured = {
+            "raw": len(npy_bytes(image)) + len(npy_bytes(labels)),
+            "npy": len(array_to_b64_npy(image))
+            + len(array_to_b64_npy(labels)),
+        }
+        for wire, measured_bytes in measured.items():
+            assert http_wire_bytes(*shape, wire=wire) == measured_bytes, wire
+
+
 class TestRecommendWorkers:
     """The serving-estimate inversion that sizes worker pools."""
 
@@ -439,8 +483,9 @@ class TestPredictionAccuracy:
     count within +/-1 of the model inversion's recommendation (the
     documented tolerance: the loop steps conservatively and never
     overshoots the bound, the model knows nothing about hysteresis).
-    ``seghdc autoscale-bench`` measures the same tolerance against a real
-    pool with a measured-serial-rate calibration.
+    This is the gate on the prediction; the chaos sweep
+    (``tests/test_loadgen_chaos.py``) gates a real autoscaled pool's
+    exactly-once behaviour under a worker SIGKILL.
     """
 
     def test_autoscaler_converges_onto_recommended_workers(self):

@@ -15,17 +15,16 @@ sockets):
    ``/v1/segment-stream`` requests then re-use the gateway's pooled
    replica connections: every frame must carry status 0, bit-exact, with
    **zero** failovers — a connection recycled before its stream was read
-   to the end would fail the next stream on it.
+   to the end would fail the next stream on it.  Twelve timed
+   single-image raw requests through the same gateway give the fleet's
+   requests/s and p50/p99, written with the per-replica grid builds and
+   routing table to ``cluster_bench.json`` under ``--output-dir`` for CI
+   to upload and tabulate; ``affinity_holds`` must be true.
 2. **Exactly-once failover** — a long ``/v1/segment-stream`` request runs
    while a replica that owns at least one shape is SIGKILLed mid-stream:
    the stream must still deliver **every frame exactly once** (zero lost,
    zero duplicated), all bit-exact vs the single-engine reference, with the
    gateway's failover counter proving the kill actually landed mid-flight.
-3. **Bench artifact** — ``seghdc cluster-bench`` runs as a subprocess and
-   its ``cluster_bench.json`` (RPS, p50/p99, per-replica grid builds,
-   routing table) is written under ``--output-dir`` for CI to upload;
-   ``affinity_holds`` must be true.
-
 Exit code is non-zero on any failed assertion.
 
 Usage::
@@ -39,8 +38,8 @@ import argparse
 import json
 import os
 import signal
-import subprocess
 import sys
+import time
 import urllib.request
 from pathlib import Path
 
@@ -115,6 +114,7 @@ def _boot_fleet(replicas: int = 2):
 def smoke_parity_and_affinity(output_dir: Path) -> None:
     """Pass 1: bit-exact fleet parity + one grid build per shape."""
     from repro.seghdc import SegHDCEngine
+    from repro.serving.cluster import ReplicaClient
     from repro.serving.http import (
         array_to_b64_npy,
         pack_frames,
@@ -182,6 +182,20 @@ def smoke_parity_and_affinity(output_dir: Path) -> None:
                     streamed[index], reference[index].labels
                 ), f"fleet: streamed label map {index} diverged"
 
+        # Timed single-image raw requests: the fleet's request rate and
+        # latency percentiles for the CI summary.
+        latencies = []
+        with ReplicaClient("gateway", gateway.host, gateway.port) as client:
+            start = time.perf_counter()
+            for index, image in enumerate(images):
+                request_start = time.perf_counter()
+                (labels,) = client.segment_raw([image])
+                latencies.append(time.perf_counter() - request_start)
+                assert np.array_equal(labels, reference[index].labels), (
+                    f"fleet: timed request {index} diverged"
+                )
+            total_seconds = time.perf_counter() - start
+
         # Affinity proof: refresh the prober cache, then read the rollup.
         gateway.prober.probe_all()
         stats = _get(f"{url}/stats")
@@ -193,16 +207,38 @@ def smoke_parity_and_affinity(output_dir: Path) -> None:
             for replica_id, entry in per_replica.items()
         }
         total_builds = sum(builds.values())
+        # Each replica must build exactly the shapes the ring routed to it.
+        owned = {replica_id: 0 for replica_id in builds}
+        for replica_id in routing.values():
+            owned[replica_id] += 1
+        p50, p99 = np.percentile(np.asarray(latencies), [50.0, 99.0])
+        bench = {
+            "replicas": len(per_replica),
+            "images": len(images),
+            "shapes": ["x".join(map(str, shape)) for shape in _SHAPES],
+            "requests_per_second": len(images) / total_seconds,
+            "latency": {"p50": float(p50), "p99": float(p99)},
+            "grid_builds_per_replica": builds,
+            "grid_builds_total": total_builds,
+            "affinity_holds": (
+                total_builds == len(_SHAPES) and builds == owned
+            ),
+            "routing_table": routing,
+            "failovers": stats["gateway"]["failovers"],
+        }
+        # Written before the asserts so a failing run still leaves the
+        # numbers for CI to publish.
+        (output_dir / "cluster_bench.json").write_text(
+            json.dumps(bench, indent=2) + "\n"
+        )
         assert total_builds == len(_SHAPES), (
             f"shape affinity broken: {total_builds} grid builds fleet-wide "
             f"for {len(_SHAPES)} shapes (per replica: {builds}, "
             f"routing: {routing})"
         )
-        # Each replica built exactly the shapes the ring routed to it.
-        owned = {replica_id: 0 for replica_id in builds}
-        for replica_id in routing.values():
-            owned[replica_id] += 1
         assert builds == owned, (builds, owned)
+        assert bench["affinity_holds"] is True, bench
+        assert bench["requests_per_second"] > 0, bench
         assert stats["gateway"]["failovers"] == 0, (
             "failovers on a healthy fleet (sequential streams recycled a "
             f"dirty replica connection?): {stats['gateway']}"
@@ -218,6 +254,10 @@ def smoke_parity_and_affinity(output_dir: Path) -> None:
         "streams bit-exact, 0 failovers, "
         f"{total_builds} grid builds for {len(_SHAPES)} shapes "
         f"({builds}) OK"
+    )
+    print(
+        f"[cluster-smoke] bench: {bench['requests_per_second']:.1f} req/s, "
+        f"p99={bench['latency']['p99'] * 1000:.0f}ms OK"
     )
 
 
@@ -292,59 +332,19 @@ def smoke_exactly_once_failover(output_dir: Path) -> None:
     )
 
 
-def smoke_bench_artifact(output_dir: Path) -> None:
-    """Pass 3: ``seghdc cluster-bench`` emits the CI BENCH JSON."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    bench_path = output_dir / "cluster_bench.json"
-    completed = subprocess.run(
-        [
-            sys.executable, "-m", "repro.cli", "cluster-bench",
-            "--replicas", "2",
-            "--images", "12",
-            "--height", "32",
-            "--width", "32",
-            "--dimension", str(_DIMENSION),
-            "--iterations", "2",
-            "--output", str(bench_path),
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    if completed.returncode != 0:
-        raise SystemExit(
-            f"cluster-bench failed ({completed.returncode}):\n"
-            f"{completed.stdout}\n{completed.stderr}"
-        )
-    bench = json.loads(bench_path.read_text())
-    assert bench["affinity_holds"] is True, bench
-    assert bench["requests_per_second"] > 0, bench
-    assert bench["grid_builds_total"] == len(bench["shapes"]), bench
-    print(
-        f"[cluster-smoke] bench: {bench['requests_per_second']:.1f} req/s, "
-        f"p99={bench['latency']['p99'] * 1000:.0f}ms, "
-        f"builds={bench['grid_builds_per_replica']} OK"
-    )
-
-
 def main(argv: "list[str] | None" = None) -> int:
     """Run the full cluster smoke; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output-dir",
         default="cluster-smoke",
-        help="directory for stats + BENCH JSON artifacts",
+        help="directory for the stats + cluster_bench.json artifacts",
     )
     args = parser.parse_args(argv)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     smoke_parity_and_affinity(output_dir)
     smoke_exactly_once_failover(output_dir)
-    smoke_bench_artifact(output_dir)
     print("[cluster-smoke] all checks passed")
     return 0
 
