@@ -127,10 +127,11 @@ def seghdc_cost(
       ``(N, d) x (d, k)`` product (``2 * N * d * k`` operations) plus the
       norms (``2 * N * d``), and the centroid update re-reads the member HVs
       once more (``N * d``).
-    * Memory: the pixel-HV matrix (``N * d`` bytes as uint8) dominates; the
-      assignment converts half-chunks of ``chunk / 2`` rows to float64,
-      which adds ``chunk * d * 4`` bytes, and keeps the ``(N, k)`` integer
-      dot matrix with its float64 ranking keys (``16 * N * k`` bytes).
+    * Memory: the position grid and the pixel-HV matrix (``N * d`` bytes
+      each as uint8) plus the largest transient of three phases: one color
+      band in flight, the assignment's float64 half-chunk (``chunk / 2``
+      rows of ``d`` float64), or the member rows one bundle gathers (up to
+      ``N * d`` bytes).
 
     Packed backend (64 HV bits per uint64 word, ``w = ceil(d / 64)`` words):
 
@@ -146,22 +147,40 @@ def seghdc_cost(
       operations plus the per-block flush, instead of the replaced
       ``N * d / 8`` dense unpack round-trip).
     * Memory: the packed pixel matrix and position grid are ``N * w * 8``
-      bytes each (8x smaller than dense); one dense color band and the
-      ``(N, k)`` integer dot matrix with its float64 ranking keys are the
-      transient extras.
+      bytes each (8x smaller than dense), plus the larger of one color band
+      in flight and one bundling block.
+
+    A color band in flight is ``min(N, 64 * W) * d`` bytes twice over: the
+    per-channel level-table gathers and their concatenation.  Both backends
+    also hold the color level tables (256 levels of ``d`` uint8 bits), the
+    float64 intensities, int32 labels and int64 row popcounts, a pass's
+    ``(N, k)`` int64 dots and float64 keys, the persistent ``(N, k)`` int64
+    ``lo``/``hi`` dot bounds the assignment carries between passes
+    (``16 * N * k`` bytes), and a few ``(k, d)`` 8-byte centroid arrays
+    (bundles, member sums, the bounds' reference centroids, the drift's
+    sorted prefix sums).
 
     ``counter_depth`` / ``bundle_chunk_rows`` mirror the packed backend's
     bundling tunables and only affect the packed formula.
 
-    ``num_iterations`` is the clusterer's ceiling: the HD K-Means loop stops
-    at its exact fixed point, often well before it, so the predicted
-    operations, bytes moved and time are upper bounds (peak memory does not
-    depend on the iteration count).
+    The operation and traffic counts charge every iteration a full
+    assignment and a full bundle, so they are upper bounds twice over: the
+    HD K-Means loop stops at its exact fixed point, often well before
+    ``num_iterations``, and the passes after the first bundle pass
+    recompute dots only for rows whose dot bound fails and re-bundle only
+    the rows that switched.  Peak memory does not depend on the iteration
+    count.
     """
     if height <= 0 or width <= 0:
         raise ValueError("image dimensions must be positive")
     num_pixels = height * width
-    chunk_rows = min(num_pixels, _ASSIGNMENT_CHUNK_ROWS)
+    band_bytes = 2 * min(num_pixels, 64 * width) * dimension * _HV_BYTES
+    resident_bytes = (
+        256 * dimension * _HV_BYTES  # color level tables
+        + num_pixels * 20  # intensities, labels, row popcounts
+        + num_pixels * num_clusters * 32  # dots + keys, lo/hi dot bounds
+        + 8 * num_clusters * dimension * 8  # (k, d) centroid arrays
+    )
     if backend == "dense":
         encode_ops = 2.0 * num_pixels * dimension
         assign_ops = (
@@ -174,11 +193,15 @@ def seghdc_cost(
         # Every iteration streams the HV matrix for the assignment and again
         # for the centroid update.
         bytes_moved = hv_matrix_bytes * (1 + 2 * num_iterations)
+        half_chunk_rows = min(num_pixels, _ASSIGNMENT_CHUNK_ROWS // 2)
         peak_memory = (
             2.0 * hv_matrix_bytes  # position grid + bound pixel grid
-            + chunk_rows * dimension * _FLOAT_BYTES  # float64 half-chunk
-            + num_pixels * num_clusters * 16  # int64 dots + float64 keys
-            + num_pixels * (_FLOAT_BYTES + 4)  # intensities + labels
+            + max(
+                band_bytes,
+                half_chunk_rows * dimension * 8,  # float64 half-chunk
+                hv_matrix_bytes,  # the member rows of one bundle
+            )
+            + resident_bytes
         )
     elif backend == "packed":
         words = packed_words_per_hv(dimension)
@@ -205,12 +228,10 @@ def seghdc_cost(
         bytes_moved = hv_matrix_bytes * (1 + num_iterations) + (
             num_iterations * bundle.bytes_moved
         )
-        band_bytes = min(num_pixels, 64 * width) * dimension * _HV_BYTES
         peak_memory = (
             2.0 * hv_matrix_bytes  # packed position grid + packed pixel matrix
-            + band_bytes  # one dense color band during encoding
-            + num_pixels * num_clusters * 16  # int64 dots + float64 keys
-            + num_pixels * (_FLOAT_BYTES + 4)  # intensities + labels
+            + max(band_bytes, bundle.peak_memory_bytes)
+            + resident_bytes
         )
     else:
         # Fail loudly for backends registered without a cost formula.

@@ -25,6 +25,7 @@ from repro.hdc.hypervector import (
 )
 from repro.hdc.backend import (
     DenseBackend,
+    DotBounds,
     HDCBackend,
     HVStorage,
     PackedBackend,
@@ -44,6 +45,7 @@ from repro.hdc.item_memory import ItemMemory
 
 __all__ = [
     "DenseBackend",
+    "DotBounds",
     "HDCBackend",
     "HVStorage",
     "HypervectorSpace",

@@ -25,9 +25,11 @@ raw bits directly:
   (see :meth:`PackedBackend.bundle_masked` for the math).
 
 Backends supply only exact integers — dots and bundle sums.  The cosine
-rule (normalisation, argmax, tie-break, inertia) exists once, in
+rule (normalisation, argmax, tie-break) exists once, in
 :meth:`HDCBackend.assign`, so both backends produce identical label maps
-for a fixed seed by construction.
+for a fixed seed by construction.  The same method prunes later passes:
+given the :class:`DotBounds` of the previous pass it dots only the rows
+whose label the exact centroid drift leaves in doubt.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.hdc.hypervector import (
 
 __all__ = [
     "DenseBackend",
+    "DotBounds",
     "HDCBackend",
     "HVStorage",
     "PackedBackend",
@@ -153,6 +156,68 @@ def _exact_argmax(dots: np.ndarray, centroids: np.ndarray) -> np.ndarray:
                 best = j
         labels.append(best)
     return np.array(labels, dtype=np.intp)
+
+
+def _rank(
+    dots: np.ndarray, centroids: np.ndarray, norms: np.ndarray, margin: float
+) -> np.ndarray:
+    """The cosine rule over exact dots: float64 ``dot / ||c||`` ranking,
+    with rows whose runner-up key lies within ``margin`` (relative) of the
+    best re-decided by :func:`_exact_argmax`."""
+    keys = dots / norms
+    labels = np.argmax(keys, axis=1)
+    best = keys[np.arange(labels.size), labels]
+    near = np.count_nonzero(keys >= (best * (1.0 - margin))[:, None], axis=1) > 1
+    if near.any():
+        labels[near] = _exact_argmax(dots[near], centroids)
+    return labels
+
+
+@dataclass(eq=False)
+class DotBounds:
+    """Per-row integer intervals ``lo <= x_i . c_j <= hi`` from one assign pass.
+
+    ``lo`` and ``hi`` are ``(n, k)`` ``int64``, ``centroids`` the ``(k, d)``
+    ``int64`` bundles they refer to, and ``rechecked`` the number of rows
+    whose dots the pass computed exactly (those rows have ``lo == hi``; the
+    others kept their widened intervals).  Nothing writes these arrays
+    after construction, so ``lo`` and ``hi`` may share memory.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    centroids: np.ndarray
+    rechecked: int
+
+    def widened(
+        self, centroids: np.ndarray, popcounts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """New ``(lo, hi)`` valid against ``centroids``, integer-exact.
+
+        For a binary row ``x`` with ``p`` set bits, ``x . delta`` (``delta``
+        the centroid change) lies between the sum of the ``p`` smallest and
+        the sum of the ``p`` largest entries of ``delta``: the exact worst
+        case, read per row from prefix sums of the sorted ``delta``.  For
+        binary rows this is never looser than Cauchy-Schwarz.
+        """
+        if centroids.shape != self.centroids.shape or self.lo.shape != (
+            popcounts.size,
+            centroids.shape[0],
+        ):
+            raise ValueError(
+                f"bounds for {self.lo.shape[0]} rows x {self.centroids.shape} "
+                f"centroids do not fit {popcounts.size} rows x {centroids.shape}"
+            )
+        ascending = np.sort(centroids - self.centroids, axis=1)
+        start = np.zeros((centroids.shape[0], 1), dtype=np.int64)
+        smallest = np.concatenate([start, np.cumsum(ascending, axis=1)], axis=1)
+        largest = np.concatenate(
+            [start, np.cumsum(ascending[:, ::-1], axis=1)], axis=1
+        )
+        return (
+            self.lo + smallest[:, popcounts].T,
+            self.hi + largest[:, popcounts].T,
+        )
 
 
 @dataclass(eq=False)
@@ -265,6 +330,9 @@ class HDCBackend(ABC):
             packed = self.pack(flat).data
             lo, hi = row_start * width, row_stop * width
             np.bitwise_xor(position_grid.data[lo:hi], packed, out=out[lo:hi])
+            # Release this band before the next one is encoded, so only one
+            # band's transients are ever alive.
+            del band, flat, packed
         return HVStorage(out, dimension, self)
 
     # ------------------------------------------------------------------ #
@@ -290,7 +358,8 @@ class HDCBackend(ABC):
         centroids: np.ndarray,
         *,
         chunk_size: int = 8192,
-    ) -> tuple[np.ndarray, float]:
+        bounds: DotBounds | None = None,
+    ) -> tuple[np.ndarray, DotBounds]:
         """Nearest centroid per row by cosine similarity (Eq. 7), exactly.
 
         ``centroids`` is the ``(k, d)`` matrix of non-negative integer
@@ -298,11 +367,20 @@ class HDCBackend(ABC):
         by the float64 key ``dot / ||c||`` (the row norm cancels; a zero
         centroid counts as norm 1), and rows whose runner-up lies within the
         keys' rounding margin of the best are re-decided by
-        :func:`_exact_argmax`.  Returns ``(labels, inertia)``, ``inertia``
-        being the sum of ``1 - cosine_similarity`` of the winners.
+        :func:`_exact_argmax`.
+
+        ``bounds`` (the :class:`DotBounds` an earlier call returned for the
+        same storage) lets the pass skip rows whose label is already
+        certain.  Each row's dot interval is widened by the exact drift of
+        the centroids since then (:meth:`DotBounds.widened`); a row whose
+        best lower-bound key beats every other upper-bound key by twice the
+        rounding margin takes that cluster, which is provably the exact
+        winner.  Only the remaining rows are dotted, and they are decided by
+        the same rule as a full pass, so the labels equal those of
+        ``bounds=None``.  Returns ``(labels, DotBounds)``: the full
+        ``(n,)`` label vector and the intervals for the next pass.
         """
         integral = _integer_centroids(centroids)
-        dots = self.dots(storage, integral, chunk_size=chunk_size)
         norms = np.linalg.norm(integral, axis=1)
         norms[norms == 0.0] = 1.0
         # Dots (<= d * n, far below 2^53) are exact in float64, so a key's
@@ -310,18 +388,30 @@ class HDCBackend(ABC):
         # d-term sum, its sqrt and the division.  Keys farther apart than
         # twice that rank exactly like the cosines; the margin doubles it.
         margin = (storage.dimension + 4) * np.finfo(np.float64).eps
-        keys = dots / norms
-        labels = np.argmax(keys, axis=1)
-        rows = np.arange(labels.size)
-        best = keys[rows, labels]
-        floor = best * (1.0 - margin)
-        near = np.count_nonzero(keys >= floor[:, None], axis=1) > 1
-        if near.any():
-            labels[near] = _exact_argmax(dots[near], integral)
-        row_norms = np.sqrt(storage.row_popcounts().astype(np.float64))
-        row_norms[row_norms == 0.0] = 1.0
-        cosine = dots[rows, labels] / (row_norms * norms[labels])
-        return labels.astype(np.int32), float(np.sum(1.0 - cosine))
+        if bounds is not None:
+            lo, hi = bounds.widened(integral, storage.row_popcounts())
+            lo_keys = lo / norms
+            labels = np.argmax(lo_keys, axis=1)
+            rows = np.arange(labels.size)
+            rivals = hi / norms
+            rivals[rows, labels] = -np.inf
+            stale = lo_keys[rows, labels] * (1.0 - 2.0 * margin) <= rivals.max(
+                axis=1
+            )
+        if bounds is None or stale.all():
+            dots = self.dots(storage, integral, chunk_size=chunk_size)
+            labels = _rank(dots, integral, norms, margin)
+            return labels.astype(np.int32), DotBounds(
+                dots, dots, integral, storage.num_rows
+            )
+        index = np.flatnonzero(stale)
+        if index.size:
+            subset = HVStorage(storage.data[index], storage.dimension, self)
+            dots = self.dots(subset, integral, chunk_size=chunk_size)
+            labels[index] = _rank(dots, integral, norms, margin)
+            lo[index] = dots
+            hi[index] = dots
+        return labels.astype(np.int32), DotBounds(lo, hi, integral, index.size)
 
     # ------------------------------------------------------------------ #
     # kernel 3: masked bundling
@@ -430,8 +520,9 @@ class DenseBackend(HDCBackend):
         return out
 
     def bundle_masked(self, storage: HVStorage, mask: np.ndarray) -> np.ndarray:
-        """Fancy-index the member rows and sum them as ``int64``."""
-        return storage.data[mask].astype(np.int64).sum(axis=0)
+        """Fancy-index the member rows and sum them into ``int64`` (the
+        reduction casts in small buffers, never an ``(m, d)`` int64 copy)."""
+        return storage.data[mask].sum(axis=0, dtype=np.int64)
 
 
 class PackedBackend(HDCBackend):
@@ -526,15 +617,9 @@ class PackedBackend(HDCBackend):
         float matmul of the assignment into AND + popcount word kernels.
         """
         integral = _integer_centroids(centroids)
-        num_planes = max(1, int(integral.max()).bit_length())
-        planes = np.empty(
-            (num_planes, integral.shape[0], packed_words_per_hv(dimension)),
-            dtype=np.uint64,
-        )
-        for plane_index in range(num_planes):
-            bits = ((integral >> plane_index) & 1).astype(np.uint8)
-            planes[plane_index] = pack_hvs(bits, dimension=dimension)
-        return planes
+        shifts = np.arange(max(1, int(integral.max()).bit_length()))
+        bits = (integral[None, :, :] >> shifts[:, None, None]) & 1
+        return pack_hvs(bits.astype(np.uint8), dimension=dimension)
 
     def dots(
         self,

@@ -10,7 +10,12 @@ A revised K-Means over pixel hypervectors:
 * the loop runs for at most ``num_iterations`` passes (10 by default in the
   paper, 3 in the latency experiments) with an exact fixed-point stop: it
   quits as soon as an assignment pass reproduces the previous labels, which
-  is bit-identical to running every pass (see :meth:`HDKMeans.fit`).
+  is bit-identical to running every pass (see :meth:`HDKMeans.fit`);
+* once the centroids are bundles, each pass hands the previous pass's
+  :class:`~repro.hdc.backend.DotBounds` back to the assignment, which
+  recomputes dots only for rows whose label could change, and the centroid
+  update re-bundles only the rows that switched.  Both are exact, so the
+  labels and centroids equal those of full passes.
 
 The clusterer also exposes a **warm-start seam**: :meth:`HDKMeans.fit`
 accepts ``initial_centroids=`` to seed the loop from externally supplied
@@ -96,7 +101,6 @@ class ClusteringResult:
     centroids: np.ndarray
     iterations_run: int
     history: list[np.ndarray] = field(default_factory=list)
-    inertia: float = 0.0
     warm_started: bool = False
 
 
@@ -167,8 +171,17 @@ class HDKMeans:
         labels as the previous pass.  Unchanged labels mean unchanged
         member sets, whose bundles are the centroids that pass just used
         (an empty cluster keeps its centroid either way), so every later
-        pass would reproduce the same labels, centroids and inertia: the
-        result is bit-identical to running all ``num_iterations`` passes.
+        pass would reproduce the same labels and centroids: the result is
+        bit-identical to running all ``num_iterations`` passes.
+
+        Each pass is one ``backend.assign`` call on the full storage.  From
+        the first pass whose centroids were already bundles (pass 1 of a
+        warm start, pass 2 of a cold one) the previous pass's dot bounds
+        ride along, so only rows whose label could change are recomputed;
+        a single-HV seed is too far from its bundle for any bound to hold.
+        The member sums are exact and kept apart from the centroids: after
+        the first full bundle they move by ``sum(joined) - sum(left)`` over
+        the switched rows only.
         """
         if isinstance(pixel_hvs, HVStorage):
             storage = pixel_hvs
@@ -223,13 +236,13 @@ class HDKMeans:
                 flat_intensity, self.num_clusters
             )
             centroids = backend.unpack(storage, seed_indices).astype(np.float64)
-        labels = np.zeros(num_pixels, dtype=np.int32)
         previous_labels: np.ndarray | None = None
+        member_sums: np.ndarray | None = None
+        bounds = None
         history: list[np.ndarray] = []
-        inertia = 0.0
         for iterations_run in range(1, self.num_iterations + 1):
-            labels, inertia = backend.assign(
-                storage, centroids, chunk_size=self.chunk_size
+            labels, pass_bounds = backend.assign(
+                storage, centroids, chunk_size=self.chunk_size, bounds=bounds
             )
             if self.record_history:
                 history.append(labels.copy())
@@ -238,7 +251,14 @@ class HDKMeans:
                 # so the centroid update below would rebuild the exact
                 # centroids this assignment just used; skip it and stop.
                 break
-            centroids = self._update_centroids(backend, storage, labels, centroids)
+            member_sums = self._update_member_sums(
+                backend, storage, labels, previous_labels, member_sums
+            )
+            # An empty cluster keeps its previous centroid.
+            occupied = np.bincount(labels, minlength=self.num_clusters) > 0
+            centroids = np.where(occupied[:, None], member_sums, centroids)
+            if warm_started or previous_labels is not None:
+                bounds = pass_bounds
             previous_labels = labels
         if self.record_history:
             # Every skipped pass would have reproduced the fixed point.
@@ -250,25 +270,35 @@ class HDKMeans:
             centroids=centroids,
             iterations_run=iterations_run,
             history=history,
-            inertia=inertia,
             warm_started=warm_started,
         )
 
-    def _update_centroids(
+    def _update_member_sums(
         self,
         backend: HDCBackend,
         storage: HVStorage,
         labels: np.ndarray,
-        previous: np.ndarray,
+        previous_labels: np.ndarray | None,
+        member_sums: np.ndarray | None,
     ) -> np.ndarray:
-        """New centroids: element-wise sums (bundles) of member HVs.
+        """Exact ``(k, d)`` ``int64`` bundles of each cluster's members.
 
-        Empty clusters keep their previous centroid so the cluster count never
-        silently shrinks.
+        Without previous labels every row counts as switched into a zero
+        sum, so each cluster is bundled in full; otherwise ``member_sums``
+        is updated in place by the rows that switched:
+        ``S_c += sum(joined_c) - sum(left_c)``.
         """
-        centroids = previous.copy()
+        if previous_labels is None:
+            member_sums = np.zeros(
+                (self.num_clusters, storage.dimension), dtype=np.int64
+            )
+            previous_labels = np.full_like(labels, -1)
+        switched = labels != previous_labels
         for cluster in range(self.num_clusters):
-            members = labels == cluster
-            if np.any(members):
-                centroids[cluster] = backend.bundle_masked(storage, members)
-        return centroids
+            joined = switched & (labels == cluster)
+            if joined.any():
+                member_sums[cluster] += backend.bundle_masked(storage, joined)
+            left = switched & (previous_labels == cluster)
+            if left.any():
+                member_sums[cluster] -= backend.bundle_masked(storage, left)
+        return member_sums

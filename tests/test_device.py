@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.device import (
@@ -86,6 +88,36 @@ class TestCostModels:
         assert packed.operations < dense.operations
         assert packed.bytes_moved < dense.bytes_moved
         assert packed.kind == "hdc"
+
+    def test_packed_peak_memory_covers_a_measured_segment(self):
+        """The modelled peak is an upper bound on what one 64x64 packed
+        ``segment`` allocates: its tracemalloc peak (level tables built
+        inside it) plus the position grid, which is cached before."""
+        from repro.datasets.dsb2018 import DSB2018Synthetic
+        from repro.seghdc import SegHDCConfig, SegHDCEngine
+
+        config = SegHDCConfig.paper_defaults("dsb2018").scaled_for_shape(
+            64, 64
+        ).with_overrides(backend="packed")
+        image = DSB2018Synthetic(num_images=1, image_shape=(64, 64), seed=0)[0].image
+        engine = SegHDCEngine(config)
+        engine.warm(image.height, image.width, image.channels)
+        tracemalloc.start()
+        try:
+            engine.segment(image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        measured = peak + engine.estimated_grid_nbytes(64, 64)
+        modelled = seghdc_cost(
+            64, 64,
+            dimension=config.dimension,
+            num_clusters=config.num_clusters,
+            num_iterations=config.num_iterations,
+            channels=image.channels,
+            backend="packed",
+        ).peak_memory_bytes
+        assert measured <= modelled, (measured, modelled)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hdc import HypervectorSpace, hamming_distance, make_backend
+from repro.hdc import backend as backend_module
 from repro.seghdc import (
     HDKMeans,
     ManhattanColorEncoder,
@@ -212,12 +213,6 @@ class TestHDKMeans:
                     result.centroids[cluster], members.astype(np.int64).sum(axis=0)
                 )
 
-    def test_inertia_is_finite_and_nonnegative(self, rng):
-        hvs, intensities = self._two_blob_data(rng, per_cluster=10)
-        result = HDKMeans(2, num_iterations=2).fit(hvs, intensities)
-        assert np.isfinite(result.inertia)
-        assert result.inertia >= 0.0
-
     def test_invalid_arguments(self, rng):
         hvs, intensities = self._two_blob_data(rng, per_cluster=5)
         with pytest.raises(ValueError):
@@ -266,11 +261,11 @@ class TestHDKMeans:
 
 
 def _reference_fit(backend, storage, centroids, num_clusters, num_iterations):
-    """The paper's loop: exactly ``num_iterations`` assign + bundle passes,
-    empty clusters keeping their centroid."""
+    """The paper's loop: exactly ``num_iterations`` full assign + bundle
+    passes, empty clusters keeping their centroid."""
     history = []
     for _ in range(num_iterations):
-        labels, inertia = backend.assign(storage, centroids, chunk_size=8192)
+        labels, _ = backend.assign(storage, centroids, chunk_size=8192)
         history.append(labels)
         updated = centroids.copy()
         for cluster in range(num_clusters):
@@ -278,7 +273,29 @@ def _reference_fit(backend, storage, centroids, num_clusters, num_iterations):
             if members.any():
                 updated[cluster] = backend.bundle_masked(storage, members)
         centroids = updated
-    return labels, centroids, inertia, history
+    return labels, centroids, history
+
+
+def _fixed_point_pass(history):
+    """The first pass that repeats its predecessor's labels (else the last)."""
+    for index in range(1, len(history)):
+        if np.array_equal(history[index], history[index - 1]):
+            return index + 1
+    return len(history)
+
+
+def _record_bounds(monkeypatch, backend):
+    """Patch ``backend.assign`` to keep every returned :class:`DotBounds`."""
+    passes = []
+    assign = backend.assign
+
+    def recording(*args, **kwargs):
+        labels, bounds = assign(*args, **kwargs)
+        passes.append(bounds)
+        return labels, bounds
+
+    monkeypatch.setattr(backend, "assign", recording)
+    return passes
 
 
 def _noisy_copies(rng, prototype, count, flips):
@@ -330,22 +347,24 @@ class TestFixedPointStop:
 
     @pytest.mark.parametrize("backend_name", ["dense", "packed"])
     @pytest.mark.parametrize("case", ["early", "warm", "empty"])
-    def test_matches_full_iteration_reference(self, rng, backend_name, case):
+    def test_matches_full_iteration_reference(
+        self, rng, monkeypatch, backend_name, case
+    ):
         hvs, intensities, num_clusters, initial = self._case(case, rng)
         backend = make_backend(backend_name)
         storage = backend.pack(hvs)
+        passes = _record_bounds(monkeypatch, backend)
         result = HDKMeans(
             num_clusters, self.NUM_ITERATIONS, record_history=True
         ).fit(storage, intensities, initial_centroids=initial)
         if initial is None:
             seeds = select_initial_centroid_indices(intensities, num_clusters)
             initial = backend.unpack(storage, seeds).astype(np.float64)
-        labels, centroids, inertia, history = _reference_fit(
+        labels, centroids, history = _reference_fit(
             backend, storage, initial, num_clusters, self.NUM_ITERATIONS
         )
         assert np.array_equal(result.labels, labels)
         assert np.array_equal(result.centroids, centroids)
-        assert result.inertia == inertia
         assert len(result.history) == self.NUM_ITERATIONS
         for got, want in zip(result.history, history):
             assert np.array_equal(got, want)
@@ -353,6 +372,139 @@ class TestFixedPointStop:
         assert 2 <= result.iterations_run < self.NUM_ITERATIONS
         if case == "empty":
             assert np.bincount(labels, minlength=num_clusters).min() == 0
+        if case == "warm":
+            # Warm seeds are bundles, so pass 2 already prunes.
+            assert passes[1].rechecked < len(hvs)
+
+
+def _differential_case(seed):
+    """One seeded clustering problem for the pruned-vs-full comparison:
+    ``(backend, hvs, intensities, num_clusters, initial_centroids)``."""
+    rng = np.random.default_rng(seed)
+    dimension = (64, 100, 512)[seed % 3]
+    num_clusters = 2 + seed % 3
+    backend = make_backend(("dense", "packed")[seed // 3 % 2])
+    # Prototypes share a random half of their bits, so the groups overlap
+    # and the loop keeps moving rows for a few passes.
+    prototypes = rng.integers(0, 2, size=(num_clusters, dimension), dtype=np.uint8)
+    shared = rng.random(dimension) < 0.5
+    prototypes[:, shared] = prototypes[0, shared]
+    hvs = np.concatenate([
+        _noisy_copies(rng, prototype, int(rng.integers(6, 25)), dimension // 5)
+        for prototype in prototypes
+    ])
+    if seed == 0:
+        hvs = np.repeat(hvs[:6], 15, axis=0)  # many duplicate rows
+    intensities = rng.uniform(0.0, 255.0, size=len(hvs))
+    initial = None
+    if seed // 6 % 2:
+        picks = rng.choice(len(hvs), size=(num_clusters, 3))
+        initial = hvs[picks].astype(np.float64).sum(axis=1)
+    return backend, hvs, intensities, num_clusters, initial
+
+
+DIFFERENTIAL_SEEDS = range(40)
+
+
+class TestBoundPrunedAssignment:
+    """Passes that reuse the previous pass's dot bounds must reproduce the
+    full-pass loop exactly, and must actually skip rows."""
+
+    NUM_ITERATIONS = 10
+
+    @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+    def test_matches_full_pass_reference(self, seed):
+        backend, hvs, intensities, num_clusters, initial = _differential_case(seed)
+        storage = backend.pack(hvs)
+        result = HDKMeans(
+            num_clusters, self.NUM_ITERATIONS, record_history=True
+        ).fit(storage, intensities, initial_centroids=initial)
+        if initial is None:
+            seeds = select_initial_centroid_indices(intensities, num_clusters)
+            initial = backend.unpack(storage, seeds).astype(np.float64)
+        labels, centroids, history = _reference_fit(
+            backend, storage, initial, num_clusters, self.NUM_ITERATIONS
+        )
+        assert np.array_equal(result.labels, labels)
+        assert np.array_equal(result.centroids, centroids)
+        assert result.iterations_run == _fixed_point_pass(history)
+        assert len(result.history) == self.NUM_ITERATIONS
+        for got, want in zip(result.history, history):
+            assert np.array_equal(got, want)
+
+    def test_cases_exercise_pruning_and_rechecks(self, monkeypatch):
+        skipped = rechecked = 0
+        for seed in DIFFERENTIAL_SEEDS:
+            backend, hvs, intensities, num_clusters, initial = _differential_case(seed)
+            passes = _record_bounds(monkeypatch, backend)
+            HDKMeans(num_clusters, self.NUM_ITERATIONS).fit(
+                backend.pack(hvs), intensities, initial_centroids=initial
+            )
+            bounded = passes[1:] if initial is not None else passes[2:]
+            skipped += sum(len(hvs) - p.rechecked for p in bounded)
+            rechecked += sum(p.rechecked for p in bounded)
+        assert skipped > 0
+        assert rechecked > 0
+
+    @pytest.mark.parametrize("backend_name", ["dense", "packed"])
+    def test_near_tie_rows_fall_back_to_exact_rule(self, monkeypatch, backend_name):
+        """Hand-built drift: settled rows keep clear winners, while rows
+        whose widened intervals overlap are recomputed; one of those is an
+        exact tie, decided by ``_exact_argmax``."""
+        dimension = 64
+
+        def ones(*spans):
+            row = np.zeros(dimension, dtype=np.uint8)
+            for start, stop in spans:
+                row[start:stop] = 1
+            return row
+
+        before = np.zeros((2, dimension), dtype=np.int64)
+        before[0, 0:16] = 3
+        before[1, 16:32] = 3
+        # Each centroid loses 1 on four of its dims and gains 1 on four new
+        # ones, so the two norms stay equal (sqrt(128)) and a row with equal
+        # dots is an exact tie.
+        after = before.copy()
+        after[0, 0:4] -= 1
+        after[0, 32:36] += 1
+        after[1, 16:20] -= 1
+        after[1, 36:40] += 1
+        rows = {
+            # Drift ±4 cannot close a 44-vs-4 gap: settled, never dotted.
+            "clear0": (ones((0, 16)), 3, 0),
+            "clear1": (ones((16, 32)), 3, 1),
+            # 36 vs 36 before and after: overlapping intervals, exact tie,
+            # lowest index wins.
+            "tie": (ones((4, 16), (20, 32)), 2, 0),
+            # Intervals [32, 40] vs [30, 34] overlap; exact 40 vs 30.
+            "straddle0": (ones((4, 16), (22, 32), (32, 36)), 2, 0),
+            "straddle1": (ones((20, 32), (6, 16), (36, 40)), 1, 1),
+        }
+        hvs = np.concatenate([np.repeat(row[None], count, axis=0)
+                              for row, count, _ in rows.values()])
+        expected = np.concatenate([np.full(count, label)
+                                   for _, count, label in rows.values()])
+        backend = make_backend(backend_name)
+        storage = backend.pack(hvs)
+        _, first = backend.assign(storage, before)
+        exact_rows = []
+        exact_argmax = backend_module._exact_argmax
+
+        def spy(dots, centroids):
+            exact_rows.append(len(dots))
+            return exact_argmax(dots, centroids)
+
+        monkeypatch.setattr(backend_module, "_exact_argmax", spy)
+        labels, bounds = backend.assign(storage, after, bounds=first)
+        assert labels.tolist() == expected.tolist()
+        assert bounds.rechecked == 5  # the tie and straddle rows
+        assert exact_rows == [2]  # only the tie rows
+        full_labels, full = backend.assign(storage, after)
+        assert np.array_equal(labels, full_labels)
+        assert np.all(bounds.lo <= full.lo) and np.all(full.hi <= bounds.hi)
+        recomputed = bounds.lo == bounds.hi
+        assert recomputed.all(axis=1).sum() == 5
 
 
 @given(
