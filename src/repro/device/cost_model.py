@@ -128,16 +128,15 @@ def seghdc_cost(
       norms (``2 * N * d``), and the centroid update re-reads the member HVs
       once more (``N * d``).
     * Memory: the position grid and the pixel-HV matrix (``N * d`` bytes
-      each as uint8) plus the largest transient of three phases: one color
-      band in flight, the assignment's float64 half-chunk (``chunk / 2``
-      rows of ``d`` float64), or the member rows one bundle gathers (up to
+      each as uint8) plus the largest transient of three phases: the color
+      bind's, the assignment's float64 half-chunk (``chunk / 2`` rows of
+      ``d`` float64), or the member rows one bundle gathers (up to
       ``N * d`` bytes).
 
     Packed backend (64 HV bits per uint64 word, ``w = ceil(d / 64)`` words):
 
-    * Encoding: the row/column bind and the color bind are word-wide XORs ->
-      ``2 * N * w`` word operations (the dense color band still has to be
-      packed, ``N * d / 8`` byte operations, counted in).
+    * Encoding: the row/column bind and the color bind (a gather from
+      pre-packed level tables) are word-wide XORs -> ``2 * N * w``.
     * Clustering, per iteration: the assignment decomposes the integer
       centroids into ``p ~ ceil(log2(N))`` bit-planes and performs an AND +
       popcount per word per plane per cluster -> ``2 * N * w * p * k`` word
@@ -147,15 +146,17 @@ def seghdc_cost(
       operations plus the per-block flush, instead of the replaced
       ``N * d / 8`` dense unpack round-trip).
     * Memory: the packed pixel matrix and position grid are ``N * w * 8``
-      bytes each (8x smaller than dense), plus the larger of one color band
-      in flight and one bundling block.
+      bytes each (8x smaller than dense), plus the larger of the color
+      bind's transient and one bundling block.
 
-    A color band in flight is ``min(N, 64 * W) * d`` bytes twice over: the
-    per-channel level-table gathers and their concatenation.  Both backends
-    also hold the color level tables (256 levels of ``d`` uint8 bits), the
-    float64 intensities, int32 labels and int64 row popcounts, a pass's
-    ``(N, k)`` int64 dots and float64 keys, the persistent ``(N, k)`` int64
-    ``lo``/``hi`` dot bounds the assignment carries between passes
+    The color bind's transient is the ``channels * N`` int64 level indices
+    plus one channel's gather: ``N`` rows of ``ceil(d / channels)`` bits in
+    native storage (plus a word on packed, for a straddled boundary).  Both
+    backends also hold the color level tables (256 levels of ``d`` uint8
+    bits) and their native copies, the float64 intensities, int32 labels
+    and int64 row popcounts, a pass's ``(N, k)`` int64 dots and float64
+    keys, the persistent ``(N, k)`` int64 ``lo``/``hi`` dot bounds the
+    assignment carries between passes
     (``16 * N * k`` bytes), and a few ``(k, d)`` 8-byte centroid arrays
     (bundles, member sums, the bounds' reference centroids, the drift's
     sorted prefix sums).
@@ -171,10 +172,11 @@ def seghdc_cost(
     the rows that switched.  Peak memory does not depend on the iteration
     count.
     """
-    if height <= 0 or width <= 0:
+    if height <= 0 or width <= 0 or channels <= 0:
         raise ValueError("image dimensions must be positive")
     num_pixels = height * width
-    band_bytes = 2 * min(num_pixels, 64 * width) * dimension * _HV_BYTES
+    channel_bits = -(-dimension // channels)
+    index_bytes = channels * num_pixels * 8  # int64 level indices
     resident_bytes = (
         256 * dimension * _HV_BYTES  # color level tables
         + num_pixels * 20  # intensities, labels, row popcounts
@@ -196,8 +198,9 @@ def seghdc_cost(
         half_chunk_rows = min(num_pixels, _ASSIGNMENT_CHUNK_ROWS // 2)
         peak_memory = (
             2.0 * hv_matrix_bytes  # position grid + bound pixel grid
+            + 256 * dimension * _HV_BYTES  # native color tables
             + max(
-                band_bytes,
+                index_bytes + num_pixels * channel_bits * _HV_BYTES,
                 half_chunk_rows * dimension * 8,  # float64 half-chunk
                 hv_matrix_bytes,  # the member rows of one bundle
             )
@@ -206,8 +209,7 @@ def seghdc_cost(
     elif backend == "packed":
         words = packed_words_per_hv(dimension)
         bit_planes = max(1, math.ceil(math.log2(max(2, num_pixels))))
-        pack_ops = num_pixels * dimension / 8.0  # packbits of the color bands
-        encode_ops = 2.0 * num_pixels * words + pack_ops
+        encode_ops = 2.0 * num_pixels * words
         assign_ops = 2.0 * num_pixels * words * bit_planes * num_clusters
         # Every pixel row is bundled into exactly one centroid per
         # iteration, so the per-iteration bundling cost is one bit-sliced
@@ -230,7 +232,12 @@ def seghdc_cost(
         )
         peak_memory = (
             2.0 * hv_matrix_bytes  # packed position grid + packed pixel matrix
-            + max(band_bytes, bundle.peak_memory_bytes)
+            + 256 * (words + channels) * _WORD_BYTES  # native color tables
+            + max(
+                index_bytes
+                + num_pixels * (-(-channel_bits // 64) + 1) * _WORD_BYTES,
+                bundle.peak_memory_bytes,
+            )
             + resident_bytes
         )
     else:
@@ -239,7 +246,6 @@ def seghdc_cost(
             f"unknown backend {backend!r}; cost models exist for 'dense' and "
             f"'packed' (registered backends: {available_backends()})"
         )
-    del channels  # channel count does not change the asymptotic HDC cost
     return WorkloadCost(
         operations=operations,
         bytes_moved=bytes_moved,

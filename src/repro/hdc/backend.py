@@ -16,13 +16,13 @@ raw bits directly:
 
 * :class:`DenseBackend` stores one byte per bit (``uint8`` 0/1 arrays) and
   computes the dots with a float64 matmul, exact because every partial sum
-  is an integer far below ``2^53``.  It is the default.
-* :class:`PackedBackend` stores hypervectors as ``uint64`` words produced by
-  ``np.packbits`` (~8x less memory).  Its dots decompose the centroids into
-  binary bit-planes, ``x . c = sum_j 2^j * popcount(x & plane_j)``, and its
-  masked bundling is a **bit-sliced vertical-count kernel** of word-wide
-  3:2 carry-save adders that never materialises the dense ``(n, d)`` matrix
-  (see :meth:`PackedBackend.bundle_masked` for the math).
+  is an integer far below ``2^53``.  It is the oracle.
+* :class:`PackedBackend` (the default) stores hypervectors as ``uint64``
+  words from ``np.packbits`` (~8x less memory).  Its dots decompose the
+  centroids into binary bit-planes, ``x . c = sum_j 2^j * popcount(x &
+  plane_j)``, and its masked bundling is a **bit-sliced vertical-count
+  kernel** of word-wide 3:2 carry-save adders that never materialises the
+  dense ``(n, d)`` matrix (see :meth:`PackedBackend.bundle_masked`).
 
 Backends supply only exact integers — dots and bundle sums.  The cosine
 rule (normalisation, argmax, tie-break) exists once, in
@@ -129,8 +129,8 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
 def _integer_centroids(centroids: np.ndarray) -> np.ndarray:
     """Centroid bundles as ``int64``; refuses non-integer or negative ones."""
     values = np.asarray(centroids)
-    integral = np.rint(values).astype(np.int64)
-    if not np.array_equal(integral, values):
+    integral = values.astype(np.int64)
+    if values.dtype.kind not in "iu" and not (integral == values).all():
         raise ValueError(
             "cosine assignment needs integer-valued centroids (bundles)"
         )
@@ -270,6 +270,8 @@ class HDCBackend(ABC):
     """Storage format + the three HV kernels the SegHDC pipeline needs."""
 
     name: str = "abstract"
+    #: HV bits per storage column (the unit :meth:`color_tables` pads to).
+    column_bits: int = 1
 
     # ------------------------------------------------------------------ #
     # storage
@@ -305,35 +307,46 @@ class HDCBackend(ABC):
         """XOR-bind per-row and per-column HVs into the flattened position
         grid ``p(i, j) = r_i ^ c_j``, shape ``(height * width, d)`` logical."""
 
+    def color_tables(
+        self, level_tables: "list[np.ndarray]"
+    ) -> list[tuple[int, np.ndarray]]:
+        """Each channel's ``(levels, d_c)`` uint8 level table, zero-padded
+        out to :attr:`column_bits` boundaries and packed, as ``(start,
+        table)``: the channel's bits sit inside storage columns
+        ``start:start + table.shape[1]``, zeros elsewhere, so channels that
+        share a boundary column XOR apart."""
+        tables = []
+        offset = 0
+        for table in level_tables:
+            table = np.asarray(table, dtype=np.uint8)
+            start, lead = divmod(offset, self.column_bits)
+            columns = -(-(lead + table.shape[1]) // self.column_bits)
+            padded = np.zeros(
+                (table.shape[0], columns * self.column_bits), dtype=np.uint8
+            )
+            padded[:, lead : lead + table.shape[1]] = table
+            tables.append((start, self.pack(padded).data))
+            offset += table.shape[1]
+        return tables
+
     def bind_color(
         self,
         position_grid: HVStorage,
-        color_band_fn,
-        height: int,
-        width: int,
-        *,
-        band_rows: int = 64,
+        level_indices: "list[np.ndarray]",
+        tables: "list[tuple[int, np.ndarray]]",
     ) -> HVStorage:
-        """XOR the position grid with per-pixel color HVs, band by band.
+        """XOR the position grid with every pixel's color HV.
 
-        ``color_band_fn(row_start, row_stop)`` must return the dense color
-        grid of those image rows as ``(row_stop - row_start, width, d)``
-        uint8.  Processing in bands bounds the peak dense working set to one
-        band regardless of image size.
+        A pixel's color HV is the concatenation of one level-table row per
+        channel (Fig. 4), so binding is a gather: ``level_indices[c]`` holds
+        every pixel's level in channel ``c`` (flat, one per grid row) and
+        ``tables`` comes from :meth:`color_tables`.  Only one channel's
+        gathered columns are alive at a time.
         """
-        dimension = position_grid.dimension
-        out = np.empty_like(position_grid.data)
-        for row_start in range(0, height, band_rows):
-            row_stop = min(row_start + band_rows, height)
-            band = np.asarray(color_band_fn(row_start, row_stop), dtype=np.uint8)
-            flat = band.reshape((row_stop - row_start) * width, dimension)
-            packed = self.pack(flat).data
-            lo, hi = row_start * width, row_stop * width
-            np.bitwise_xor(position_grid.data[lo:hi], packed, out=out[lo:hi])
-            # Release this band before the next one is encoded, so only one
-            # band's transients are ever alive.
-            del band, flat, packed
-        return HVStorage(out, dimension, self)
+        out = position_grid.data.copy()
+        for (start, table), indices in zip(tables, level_indices):
+            out[:, start : start + table.shape[1]] ^= table[indices]
+        return HVStorage(out, position_grid.dimension, self)
 
     # ------------------------------------------------------------------ #
     # kernel 2: dots against centroids, and the one cosine rule over them
@@ -544,6 +557,7 @@ class PackedBackend(HDCBackend):
     """
 
     name = "packed"
+    column_bits = 64
 
     def __init__(
         self,
@@ -617,9 +631,11 @@ class PackedBackend(HDCBackend):
         float matmul of the assignment into AND + popcount word kernels.
         """
         integral = _integer_centroids(centroids)
-        shifts = np.arange(max(1, int(integral.max()).bit_length()))
-        bits = (integral[None, :, :] >> shifts[:, None, None]) & 1
-        return pack_hvs(bits.astype(np.uint8), dimension=dimension)
+        top = int(integral.max())
+        # Mask each plane out of the narrowest dtype that holds the values.
+        narrow = integral.astype(np.min_scalar_type(top))
+        weights = (1 << np.arange(max(1, top.bit_length()))).astype(narrow.dtype)
+        return pack_hvs((narrow & weights[:, None, None]) != 0, dimension=dimension)
 
     def dots(
         self,

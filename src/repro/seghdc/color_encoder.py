@@ -98,47 +98,44 @@ class ColorEncoder(ABC):
             pieces.append(table[level])
         return np.concatenate(pieces)
 
-    def encode_image(self, pixels: np.ndarray) -> np.ndarray:
-        """Color HVs for every pixel, shape ``(height, width, d)``.
+    def level_indices(self, pixels: np.ndarray) -> list[np.ndarray]:
+        """Every pixel's quantised level per channel, one flat array each.
 
         Single-channel encoders accept either (H, W) or (H, W, 3) input (the
         latter is converted to grayscale); three-channel encoders accept
-        (H, W, 3) or replicate a grayscale input across channels.
+        (H, W, 3) or replicate a grayscale input across channels.  Entry
+        ``c`` indexes ``level_tables()[c]`` in row-major pixel order.
         """
         arr = np.asarray(pixels)
         if self.channels == 1:
-            gray = to_grayscale(arr)
-            planes = [gray]
-        else:
-            if arr.ndim == 2:
-                arr = np.repeat(arr[:, :, None], 3, axis=2)
-            if arr.ndim != 3 or arr.shape[2] != 3:
-                raise ValueError(
-                    f"three-channel encoder needs an (H, W, 3) image, got {arr.shape}"
-                )
+            planes = [to_grayscale(arr)]
+        elif arr.ndim == 2:
+            planes = [arr] * 3
+        elif arr.ndim == 3 and arr.shape[2] == 3:
             planes = [arr[:, :, channel] for channel in range(3)]
-        tables = self.level_tables()
-        pieces = []
-        for table, plane in zip(tables, planes):
-            level_index = _quantize(plane, self.levels)
-            pieces.append(table[level_index])
-        return np.concatenate(pieces, axis=-1)
-
-    def encode_image_band(
-        self, pixels: np.ndarray, row_start: int, row_stop: int
-    ) -> np.ndarray:
-        """Color HVs of image rows ``[row_start, row_stop)`` only.
-
-        Lets compute backends bind and pack the image band by band so the
-        dense color grid never exceeds one band of rows.
-        """
-        arr = np.asarray(pixels)
-        if not (0 <= row_start <= row_stop <= arr.shape[0]):
+        else:
             raise ValueError(
-                f"invalid row band [{row_start}, {row_stop}) for image with "
-                f"{arr.shape[0]} rows"
+                f"three-channel encoder needs an (H, W, 3) image, got {arr.shape}"
             )
-        return self.encode_image(arr[row_start:row_stop])
+        return [_quantize(plane, self.levels).ravel() for plane in planes]
+
+    def encode_image(self, pixels: np.ndarray) -> np.ndarray:
+        """Color HVs for every pixel, shape ``(height, width, d)``.
+
+        The dense reference for the table-gather bind: each pixel's
+        per-channel level-table rows from :meth:`level_indices`,
+        concatenated.
+        """
+        height, width = np.asarray(pixels).shape[:2]
+        pieces = [
+            table[indices]
+            for table, indices in zip(
+                self.level_tables(), self.level_indices(pixels)
+            )
+        ]
+        return np.concatenate(pieces, axis=-1).reshape(
+            height, width, self.dimension
+        )
 
 
 class ManhattanColorEncoder(ColorEncoder):

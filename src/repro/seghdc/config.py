@@ -51,11 +51,11 @@ class SegHDCConfig:
     seed:
         Seed of the hypervector space; fixes all random base HVs.
     backend:
-        Compute backend for HV storage and kernels: ``"dense"`` (one byte
-        per bit, bit-exact with the historical implementation) or
-        ``"packed"`` (uint64 bit-packing, ~8x less memory, integer-only
-        dots and bit-sliced bundling).  Both backends feed exact integer
-        dots and bundle sums to one exact cosine rule
+        Compute backend for HV storage and kernels: ``"packed"`` (the
+        default: uint64 bit-packing, ~8x less memory, integer-only dots and
+        bit-sliced bundling) or ``"dense"`` (one byte per bit, the oracle
+        that goldens and the parity sweep compare against).  Both backends
+        feed exact integer dots and bundle sums to one exact cosine rule
         (:meth:`repro.hdc.backend.HDCBackend.assign`), so they produce
         identical label maps by construction.
     counter_depth:
@@ -94,7 +94,7 @@ class SegHDCConfig:
     color_levels: int = 256
     seed: int = 0
     record_history: bool = False
-    backend: str = "dense"
+    backend: str = "packed"
     counter_depth: int = 16
     bundle_chunk_rows: int = 16384
     warm_start: bool = False

@@ -10,10 +10,10 @@ shape:
 * the **position grid** (the XOR-bound row/column HVs) depends only on the
   configuration and the image shape, never on pixel values, so it is cached
   in backend storage (bit-packed under the packed backend);
-* the **color level tables** live inside the cached color encoder and are
-  likewise built once;
-* only the per-image color lookup, the position-color XOR bind, and the
-  clustering run per call.
+* the **color level tables** are cached next to it, backend-native
+  (:meth:`HDCBackend.color_tables`);
+* only the per-image level lookup, the table-gather XOR bind
+  (:meth:`HDCBackend.bind_color`), and the clustering run per call.
 
 The cache is a small LRU keyed by image shape; hit/miss/build counters are
 exposed via :meth:`SegHDCEngine.cache_info` and recorded in every
@@ -64,7 +64,7 @@ from repro.seghdc.clusterer import HDKMeans
 from repro.seghdc.color_encoder import ColorEncoder, make_color_encoder
 from repro.seghdc.config import SegHDCConfig
 from repro.seghdc.pixel_producer import PixelHVProducer
-from repro.seghdc.position_encoder import PositionEncoder, make_position_encoder
+from repro.seghdc.position_encoder import make_position_encoder
 
 # SegmentationResult and normalize_image moved to repro.api.result (their
 # canonical home); re-exported here for backward compatibility.
@@ -75,10 +75,9 @@ __all__ = ["SegHDCEngine", "SegmentationResult", "normalize_image"]
 class _EncoderBundle:
     """Everything the engine caches for one image shape."""
 
-    position_encoder: PositionEncoder
     color_encoder: ColorEncoder
-    producer: PixelHVProducer
     position_grid: HVStorage
+    color_tables: list[tuple[int, np.ndarray]]
 
 
 class SegHDCEngine:
@@ -104,9 +103,6 @@ class SegHDCEngine:
         like the historical pipeline), so a long-lived engine never pins
         more than this much grid memory — relevant for the dense backend,
         whose grids are 8x larger than packed ones.
-    band_rows:
-        Image rows per dense band while binding color HVs; bounds the peak
-        dense working set of the encode stage.
     """
 
     def __init__(
@@ -115,7 +111,6 @@ class SegHDCEngine:
         *,
         cache_size: int = 4,
         max_cache_bytes: int = 512 * 1024 * 1024,
-        band_rows: int = 64,
     ) -> None:
         if cache_size < 1:
             raise ValueError(f"cache_size must be positive, got {cache_size}")
@@ -123,8 +118,6 @@ class SegHDCEngine:
             raise ValueError(
                 f"max_cache_bytes must be positive, got {max_cache_bytes}"
             )
-        if band_rows < 1:
-            raise ValueError(f"band_rows must be positive, got {band_rows}")
         self._config = config or SegHDCConfig()
         # The config's tunable surface (counter_depth, bundle_chunk_rows for
         # the packed backend) reaches the kernels here, so a --config-json
@@ -134,7 +127,6 @@ class SegHDCEngine:
         )
         self.cache_size = int(cache_size)
         self.max_cache_bytes = int(max_cache_bytes)
-        self.band_rows = int(band_rows)
         self._cache: OrderedDict[tuple[int, int, int], _EncoderBundle] = OrderedDict()
         # Shape keys whose bundle arrived via import_shared_grids rather than
         # a local build; lookups landing on them count as shared_hits.
@@ -345,10 +337,15 @@ class SegHDCEngine:
             levels=config.color_levels,
             gamma=config.gamma,
         )
-        producer = PixelHVProducer(position_encoder, color_encoder)
-        position_grid = producer.position_grid_storage(self.backend)
+        position_grid = PixelHVProducer(
+            position_encoder, color_encoder
+        ).position_grid_storage(self.backend)
         self._counters["position_grid_builds"] += 1
-        bundle = _EncoderBundle(position_encoder, color_encoder, producer, position_grid)
+        bundle = _EncoderBundle(
+            color_encoder,
+            position_grid,
+            self.backend.color_tables(color_encoder.level_tables()),
+        )
         if position_grid.nbytes > self.max_cache_bytes:
             # A grid larger than the whole byte budget is never retained:
             # pinning it would keep gigabytes resident after ``segment``
@@ -386,11 +383,10 @@ class SegHDCEngine:
         start = time.perf_counter()
 
         bundle = self._encoders_for_shape(height, width, channels)
-        pixel_storage = bundle.producer.produce_image_storage(
-            pixels,
-            self.backend,
-            position_grid=bundle.position_grid,
-            band_rows=self.band_rows,
+        pixel_storage = self.backend.bind_color(
+            bundle.position_grid,
+            bundle.color_encoder.level_indices(pixels),
+            bundle.color_tables,
         )
 
         intensities = to_grayscale(pixels).astype(np.float64)
@@ -445,7 +441,7 @@ class SegHDCEngine:
 
         Same-shape images share one position grid and one set of color level
         tables, so for a homogeneous batch the encoders are built exactly
-        once; the per-image work is the color lookup, the XOR bind, and the
-        clustering.  Results come back in input order.
+        once; the per-image work is the level lookup, the table-gather XOR
+        bind, and the clustering.  Results come back in input order.
         """
         return [self.segment(image) for image in images]

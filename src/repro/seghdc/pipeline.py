@@ -37,8 +37,8 @@ class SegHDC:
         result = SegHDC(config).segment(sample.image)
         iou = best_foreground_iou(result.labels, sample.mask)
 
-    Extra keyword arguments (``cache_size``, ``max_cache_bytes``,
-    ``band_rows``) are forwarded to the private :class:`SegHDCEngine`.
+    Extra keyword arguments (``cache_size``, ``max_cache_bytes``) are
+    forwarded to the private :class:`SegHDCEngine`.
     """
 
     def __init__(self, config: SegHDCConfig | None = None, **engine_kwargs) -> None:
@@ -107,13 +107,9 @@ class SegHDC:
         return self._engine.segment_batch(images)
 
 
-def _make_seghdc(config: SegHDCConfig | None = None, **engine_kwargs) -> SegHDC:
-    return SegHDC(config, **engine_kwargs)
-
-
 register_segmenter(
     "seghdc",
-    factory=_make_seghdc,
+    factory=SegHDC,
     config_cls=SegHDCConfig,
     description="Binary-HDC unsupervised segmentation (the paper's method)",
     overwrite=True,  # module re-import (e.g. after a failed first import) is idempotent

@@ -69,32 +69,18 @@ class PixelHVProducer:
         )
 
     def produce_image_storage(
-        self,
-        pixels: np.ndarray,
-        backend: HDCBackend,
-        *,
-        position_grid: HVStorage | None = None,
-        band_rows: int = 64,
+        self, pixels: np.ndarray, backend: HDCBackend
     ) -> HVStorage:
-        """Pixel HVs for a whole image as backend storage.
-
-        Binds the (possibly cached) position grid with the per-pixel color
-        HVs band by band, so the peak dense working set is one ``band_rows``
-        band instead of the full ``(height, width, d)`` grid.  The result is
-        bit-identical to packing :meth:`produce_image`.
-        """
+        """Pixel HVs for a whole image as backend storage, bit-identical to
+        packing :meth:`produce_image`: a :meth:`HDCBackend.bind_color`
+        table gather over a freshly built grid and color tables (the engine
+        caches both per image shape)."""
         arr = np.asarray(pixels)
-        height, width = self._check_shape(arr)
-        if position_grid is None:
-            position_grid = self.position_grid_storage(backend)
+        self._check_shape(arr)
         return backend.bind_color(
-            position_grid,
-            lambda row_start, row_stop: self.color_encoder.encode_image_band(
-                arr, row_start, row_stop
-            ),
-            height,
-            width,
-            band_rows=band_rows,
+            self.position_grid_storage(backend),
+            self.color_encoder.level_indices(arr),
+            backend.color_tables(self.color_encoder.level_tables()),
         )
 
     def _check_shape(self, arr: np.ndarray) -> tuple[int, int]:

@@ -556,8 +556,8 @@ class SegmentationServer:
         without the engine export/import seam.
     engine_kwargs:
         Extra :class:`SegHDCEngine` parameters (``cache_size``,
-        ``max_cache_bytes``, ``band_rows``) applied when the server builds a
-        SegHDC from a config or spec; rejected for ready instances.
+        ``max_cache_bytes``) applied when the server builds a SegHDC from a
+        config or spec; rejected for ready instances.
     """
 
     def __init__(

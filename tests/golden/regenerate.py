@@ -81,7 +81,9 @@ def cases() -> "list[tuple[str, np.ndarray, SegHDCConfig]]":
 
 def main() -> None:
     for name, image, config in cases():
-        labels = SegHDCEngine(config).segment(image).labels
+        # The dense backend is the oracle; the parity sweep covers packed.
+        oracle = SegHDCEngine(config.with_overrides(backend="dense"))
+        labels = oracle.segment(image).labels
         config_json = json.dumps(
             {field: getattr(config, field) for field in CONFIG_FIELDS}
         )

@@ -117,6 +117,18 @@ class TestRegistry:
         with pytest.raises(TypeError, match="config inside the spec"):
             make_segmenter({"segmenter": "seghdc"}, config=_seghdc_config())
 
+    def test_unaccepted_option_is_refused_by_name(self):
+        # band_rows is not an engine option: a spec naming it is refused.
+        with pytest.raises(TypeError, match="'band_rows'"):
+            make_segmenter({"segmenter": "seghdc", "options": {"band_rows": 64}})
+        with pytest.raises(TypeError, match="'band_rows'"):
+            make_segmenter(
+                {"segmenter": "tiled", "config": {"base": "seghdc"},
+                 "options": {"band_rows": 64}}
+            )
+        with pytest.raises(TypeError, match="'bogus_rows'"):
+            make_segmenter({"segmenter": "threshold", "options": {"bogus_rows": 3}})
+
     def test_wrong_config_type_is_rejected(self):
         with pytest.raises(TypeError, match="SegHDCConfig"):
             make_segmenter("seghdc", config=_cnn_config())
@@ -249,12 +261,12 @@ class TestSegmenterProtocol:
         assert clone.engine.cache_info()["entries"] == 0
 
     def test_seghdc_describe_carries_engine_options(self):
-        segmenter = SegHDC(_seghdc_config(), cache_size=2, band_rows=16)
+        segmenter = SegHDC(_seghdc_config(), cache_size=2, max_cache_bytes=1 << 20)
         spec = segmenter.describe()
-        assert spec["options"] == {"cache_size": 2, "band_rows": 16}
+        assert spec["options"] == {"cache_size": 2, "max_cache_bytes": 1 << 20}
         rebuilt = make_segmenter(spec)
         assert rebuilt.engine.cache_size == 2
-        assert rebuilt.engine.band_rows == 16
+        assert rebuilt.engine.max_cache_bytes == 1 << 20
 
     def test_segment_batch_matches_sequential_segment(self):
         images = [_image(seed=i) for i in range(3)]

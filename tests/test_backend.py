@@ -19,6 +19,9 @@ from repro.hdc import (
     unpack_hvs,
 )
 from repro.hdc.backend import popcount16_table
+from repro.seghdc.color_encoder import make_color_encoder
+from repro.seghdc.pixel_producer import PixelHVProducer
+from repro.seghdc.position_encoder import make_position_encoder
 
 
 class TestPackingPrimitives:
@@ -129,19 +132,27 @@ class TestKernels:
         expected = np.bitwise_xor(rows[:, None, :], cols[None, :, :]).reshape(54, 130)
         assert np.array_equal(backend.unpack(storage), expected)
 
-    def test_bind_color_band_wise_matches_full_xor(self, backend, rng):
-        height, width, d = 7, 5, 140
-        rows = rng.integers(0, 2, size=(height, d), dtype=np.uint8)
-        cols = rng.integers(0, 2, size=(width, d), dtype=np.uint8)
-        color = rng.integers(0, 2, size=(height, width, d), dtype=np.uint8)
-        grid = backend.bind_position_grid(rows, cols)
-        bound = backend.bind_color(
-            grid, lambda lo, hi: color[lo:hi], height, width, band_rows=3
+    @pytest.mark.parametrize("dimension", [6, 64, 65, 140, 1001])
+    @pytest.mark.parametrize("variant", ["manhattan", "random"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("rgb_input", [False, True])
+    def test_bind_color_gather_matches_produce_image(
+        self, backend, rng, dimension, variant, channels, rgb_input
+    ):
+        space = HypervectorSpace(dimension, seed=5)
+        producer = PixelHVProducer(
+            make_position_encoder("block_decay", space, 7, 5, alpha=0.2, beta=2),
+            make_color_encoder(variant, space, channels),
         )
-        expected = (
-            np.bitwise_xor(rows[:, None, :], cols[None, :, :]) ^ color
-        ).reshape(height * width, d)
-        assert np.array_equal(backend.unpack(bound), expected)
+        encoder = producer.color_encoder
+        shape = (7, 5, 3) if rgb_input else (7, 5)
+        pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
+        bound = backend.bind_color(
+            producer.position_grid_storage(backend),
+            encoder.level_indices(pixels),
+            backend.color_tables(encoder.level_tables()),
+        )
+        assert np.array_equal(backend.unpack(bound), producer.produce_image(pixels))
 
     def test_bundle_masked_matches_sum(self, backend, rng):
         hvs = self._hvs(rng)
@@ -214,6 +225,21 @@ class TestKernels:
         centroids[0, 5] = bad
         with pytest.raises(ValueError, match=message):
             backend.assign(storage, centroids)
+
+
+@pytest.mark.parametrize("top", [0, 1, 255, 256, 65535, 65536, 1 << 40])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_centroid_bit_planes_rebuild_the_centroids(rng, top, dtype):
+    """Planes decode to the centroids exactly, across the widths the
+    planes are masked in (uint8 .. uint64), for float and int input."""
+    dimension = 70
+    centroids = rng.integers(0, top + 1, size=(3, dimension))
+    centroids[0, 0] = top
+    planes = PackedBackend.centroid_bit_planes(centroids.astype(dtype), dimension)
+    assert planes.shape == (max(1, top.bit_length()), 3, 2)
+    bits = unpack_hvs(planes, dimension).astype(np.int64)
+    weights = np.left_shift(1, np.arange(planes.shape[0], dtype=np.int64))
+    assert np.array_equal(np.tensordot(weights, bits, axes=1), centroids)
 
 
 class TestDensePackedParity:

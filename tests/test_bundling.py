@@ -165,7 +165,7 @@ class TestConfigPlumbing:
             SegHDCConfig(bundle_chunk_rows=-1)
 
     def test_backend_options_only_for_packed(self):
-        dense = SegHDCConfig(dimension=64, counter_depth=4)
+        dense = SegHDCConfig(dimension=64, backend="dense", counter_depth=4)
         assert dense.backend_options() == {}
         packed = SegHDCConfig(
             dimension=64, backend="packed", counter_depth=4, bundle_chunk_rows=7

@@ -33,7 +33,8 @@ from repro.serving import (
 
 def _config(**overrides):
     base = SegHDCConfig(
-        dimension=300, num_clusters=2, num_iterations=2, alpha=0.2, beta=3, seed=0
+        dimension=300, num_clusters=2, num_iterations=2, alpha=0.2, beta=3, seed=0,
+        backend="dense",
     )
     return base.with_overrides(**overrides)
 

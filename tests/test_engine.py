@@ -79,7 +79,7 @@ class TestCaching:
     def test_byte_budget_evicts_lru_but_keeps_most_recent(self):
         # One 20x24 grid at d=400 is 20*24*400 = 192000 dense bytes, so a
         # budget below two grids keeps exactly the most recent entry.
-        engine = SegHDCEngine(_config(), max_cache_bytes=200_000)
+        engine = SegHDCEngine(_config(backend="dense"), max_cache_bytes=200_000)
         engine.segment(_two_tone(20, 24))
         engine.segment(_two_tone(16, 24))
         info = engine.cache_info()
@@ -110,7 +110,7 @@ class TestCaching:
     def test_oversized_grid_does_not_flush_hot_entries(self):
         """An over-budget shape must not evict the smaller cached grids."""
         # 20x24 at d=400 is 192000 dense bytes (fits); 24x32 is 307200 (too big).
-        engine = SegHDCEngine(_config(), max_cache_bytes=200_000)
+        engine = SegHDCEngine(_config(backend="dense"), max_cache_bytes=200_000)
         engine.segment(_two_tone(20, 24))
         engine.segment(_two_tone(24, 32))  # oversized: built, not cached
         engine.segment(_two_tone(20, 24))  # small grid must still be hot
@@ -123,7 +123,7 @@ class TestCaching:
         """A budget of exactly one grid's bytes keeps that grid; one byte
         less trips the oversize path instead."""
         grid_bytes = 20 * 24 * 400  # dense bytes of a 20x24 grid at d=400
-        engine = SegHDCEngine(_config(), max_cache_bytes=grid_bytes)
+        engine = SegHDCEngine(_config(backend="dense"), max_cache_bytes=grid_bytes)
         engine.segment(_two_tone(20, 24))
         engine.segment(_two_tone(20, 24))
         info = engine.cache_info()
@@ -132,7 +132,7 @@ class TestCaching:
         assert info["hits"] == 1
         assert info["oversize_skips"] == 0
 
-        tight = SegHDCEngine(_config(), max_cache_bytes=grid_bytes - 1)
+        tight = SegHDCEngine(_config(backend="dense"), max_cache_bytes=grid_bytes - 1)
         tight.segment(_two_tone(20, 24))
         tight.segment(_two_tone(20, 24))
         info = tight.cache_info()
@@ -191,8 +191,6 @@ class TestCaching:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             SegHDCEngine(_config(), cache_size=0)
-        with pytest.raises(ValueError):
-            SegHDCEngine(_config(), band_rows=0)
         with pytest.raises(ValueError):
             SegHDCEngine(_config(), max_cache_bytes=0)
 

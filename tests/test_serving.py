@@ -147,7 +147,7 @@ class TestServerThreadMode:
             assert np.array_equal(expected.labels, observed.labels)
 
     def test_submit_poll_and_workload_annotation(self):
-        with SegmentationServer(_config(), num_workers=1) as server:
+        with SegmentationServer(_config(backend="dense"), num_workers=1) as server:
             handle = server.submit(_image())
             result = handle.result(timeout=30)
             assert handle.done()
