@@ -2,7 +2,8 @@
 
 Top-level convenience re-exports; see the subpackages for the full API:
 
-* :mod:`repro.hdc` — hyperdimensional-computing substrate
+* :mod:`repro.hdc` — hypervector primitives, the flip-prefix table builder
+  behind every encoder, and the dense / bit-packed compute backends
 * :mod:`repro.imaging` — pure-numpy imaging utilities
 * :mod:`repro.datasets` — synthetic BBBC005 / DSB2018 / MoNuSeg generators
 * :mod:`repro.api` — unified Segmenter protocol, registry, and run-specs
@@ -20,7 +21,13 @@ from repro.api import (
     available_segmenters,
     make_segmenter,
 )
-from repro.seghdc import SegHDC, SegHDCConfig, SegmentationResult
+from repro.seghdc import SegHDC, SegHDCConfig
+
+# After repro.seghdc on purpose: resolving SegmentationResult first imports
+# repro.imaging before this thread holds the repro.seghdc module lock, long
+# enough for a concurrent first ``import repro.seghdc.pipeline`` to take it
+# and deadlock the two imports.
+from repro.api import SegmentationResult
 from repro.metrics import best_foreground_iou
 
 __version__ = "1.1.0"

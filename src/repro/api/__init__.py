@@ -4,8 +4,8 @@ This package is the seam between algorithms and consumers:
 
 * :class:`Segmenter` — the structural protocol every algorithm implements
   (``segment`` / ``segment_batch`` / ``describe``, pickle-by-spec);
-* :class:`SegmentationResult` — the canonical result type (historically in
-  ``repro.seghdc.engine``, still re-exported there);
+* :class:`SegmentationResult` — the one result type every segmenter
+  returns;
 * the registry — :func:`register_segmenter`, :func:`available_segmenters`,
   :func:`make_segmenter` — with SegHDC and the CNN baseline built in;
 * :class:`RunSpec` / :class:`ServingOptions` — validated, JSON-serialisable

@@ -2,10 +2,8 @@
 
 :class:`SegmentationResult` is the one output type every registered
 segmenter produces — SegHDC, the CNN baseline, and anything a user plugs
-into :mod:`repro.api.registry`.  It historically lived in
-``repro.seghdc.engine`` (and was re-imported through
-``repro.seghdc.pipeline`` by the baseline); this module is now the single
-home, with the old paths kept as re-exports for backward compatibility.
+into :mod:`repro.api.registry`.  Import it from :mod:`repro.api` (or the
+top-level :mod:`repro`); the algorithm packages do not re-export it.
 
 :func:`normalize_image` is the single definition of what the pipelines
 accept: engines use it per segment call and the serving layer uses it at

@@ -1,10 +1,11 @@
 """Hyperdimensional computing (HDC) substrate.
 
 This package provides the binary-hypervector primitives that the SegHDC
-framework is built on: random hypervector generation, XOR binding, bundling
-(element-wise summation), the distance metrics used by the paper (Hamming,
-normalized Hamming, cosine, Manhattan), flip-based level encoders, and item
-memories.
+framework is built on: seeded random hypervector generation
+(:class:`HypervectorSpace`), the one flip-prefix table builder behind every
+level encoder (:func:`flip_prefix_table`), bit packing, the distance metrics
+used by the paper (Hamming, normalized Hamming, cosine, Manhattan), and the
+dense / bit-packed compute backends that bind, bundle and assign.
 
 The representation is deliberately simple: a binary hypervector is a 1-D
 ``numpy.ndarray`` of dtype ``uint8`` holding only 0/1 values.  Bundled
@@ -13,15 +14,11 @@ The representation is deliberately simple: a binary hypervector is a 1-D
 
 from repro.hdc.hypervector import (
     HypervectorSpace,
-    bind,
-    bundle,
-    flip_prefix,
-    flip_range,
+    flip_prefix_table,
     pack_hvs,
     packed_words_per_hv,
     random_hv,
     unpack_hvs,
-    validate_binary_hv,
 )
 from repro.hdc.backend import (
     DenseBackend,
@@ -40,8 +37,6 @@ from repro.hdc.distances import (
     manhattan_distance,
     normalized_hamming,
 )
-from repro.hdc.encoding import LevelEncoder, PrefixFlipEncoder
-from repro.hdc.item_memory import ItemMemory
 
 __all__ = [
     "DenseBackend",
@@ -49,17 +44,11 @@ __all__ = [
     "HDCBackend",
     "HVStorage",
     "HypervectorSpace",
-    "ItemMemory",
-    "LevelEncoder",
     "PackedBackend",
-    "PrefixFlipEncoder",
     "available_backends",
-    "bind",
-    "bundle",
     "cosine_distance",
     "cosine_similarity",
-    "flip_prefix",
-    "flip_range",
+    "flip_prefix_table",
     "hamming_distance",
     "make_backend",
     "manhattan_distance",
@@ -69,5 +58,4 @@ __all__ = [
     "popcount_words",
     "random_hv",
     "unpack_hvs",
-    "validate_binary_hv",
 ]

@@ -7,36 +7,18 @@ are pure: they never mutate their inputs and always return new arrays.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 __all__ = [
     "HypervectorSpace",
-    "bind",
-    "bundle",
-    "flip_prefix",
-    "flip_range",
+    "flip_prefix_table",
     "pack_hvs",
     "packed_words_per_hv",
     "random_hv",
     "unpack_hvs",
-    "validate_binary_hv",
 ]
-
-
-def validate_binary_hv(hv: np.ndarray, *, name: str = "hv") -> np.ndarray:
-    """Check that ``hv`` is a 1-D binary array and return it as ``uint8``.
-
-    Raises ``ValueError`` if the array is not one dimensional or contains
-    values other than 0/1.
-    """
-    arr = np.asarray(hv)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError(f"{name} must contain only 0/1 values")
-    return arr.astype(np.uint8, copy=False)
 
 
 def random_hv(dimension: int, rng: np.random.Generator) -> np.ndarray:
@@ -50,60 +32,22 @@ def random_hv(dimension: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=dimension, dtype=np.uint8)
 
 
-def bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Associate two binary HVs with element-wise XOR.
+def flip_prefix_table(
+    base: np.ndarray, flips: Sequence[int], *, offset: int = 0
+) -> np.ndarray:
+    """Stack flip-prefix levels of ``base`` into a ``(len(flips), d)`` table.
 
-    XOR is the binding operator used throughout SegHDC because it preserves
-    Hamming distance: flipping ``m`` elements of either operand flips exactly
-    ``m`` elements of the result.
+    Row ``i`` is ``base`` with elements ``[offset, offset + flips[i])``
+    flipped.  This is the one construction behind the paper's position
+    (Fig. 3, Eq. 5) and color (Fig. 4) encoders: because the flipped runs
+    are nested prefixes, rows ``i`` and ``j`` are exactly
+    ``|flips[i] - flips[j]|`` apart in Hamming distance.  Callers clip the
+    flip counts to their region; ``base`` is never mutated.
     """
-    a = validate_binary_hv(a, name="a")
-    b = validate_binary_hv(b, name="b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return np.bitwise_xor(a, b)
-
-
-def bundle(hvs: np.ndarray) -> np.ndarray:
-    """Bundle a stack of binary HVs by element-wise summation.
-
-    ``hvs`` is a 2-D array of shape ``(n, d)``.  The result is the ``int64``
-    element-wise sum, which SegHDC uses as the (non-binary) cluster centroid;
-    cosine distance is insensitive to the resulting vector length.
-    """
-    arr = np.asarray(hvs)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D stack of HVs, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError("cannot bundle an empty stack of HVs")
-    return arr.astype(np.int64, copy=False).sum(axis=0)
-
-
-def flip_range(hv: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Return a copy of ``hv`` with elements in ``[start, stop)`` flipped."""
-    hv = validate_binary_hv(hv)
-    if start < 0 or stop > hv.size or start > stop:
-        raise ValueError(
-            f"invalid flip range [{start}, {stop}) for dimension {hv.size}"
-        )
-    out = hv.copy()
-    out[start:stop] ^= 1
-    return out
-
-
-def flip_prefix(hv: np.ndarray, count: int, *, offset: int = 0) -> np.ndarray:
-    """Return a copy of ``hv`` with the ``count`` elements after ``offset`` flipped.
-
-    This is the primitive behind the paper's level encoders: level ``i`` of a
-    flip-prefix code differs from the base HV exactly in its first ``i * unit``
-    positions, so the Hamming distance between two levels is proportional to
-    their level difference (a Manhattan / L1 relationship).
-    """
-    hv = validate_binary_hv(hv)
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    stop = min(offset + count, hv.size)
-    return flip_range(hv, offset, stop)
+    table = np.tile(base, (len(flips), 1))
+    for row, count in enumerate(flips):
+        table[row, offset : offset + count] ^= 1
+    return table
 
 
 def packed_words_per_hv(dimension: int) -> int:

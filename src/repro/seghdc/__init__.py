@@ -4,11 +4,9 @@ This is the paper's primary contribution: the four-component pipeline of
 position encoder, color encoder, pixel-HV producer, and HD K-Means clusterer.
 The public entry point is :class:`SegHDC` configured by :class:`SegHDCConfig`.
 
-:class:`SegmentationResult` (and its companion ``normalize_image``) is *not*
-native to this package: its canonical home is :mod:`repro.api.result`, where
-every registered segmenter's results live.  It is re-exported here — and from
-:mod:`repro.seghdc.engine` / :mod:`repro.seghdc.pipeline` — purely for
-backward compatibility with pre-registry imports.
+Segmentation results are :class:`repro.api.SegmentationResult`, the one
+output type every registered segmenter shares; import it (and
+``normalize_image``) from :mod:`repro.api`, not from this package.
 """
 
 from repro.seghdc.config import SegHDCConfig
@@ -26,7 +24,7 @@ from repro.seghdc.color_encoder import (
 from repro.seghdc.pixel_producer import PixelHVProducer
 from repro.seghdc.clusterer import HDKMeans, ClusteringResult
 from repro.seghdc.engine import SegHDCEngine
-from repro.seghdc.pipeline import SegHDC, SegmentationResult
+from repro.seghdc.pipeline import SegHDC
 from repro.seghdc.video import VideoSession, synthetic_video, warm_start_cut
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "RandomPositionEncoder",
     "SegHDC",
     "SegHDCConfig",
-    "SegmentationResult",
     "UniformPositionEncoder",
     "VideoSession",
     "make_color_encoder",

@@ -5,6 +5,8 @@ flip-prefix idea as the position encoder: the level HV for value ``v`` differs
 from the level-0 HV in exactly ``v * uc`` elements, where ``uc = floor(d/256)``
 is the flip unit, so the Hamming distance between two color HVs is
 proportional to the absolute intensity difference (a Manhattan relationship).
+Each channel's level table is one :func:`repro.hdc.flip_prefix_table` call,
+the builder the position encoder's row and column tables share.
 
 For three-channel images each channel receives ``d/3`` dimensions with its own
 base HV, and the per-channel level HVs are *concatenated* (Fig. 4) — XOR or
@@ -26,7 +28,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.hdc.hypervector import HypervectorSpace
+from repro.hdc.hypervector import HypervectorSpace, flip_prefix_table
 from repro.imaging.image import to_grayscale
 
 __all__ = [
@@ -185,17 +187,15 @@ class ManhattanColorEncoder(ColorEncoder):
     def level_tables(self) -> list[np.ndarray]:
         """Flip-prefix level tables, built lazily per channel."""
         if self._tables is None:
-            tables = []
-            for base, unit, dim in zip(
-                self._bases, self._units, self.channel_dimensions
-            ):
-                table = np.tile(base, (self._levels, 1))
-                for level in range(self._levels):
-                    flips = min(level * unit, dim)
-                    if flips:
-                        table[level, :flips] ^= 1
-                tables.append(table)
-            self._tables = tables
+            self._tables = [
+                flip_prefix_table(
+                    base,
+                    [min(level * unit, dim) for level in range(self._levels)],
+                )
+                for base, unit, dim in zip(
+                    self._bases, self._units, self.channel_dimensions
+                )
+            ]
         return self._tables
 
     def expected_distance(self, value_a: int, value_b: int, *, channel: int = 0) -> int:

@@ -7,9 +7,11 @@ grid on every call, the engine builds them once per ``(height, width,
 channels)`` image shape and reuses them for every subsequent image of that
 shape:
 
-* the **position grid** (the XOR-bound row/column HVs) depends only on the
-  configuration and the image shape, never on pixel values, so it is cached
-  in backend storage (bit-packed under the packed backend);
+* the **position grid** — the encoder's row and column HVs XOR-bound
+  straight into backend storage by :meth:`HDCBackend.bind_position_grid`
+  (bit-packed under the packed backend) — depends only on the
+  configuration and the image shape, never on pixel values, so it is
+  cached;
 * the **color level tables** are cached next to it, backend-native
   (:meth:`HDCBackend.color_tables`);
 * only the per-image level lookup, the table-gather XOR bind
@@ -63,12 +65,9 @@ from repro.imaging.image import Image, to_grayscale
 from repro.seghdc.clusterer import HDKMeans
 from repro.seghdc.color_encoder import ColorEncoder, make_color_encoder
 from repro.seghdc.config import SegHDCConfig
-from repro.seghdc.pixel_producer import PixelHVProducer
 from repro.seghdc.position_encoder import make_position_encoder
 
-# SegmentationResult and normalize_image moved to repro.api.result (their
-# canonical home); re-exported here for backward compatibility.
-__all__ = ["SegHDCEngine", "SegmentationResult", "normalize_image"]
+__all__ = ["SegHDCEngine"]
 
 
 @dataclass
@@ -337,9 +336,10 @@ class SegHDCEngine:
             levels=config.color_levels,
             gamma=config.gamma,
         )
-        position_grid = PixelHVProducer(
-            position_encoder, color_encoder
-        ).position_grid_storage(self.backend)
+        position_grid = self.backend.bind_position_grid(
+            position_encoder.row_hypervectors(),
+            position_encoder.column_hypervectors(),
+        )
         self._counters["position_grid_builds"] += 1
         bundle = _EncoderBundle(
             color_encoder,

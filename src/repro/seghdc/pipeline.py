@@ -23,9 +23,7 @@ from repro.imaging.image import Image
 from repro.seghdc.config import SegHDCConfig
 from repro.seghdc.engine import SegHDCEngine
 
-# SegmentationResult's canonical home is repro.api.result; the name stays in
-# __all__ only as a backward-compatible re-export for pre-registry callers.
-__all__ = ["SegHDC", "SegmentationResult"]
+__all__ = ["SegHDC"]
 
 
 class SegHDC:

@@ -5,13 +5,17 @@ which preserves the Hamming/Manhattan structure both encoders established:
 flipping ``m`` elements in either operand flips exactly ``m`` elements of the
 bound result (unless the flips collide, which the split-region position
 encoding makes rare — Fig. 5 of the paper).
+
+:class:`PixelHVProducer` is the dense reference for that bind.  The engine
+does not go through it: it calls :meth:`HDCBackend.bind_position_grid` and
+:meth:`HDCBackend.bind_color` directly, and tests check those backend
+storages bit for bit against :meth:`PixelHVProducer.produce_image`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hdc.backend import HDCBackend, HVStorage
 from repro.seghdc.color_encoder import ColorEncoder
 from repro.seghdc.position_encoder import PositionEncoder
 
@@ -50,47 +54,14 @@ class PixelHVProducer:
         was built for.
         """
         arr = np.asarray(pixels)
-        height, width = self._check_shape(arr)
+        height, width = arr.shape[:2]
+        expected = (self.position_encoder.height, self.position_encoder.width)
+        if (height, width) != expected:
+            raise ValueError(
+                f"image shape {(height, width)} does not match position "
+                f"encoder shape {expected}"
+            )
         position_grid = self.position_encoder.encode_grid()
         color_grid = self.color_encoder.encode_image(arr)
         pixel_grid = np.bitwise_xor(position_grid, color_grid)
         return pixel_grid.reshape(height * width, self.dimension)
-
-    def position_grid_storage(self, backend: HDCBackend) -> HVStorage:
-        """The XOR-bound position grid in ``backend`` storage.
-
-        The grid depends only on the encoder configuration and image shape,
-        never on pixel values, so callers (the segmentation engine) may cache
-        and reuse it across images.
-        """
-        return backend.bind_position_grid(
-            self.position_encoder.row_hypervectors(),
-            self.position_encoder.column_hypervectors(),
-        )
-
-    def produce_image_storage(
-        self, pixels: np.ndarray, backend: HDCBackend
-    ) -> HVStorage:
-        """Pixel HVs for a whole image as backend storage, bit-identical to
-        packing :meth:`produce_image`: a :meth:`HDCBackend.bind_color`
-        table gather over a freshly built grid and color tables (the engine
-        caches both per image shape)."""
-        arr = np.asarray(pixels)
-        self._check_shape(arr)
-        return backend.bind_color(
-            self.position_grid_storage(backend),
-            self.color_encoder.level_indices(arr),
-            backend.color_tables(self.color_encoder.level_tables()),
-        )
-
-    def _check_shape(self, arr: np.ndarray) -> tuple[int, int]:
-        height, width = arr.shape[:2]
-        if (height, width) != (
-            self.position_encoder.height,
-            self.position_encoder.width,
-        ):
-            raise ValueError(
-                f"image shape {(height, width)} does not match position encoder "
-                f"shape {(self.position_encoder.height, self.position_encoder.width)}"
-            )
-        return height, width

@@ -20,7 +20,9 @@ this in four steps (Fig. 3):
 
 :class:`BlockDecayPositionEncoder` implements (b)-(d) (``alpha=1, beta=1``
 recovers (b)); :class:`UniformPositionEncoder` implements (a) and
-:class:`RandomPositionEncoder` is the RPos ablation of Table I.
+:class:`RandomPositionEncoder` is the RPos ablation of Table I.  Both
+flip-prefix encoders build their row and column tables with
+:func:`repro.hdc.flip_prefix_table`, the same builder as the color levels.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.hdc.hypervector import HypervectorSpace
+from repro.hdc.hypervector import HypervectorSpace, flip_prefix_table
 
 __all__ = [
     "BlockDecayPositionEncoder",
@@ -77,19 +79,7 @@ class PositionEncoder(ABC):
 
     def encode_grid(self) -> np.ndarray:
         """All position HVs as an ``(height, width, d)`` uint8 array."""
-        return self.encode_grid_band(0, self.height)
-
-    def encode_grid_band(self, row_start: int, row_stop: int) -> np.ndarray:
-        """Position HVs of image rows ``[row_start, row_stop)``.
-
-        Band-wise construction lets compute backends pack the grid one band
-        at a time without ever materialising the full dense grid.
-        """
-        if not (0 <= row_start <= row_stop <= self.height):
-            raise ValueError(
-                f"invalid row band [{row_start}, {row_stop}) for height {self.height}"
-            )
-        rows = self.row_hypervectors()[row_start:row_stop]
+        rows = self.row_hypervectors()
         cols = self.column_hypervectors()
         return np.bitwise_xor(rows[:, None, :], cols[None, :, :])
 
@@ -150,28 +140,23 @@ class BlockDecayPositionEncoder(PositionEncoder):
         half = self.dimension // 2
         return min(self.block_index(column) * self.beta * self.col_unit, half)
 
-    def _build(self, base: np.ndarray, count: int, flip_counts: list[int], offset: int) -> np.ndarray:
-        hvs = np.tile(base, (count, 1))
-        for index, flips in enumerate(flip_counts):
-            if flips:
-                hvs[index, offset : offset + flips] ^= 1
-        return hvs
-
     def row_hypervectors(self) -> np.ndarray:
         """Block-decay row HVs (flips in the first half), cached."""
         if self._row_hvs is None:
-            flips = [self.row_flip_count(row) for row in range(self.height)]
-            # Rows flip inside the first half of the HV.
-            self._row_hvs = self._build(self._row_base, self.height, flips, 0)
+            self._row_hvs = flip_prefix_table(
+                self._row_base,
+                [self.row_flip_count(row) for row in range(self.height)],
+            )
         return self._row_hvs
 
     def column_hypervectors(self) -> np.ndarray:
         """Block-decay column HVs (flips in the second half), cached."""
         if self._col_hvs is None:
-            flips = [self.column_flip_count(col) for col in range(self.width)]
-            # Columns flip inside the second half of the HV.
-            half = self.dimension // 2
-            self._col_hvs = self._build(self._col_base, self.width, flips, half)
+            self._col_hvs = flip_prefix_table(
+                self._col_base,
+                [self.column_flip_count(col) for col in range(self.width)],
+                offset=self.dimension // 2,
+            )
         return self._col_hvs
 
     def expected_distance(
@@ -212,23 +197,19 @@ class UniformPositionEncoder(PositionEncoder):
     def row_hypervectors(self) -> np.ndarray:
         """Prefix-flip row HVs with a uniform per-row unit, cached."""
         if self._row_hvs is None:
-            hvs = np.tile(self._row_base, (self.height, 1))
-            for row in range(self.height):
-                flips = min(row * self.row_unit, self.dimension)
-                if flips:
-                    hvs[row, :flips] ^= 1
-            self._row_hvs = hvs
+            self._row_hvs = flip_prefix_table(
+                self._row_base,
+                [min(row * self.row_unit, self.dimension) for row in range(self.height)],
+            )
         return self._row_hvs
 
     def column_hypervectors(self) -> np.ndarray:
         """Prefix-flip column HVs with a uniform per-column unit, cached."""
         if self._col_hvs is None:
-            hvs = np.tile(self._col_base, (self.width, 1))
-            for col in range(self.width):
-                flips = min(col * self.col_unit, self.dimension)
-                if flips:
-                    hvs[col, :flips] ^= 1
-            self._col_hvs = hvs
+            self._col_hvs = flip_prefix_table(
+                self._col_base,
+                [min(col * self.col_unit, self.dimension) for col in range(self.width)],
+            )
         return self._col_hvs
 
 

@@ -103,6 +103,7 @@ import ast
 import base64
 import io
 import json
+import math
 import os
 import secrets
 import struct
@@ -248,7 +249,8 @@ def array_from_npy_bytes(data: "bytes | bytearray | memoryview") -> np.ndarray:
     copied through ``io.BytesIO`` as ``np.load`` would.  The result is
     read-only (it aliases the request body) and object dtypes are rejected
     outright, which also closes the pickle door ``allow_pickle=False``
-    guards in ``np.load``.
+    guards in ``np.load``.  A header shape or ``fortran_order`` that
+    ``np.load`` would refuse is a :class:`HTTPRequestError` too.
     """
     view = memoryview(data)
     try:
@@ -269,14 +271,19 @@ def array_from_npy_bytes(data: "bytes | bytearray | memoryview") -> np.ndarray:
         dtype = np.dtype(header["descr"])
         if dtype.hasobject:
             raise ValueError("object dtypes are not allowed")
-        shape = tuple(int(n) for n in header["shape"])
-        count = 1
-        for n in shape:
-            count *= n
-        array = np.frombuffer(view, dtype=dtype, count=count, offset=offset)
-        return array.reshape(
-            shape, order="F" if header["fortran_order"] else "C"
+        shape = header["shape"]
+        # np.load refuses all but a tuple of non-negative, non-bool ints.
+        if not isinstance(shape, tuple) or not all(
+            type(n) is int and n >= 0 for n in shape
+        ):
+            raise ValueError(f"shape is not valid: {shape!r}")
+        fortran_order = header["fortran_order"]
+        if not isinstance(fortran_order, bool):
+            raise ValueError(f"fortran_order is not a bool: {fortran_order!r}")
+        array = np.frombuffer(
+            view, dtype=dtype, count=math.prod(shape), offset=offset
         )
+        return array.reshape(shape, order="F" if fortran_order else "C")
     except HTTPRequestError:
         raise
     except Exception as exc:

@@ -213,6 +213,10 @@ def record_transport_locked(
     entry["bytes_out"] += int(bytes_out)
 
 
+def _lookups(cache: dict) -> int:
+    return int(cache.get("hits", 0)) + int(cache.get("misses", 0))
+
+
 def _aggregate_cache(snapshots: dict) -> dict:
     totals = {
         "hits": 0,
@@ -295,7 +299,13 @@ class StatsCollector:
             self._completed += 1
             self._latencies.add(float(latency_seconds))
             if cache is not None:
-                self._cache_snapshots[source] = dict(cache)
+                # Results from one engine can land out of order (process
+                # mode delivers a worker's jobs on several dispatch
+                # threads); its counters only grow, so a snapshot with
+                # fewer lookups than the one held is stale: keep the held.
+                held = self._cache_snapshots.get(source)
+                if held is None or _lookups(cache) >= _lookups(held):
+                    self._cache_snapshots[source] = dict(cache)
             self._lock.notify_all()
 
     def record_cache_snapshot(self, source, cache: dict) -> None:

@@ -148,7 +148,10 @@ class TestKernels:
         shape = (7, 5, 3) if rgb_input else (7, 5)
         pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
         bound = backend.bind_color(
-            producer.position_grid_storage(backend),
+            backend.bind_position_grid(
+                producer.position_encoder.row_hypervectors(),
+                producer.position_encoder.column_hypervectors(),
+            ),
             encoder.level_indices(pixels),
             backend.color_tables(encoder.level_tables()),
         )

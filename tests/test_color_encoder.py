@@ -120,6 +120,34 @@ class TestManhattanColorEncoderThreeChannel:
             ManhattanColorEncoder(space, 3, levels=1)
 
 
+class TestFlipPrefixLevelTables:
+    """Level ``l`` of each channel is its base with ``min(l * unit, dim)``
+    leading elements inverted (Fig. 4), checked element by element."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("levels", [2, 16, 256])
+    @pytest.mark.parametrize("gamma", [1, 5])
+    def test_tables_match_the_elementwise_construction(
+        self, channels, levels, gamma
+    ):
+        encoder = _encoder(
+            dimension=301, channels=channels, gamma=gamma, levels=levels
+        )
+        tables = encoder.level_tables()
+        assert len(tables) == channels
+        for table, unit, dim in zip(
+            tables, encoder.flip_units, encoder.channel_dimensions
+        ):
+            assert table.shape == (encoder.levels, dim)
+            assert table.dtype == np.uint8
+            base = table[0]
+            for level in range(encoder.levels):
+                count = min(level * unit, dim)
+                expected = base.copy()
+                expected[:count] = 1 - expected[:count]
+                assert np.array_equal(table[level], expected)
+
+
 class TestRandomColorEncoder:
     def test_similar_and_distant_values_are_equally_far(self):
         space = HypervectorSpace(8192, seed=0)

@@ -9,33 +9,11 @@ from hypothesis import strategies as st
 
 from repro.hdc import (
     HypervectorSpace,
-    bind,
-    bundle,
-    flip_prefix,
-    flip_range,
+    flip_prefix_table,
     hamming_distance,
     normalized_hamming,
     random_hv,
-    validate_binary_hv,
 )
-
-
-class TestValidateBinaryHV:
-    def test_accepts_binary_vector(self):
-        hv = validate_binary_hv(np.array([0, 1, 1, 0]))
-        assert hv.dtype == np.uint8
-
-    def test_rejects_non_binary_values(self):
-        with pytest.raises(ValueError, match="0/1"):
-            validate_binary_hv(np.array([0, 2, 1]))
-
-    def test_rejects_two_dimensional_input(self):
-        with pytest.raises(ValueError, match="one dimensional"):
-            validate_binary_hv(np.zeros((2, 2)))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            validate_binary_hv(np.array([], dtype=np.uint8))
 
 
 class TestRandomHV:
@@ -58,76 +36,50 @@ class TestRandomHV:
         assert 0.45 < normalized_hamming(a, b) < 0.55
 
 
-class TestBind:
-    def test_xor_semantics(self):
-        a = np.array([0, 1, 0, 1], dtype=np.uint8)
-        b = np.array([0, 0, 1, 1], dtype=np.uint8)
-        assert np.array_equal(bind(a, b), np.array([0, 1, 1, 0]))
+class TestFlipPrefixTable:
+    def test_rows_flip_exactly_their_prefix(self, rng):
+        base = random_hv(64, rng)
+        table = flip_prefix_table(base, [0, 10, 20])
+        assert table.shape == (3, 64) and table.dtype == np.uint8
+        for row, flips in zip(table, [0, 10, 20]):
+            assert hamming_distance(base, row) == flips
+            assert np.array_equal(row[:flips], 1 - base[:flips])
+            assert np.array_equal(row[flips:], base[flips:])
 
-    def test_binding_is_involutive(self, rng):
-        a = random_hv(256, rng)
-        b = random_hv(256, rng)
-        assert np.array_equal(bind(bind(a, b), b), a)
+    def test_offset_shifts_the_flipped_run(self, rng):
+        base = random_hv(64, rng)
+        (row,) = flip_prefix_table(base, [8], offset=32)
+        assert hamming_distance(base, row) == 8
+        assert np.array_equal(row[:32], base[:32])
+        assert np.array_equal(row[32:40], 1 - base[32:40])
+        assert np.array_equal(row[40:], base[40:])
 
-    def test_binding_with_zero_is_identity(self, rng):
-        a = random_hv(128, rng)
-        zero = np.zeros(128, dtype=np.uint8)
-        assert np.array_equal(bind(a, zero), a)
+    def test_run_past_the_end_stops_at_dimension(self, rng):
+        base = random_hv(16, rng)
+        (row,) = flip_prefix_table(base, [100])
+        assert hamming_distance(base, row) == 16
 
-    def test_shape_mismatch_raises(self, rng):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            bind(random_hv(8, rng), random_hv(16, rng))
-
-    def test_binding_preserves_hamming_distance(self, rng):
-        # d(a^c, b^c) == d(a, b): the key property SegHDC relies on.
-        a = random_hv(2048, rng)
-        b = random_hv(2048, rng)
-        c = random_hv(2048, rng)
-        assert hamming_distance(bind(a, c), bind(b, c)) == hamming_distance(a, b)
-
-
-class TestBundle:
-    def test_sum_semantics(self):
-        stack = np.array([[1, 0, 1], [1, 1, 0], [1, 0, 0]], dtype=np.uint8)
-        assert np.array_equal(bundle(stack), np.array([3, 1, 1]))
-
-    def test_rejects_empty_stack(self):
-        with pytest.raises(ValueError, match="empty"):
-            bundle(np.empty((0, 8), dtype=np.uint8))
-
-    def test_rejects_one_dimensional_input(self, rng):
-        with pytest.raises(ValueError):
-            bundle(random_hv(8, rng))
-
-
-class TestFlips:
-    def test_flip_range_flips_exactly_that_range(self, rng):
-        hv = random_hv(64, rng)
-        flipped = flip_range(hv, 10, 20)
-        assert hamming_distance(hv, flipped) == 10
-        assert np.array_equal(flipped[:10], hv[:10])
-        assert np.array_equal(flipped[20:], hv[20:])
-
-    def test_flip_prefix_with_offset(self, rng):
-        hv = random_hv(64, rng)
-        flipped = flip_prefix(hv, 8, offset=32)
-        assert hamming_distance(hv, flipped) == 8
-        assert np.array_equal(flipped[:32], hv[:32])
-
-    def test_flip_prefix_clips_at_dimension(self, rng):
-        hv = random_hv(16, rng)
-        flipped = flip_prefix(hv, 100)
-        assert hamming_distance(hv, flipped) == 16
-
-    def test_flip_range_invalid_bounds(self, rng):
-        with pytest.raises(ValueError):
-            flip_range(random_hv(16, rng), 10, 5)
+    def test_second_half_offset_with_odd_dimension(self, rng):
+        """Column tables flip from ``d // 2`` with counts clipped to
+        ``d // 2``: for odd ``d`` the last element is never flipped."""
+        d = 65
+        base = random_hv(d, rng)
+        flips = [0, 1, 17, d // 2]
+        table = flip_prefix_table(base, flips, offset=d // 2)
+        for row, count in zip(table, flips):
+            expected = base.copy()
+            expected[d // 2 : d // 2 + count] ^= 1
+            assert np.array_equal(row, expected)
+        assert np.array_equal(table[:, : d // 2], np.tile(base[: d // 2], (4, 1)))
+        assert (table[:, -1] == base[-1]).all()
 
     def test_inputs_are_never_mutated(self, rng):
-        hv = random_hv(32, rng)
-        original = hv.copy()
-        flip_prefix(hv, 8)
-        assert np.array_equal(hv, original)
+        base = random_hv(32, rng)
+        original = base.copy()
+        flips = [3, 8]
+        flip_prefix_table(base, flips, offset=4)
+        assert np.array_equal(base, original)
+        assert flips == [3, 8]
 
 
 class TestHypervectorSpace:
@@ -160,24 +112,19 @@ class TestHypervectorSpace:
 
 @given(
     dimension=st.integers(min_value=8, max_value=512),
+    offset_frac=st.floats(min_value=0.0, max_value=1.0),
     count_a=st.integers(min_value=0, max_value=512),
     count_b=st.integers(min_value=0, max_value=512),
 )
 @settings(max_examples=50, deadline=None)
-def test_property_nested_prefix_flips_give_manhattan_distance(dimension, count_a, count_b):
-    """Flipping nested prefixes of one HV yields |a - b| Hamming distance."""
+def test_property_nested_prefix_flips_give_manhattan_distance(
+    dimension, offset_frac, count_a, count_b
+):
+    """Rows flipping nested prefixes of one HV are |a - b| apart."""
     rng = np.random.default_rng(dimension)
     base = random_hv(dimension, rng)
-    a = flip_prefix(base, count_a)
-    b = flip_prefix(base, count_b)
-    expected = abs(min(count_a, dimension) - min(count_b, dimension))
-    assert hamming_distance(a, b) == expected
-
-
-@given(dimension=st.integers(min_value=4, max_value=256), seed=st.integers(0, 1000))
-@settings(max_examples=40, deadline=None)
-def test_property_bind_is_commutative(dimension, seed):
-    rng = np.random.default_rng(seed)
-    a = random_hv(dimension, rng)
-    b = random_hv(dimension, rng)
-    assert np.array_equal(bind(a, b), bind(b, a))
+    offset = int(offset_frac * dimension)
+    region = dimension - offset
+    flips = [min(count_a, region), min(count_b, region)]
+    a, b = flip_prefix_table(base, flips, offset=offset)
+    assert hamming_distance(a, b) == abs(flips[0] - flips[1])

@@ -207,6 +207,43 @@ class TestZeroCopyCodecs:
         with pytest.raises(HTTPRequestError, match="object"):
             array_from_npy_bytes(buffer.getvalue())
 
+    @pytest.mark.parametrize(
+        "shape, fortran_order, match",
+        [
+            ("(4.9, 6)", "False", "shape"),
+            ("(True, 6)", "False", "shape"),
+            ("(-1, 6)", "False", "shape"),
+            ("(4, 6, -1)", "False", "shape"),
+            ("(4, 6)", "0", "fortran_order"),
+        ],
+        ids=[
+            "float-dim",
+            "bool-dim",
+            "negative-dim",
+            "negative-trailing-dim",
+            "int-fortran-order",
+        ],
+    )
+    def test_headers_np_load_refuses_are_400s(self, shape, fortran_order, match):
+        """Dimensions must be non-bool, non-negative ints and
+        ``fortran_order`` a bool: each of these once decoded (``int(4.9)``,
+        ``int(True)``, a negative ``frombuffer`` count reading the whole
+        body, ``0`` read as C order) though ``np.load`` refuses them all."""
+        import io
+
+        data = npy_bytes(np.arange(24, dtype=np.uint8).reshape(4, 6))
+        (header_len,) = struct.unpack_from("<H", data, 8)
+        header = (
+            "{'descr': '|u1', 'fortran_order': %s, 'shape': %s, }"
+            % (fortran_order, shape)
+        ).ljust(header_len - 1) + "\n"
+        tampered = data[:10] + header.encode("latin1") + data[10 + header_len :]
+        assert len(tampered) == len(data)
+        with pytest.raises((ValueError, TypeError)):
+            np.load(io.BytesIO(tampered), allow_pickle=False)
+        with pytest.raises(HTTPRequestError, match=match):
+            array_from_npy_bytes(tampered)
+
     def test_frame_container_roundtrip(self):
         arrays = [_image((5, 6), seed=i) for i in range(3)]
         packed = pack_frames(enumerate(arrays))

@@ -112,10 +112,25 @@ class TestStorageParity:
             levels=config.color_levels,
             gamma=config.gamma,
         )
-        producer = PixelHVProducer(position_encoder, color_encoder)
+
+        def bind(backend):
+            # The engine's two calls: cached grid, then per-image color bind.
+            return backend.bind_color(
+                backend.bind_position_grid(
+                    position_encoder.row_hypervectors(),
+                    position_encoder.column_hypervectors(),
+                ),
+                color_encoder.level_indices(image),
+                backend.color_tables(color_encoder.level_tables()),
+            )
+
         dense_backend, packed_backend = DenseBackend(), PackedBackend()
-        dense_storage = producer.produce_image_storage(image, dense_backend)
-        packed_storage = producer.produce_image_storage(image, packed_backend)
+        dense_storage = bind(dense_backend)
+        packed_storage = bind(packed_backend)
+        assert np.array_equal(
+            dense_storage.data,
+            PixelHVProducer(position_encoder, color_encoder).produce_image(image),
+        )
         assert np.array_equal(
             dense_backend.count_row_bits(dense_storage),
             packed_backend.count_row_bits(packed_storage),

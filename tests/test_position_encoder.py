@@ -153,6 +153,55 @@ class TestManhattanDistanceProperty:
             assert observed == expected
 
 
+def _flipped(base, start, count):
+    """Element-wise oracle: ``base`` with ``[start, start + count)`` inverted."""
+    expected = base.copy()
+    expected[start : start + count] = 1 - expected[start : start + count]
+    return expected
+
+
+# Odd and even dimensions, down to ones whose flip budget saturates at once.
+TABLE_DIMENSIONS = [6, 7, 64, 65, 140, 1001]
+
+
+class TestFlipPrefixTables:
+    """Every table row is the base HV with exactly its Eq. 5 run flipped."""
+
+    @pytest.mark.parametrize("dimension", TABLE_DIMENSIONS)
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1), (0.2, 3), (1.0, 26)])
+    def test_block_decay_rows_and_columns(self, dimension, alpha, beta):
+        encoder = _make_block_encoder(
+            dimension=dimension, height=20, width=24, alpha=alpha, beta=beta
+        )
+        half = dimension // 2
+        rows = encoder.row_hypervectors()
+        cols = encoder.column_hypervectors()
+        assert rows.shape == (20, dimension) and rows.dtype == np.uint8
+        assert cols.shape == (24, dimension) and cols.dtype == np.uint8
+        assert encoder.row_flip_count(0) == encoder.column_flip_count(0) == 0
+        for row in range(encoder.height):
+            count = encoder.row_flip_count(row)
+            assert count <= half
+            assert np.array_equal(rows[row], _flipped(rows[0], 0, count))
+        for col in range(encoder.width):
+            count = encoder.column_flip_count(col)
+            assert count <= half
+            assert np.array_equal(cols[col], _flipped(cols[0], half, count))
+
+    @pytest.mark.parametrize("dimension", TABLE_DIMENSIONS)
+    def test_uniform_rows_and_columns(self, dimension):
+        space = HypervectorSpace(dimension, seed=0)
+        encoder = UniformPositionEncoder(space, 9, 13)
+        rows = encoder.row_hypervectors()
+        cols = encoder.column_hypervectors()
+        for row in range(encoder.height):
+            count = min(row * encoder.row_unit, dimension)
+            assert np.array_equal(rows[row], _flipped(rows[0], 0, count))
+        for col in range(encoder.width):
+            count = min(col * encoder.col_unit, dimension)
+            assert np.array_equal(cols[col], _flipped(cols[0], 0, count))
+
+
 class TestUniformEncoder:
     def test_diagonal_distance_collapses(self):
         """Fig. 3(a): row and column flips cancel on the diagonal."""

@@ -836,6 +836,25 @@ class TestStatsSnapshotConsistency:
         assert stats.completed + stats.failed == 4 * per_thread
         assert stats.latency["count"] == 4 * per_thread
 
+    def test_out_of_order_cache_snapshot_does_not_roll_counters_back(self):
+        """A process worker's results can be delivered on different dispatch
+        threads, so an older cumulative snapshot may be recorded after a
+        newer one; the aggregate must keep the newer counters."""
+        from repro.serving.stats import StatsCollector
+
+        collector = StatsCollector()
+        newer = {"hits": 2, "misses": 0, "shared_hits": 2}
+        older = {"hits": 1, "misses": 0, "shared_hits": 1}
+        collector.record_completed(0.001, cache=newer, source=101)
+        collector.record_completed(0.001, cache=older, source=101)
+        collector.record_completed(0.001, cache=older, source=202)
+        cache = collector.snapshot(
+            mode="process", num_workers=2, queue_depth=0
+        ).cache
+        assert cache["hits"] == 3
+        assert cache["shared_hits"] == 3
+        assert cache["engines"] == 2
+
 
 class TestLatencyReservoir:
     """Bounded-memory latency sampling with whole-run percentiles.
