@@ -28,9 +28,6 @@ _EXPORTS = {
     "SegmentationResult": "repro.api.result",
     "normalize_image": "repro.api.result",
     "Segmenter": "repro.api.protocol",
-    "DEFAULT_CAPABILITIES": "repro.api.protocol",
-    "normalize_capabilities": "repro.api.protocol",
-    "segmenter_capabilities": "repro.api.protocol",
     "SegmenterEntry": "repro.api.registry",
     "available_segmenters": "repro.api.registry",
     "make_segmenter": "repro.api.registry",

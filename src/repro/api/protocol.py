@@ -13,40 +13,13 @@ Contract
   :class:`SegmentationResult` out.
 * ``segment_batch(images)`` — many images in, results back in input order.
 * ``describe()`` — a JSON-ready spec dict (``{"segmenter": <registered
-  name>, "config": <config dict>, ...}``) that reconstructs an equivalent
-  segmenter through :func:`repro.api.registry.make_segmenter`.  This is the
+  name>, "config": <config dict>}``, exactly those two keys) that
+  reconstructs an equivalent segmenter through
+  :func:`repro.api.registry.make_segmenter`.  This is the
   *pickle-by-spec* seam: process pools ship the spec, not the object, so
   heavyweight state (cached encoder grids, locks) never crosses a process
   boundary.  The built-in segmenters additionally implement ``__reduce__``
   in terms of ``describe()`` so plain ``pickle`` works too.
-* ``capabilities()`` — *optional* workload metadata (see below).
-
-Capabilities
-------------
-
-Consumers that route or batch work (tiler, serving, cluster gateway) need
-to know things the spec alone does not say: is the segmenter stateful
-across calls?  can it be warm-started?  is there a shape it cannot exceed,
-or a tile shape it prefers?  ``capabilities()`` answers with a flat
-JSON-ready dict; :func:`segmenter_capabilities` reads it from any object —
-filling defaults for segmenters that predate the seam — and
-:func:`normalize_capabilities` validates/normalises a raw dict.  The
-well-known keys:
-
-* ``stateful`` (bool) — results may depend on previous calls (e.g. a
-  warm-started video engine).  Stateful segmenters must be served from a
-  shared-instance (thread-mode) server to actually share their state.
-* ``supports_warm_start`` (bool) — the algorithm exposes a validated
-  warm-start config field (``SegHDCConfig.warm_start``).
-* ``max_shape`` (``[height, width]`` or ``None``) — largest input the
-  segmenter accepts directly; ``None`` means unbounded.
-* ``preferred_tile_shape`` (``[height, width]`` or ``None``) — the tile
-  size a tiling front end should cut large images into to hit this
-  segmenter's caches.
-
-``describe()`` of the built-in segmenters embeds the same dict under the
-``"capabilities"`` key; the registry accepts (and ignores) that key when
-rebuilding, so described specs stay round-trippable.
 """
 
 from __future__ import annotations
@@ -59,82 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.result import SegmentationResult
     from repro.imaging.image import Image
 
-__all__ = [
-    "DEFAULT_CAPABILITIES",
-    "Segmenter",
-    "normalize_capabilities",
-    "segmenter_capabilities",
-]
-
-#: Capability values assumed for segmenters that do not declare their own:
-#: stateless, no warm-start seam, unbounded input, no tiling preference.
-DEFAULT_CAPABILITIES = {
-    "stateful": False,
-    "supports_warm_start": False,
-    "max_shape": None,
-    "preferred_tile_shape": None,
-}
-
-
-def _normalize_shape(value, key: str):
-    """``None`` or a validated ``[height, width]`` pair (JSON-ready list)."""
-    if value is None:
-        return None
-    try:
-        height, width = (int(value[0]), int(value[1]))
-    except (TypeError, ValueError, IndexError, KeyError):
-        raise ValueError(
-            f"capability {key!r} must be None or an (height, width) pair, "
-            f"got {value!r}"
-        ) from None
-    if height < 1 or width < 1:
-        raise ValueError(
-            f"capability {key!r} must be a positive shape, got {value!r}"
-        )
-    return [height, width]
-
-
-def normalize_capabilities(raw=None) -> dict:
-    """Validated capability dict with every well-known key present.
-
-    ``raw`` may be ``None`` (pure defaults) or a partial mapping; unknown
-    keys raise (they are almost certainly typos — consumers branch on these
-    keys, so a misspelt one would be silently ignored), shape-valued keys
-    are normalised to JSON-ready ``[height, width]`` lists, and boolean
-    keys are coerced with ``bool()``.
-    """
-    merged = dict(DEFAULT_CAPABILITIES)
-    if raw is None:
-        return merged
-    unknown = sorted(set(raw) - set(DEFAULT_CAPABILITIES))
-    if unknown:
-        raise ValueError(
-            f"unknown capability key(s) {', '.join(repr(k) for k in unknown)}; "
-            f"expected one of: {', '.join(sorted(DEFAULT_CAPABILITIES))}"
-        )
-    merged.update(raw)
-    merged["stateful"] = bool(merged["stateful"])
-    merged["supports_warm_start"] = bool(merged["supports_warm_start"])
-    merged["max_shape"] = _normalize_shape(merged["max_shape"], "max_shape")
-    merged["preferred_tile_shape"] = _normalize_shape(
-        merged["preferred_tile_shape"], "preferred_tile_shape"
-    )
-    return merged
-
-
-def segmenter_capabilities(segmenter) -> dict:
-    """The normalised capabilities of any segmenter instance.
-
-    Calls ``segmenter.capabilities()`` when the object provides it and
-    validates the answer; objects that predate the seam (third-party
-    segmenters implementing only the core protocol) get the stateless
-    defaults, so every consumer can branch on the well-known keys without
-    ``hasattr`` checks.
-    """
-    getter = getattr(segmenter, "capabilities", None)
-    if getter is None:
-        return normalize_capabilities()
-    return normalize_capabilities(getter())
+__all__ = ["Segmenter"]
 
 
 @runtime_checkable

@@ -31,7 +31,7 @@ __all__ = [
     "segmenter_entry",
 ]
 
-_SPEC_KEYS = ("segmenter", "config", "options", "capabilities")
+_SPEC_KEYS = ("segmenter", "config")
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,11 @@ class SegmenterEntry:
     """One registered algorithm: how to build it and how to configure it."""
 
     name: str
-    factory: Callable  # factory(config, **options) -> Segmenter
+    factory: Callable  # factory(config) -> Segmenter
     config_cls: type
     description: str = ""
 
-    def build(self, config=None, **options):
+    def build(self, config=None):
         """Instantiate the segmenter from a config (instance, dict, or None)."""
         if isinstance(config, Mapping):
             from_dict = getattr(self.config_cls, "from_dict", None)
@@ -56,7 +56,7 @@ class SegmenterEntry:
                 f"segmenter {self.name!r} expects a {self.config_cls.__name__} "
                 f"config (or a dict), got {type(config).__name__}"
             )
-        return self.factory(config, **options)
+        return self.factory(config)
 
 
 _REGISTRY: dict[str, SegmenterEntry] = {}
@@ -103,7 +103,7 @@ def register_segmenter(
 ) -> SegmenterEntry:
     """Register an algorithm under ``name`` and return its entry.
 
-    ``factory(config, **options)`` must return a :class:`Segmenter`;
+    ``factory(config)`` must return a :class:`Segmenter`;
     ``config_cls`` is the dataclass the spec layer validates ``"config"``
     dicts against (it should provide ``to_dict`` / ``from_dict``, see
     :func:`repro.api.spec.config_from_dict`).  Re-registering an existing
@@ -144,25 +144,19 @@ def segmenter_entry(name: str) -> SegmenterEntry:
     return entry
 
 
-def make_segmenter(spec, *, config=None, **options):
+def make_segmenter(spec, *, config=None):
     """Build a segmenter from a name or a declarative spec dict.
 
     ``spec`` is either a registered name (``"seghdc"``) — optionally with a
-    ``config`` instance/dict and extra factory ``options`` as keyword
-    arguments — or a spec dict of the shape ``describe()`` returns::
+    ``config`` instance/dict keyword — or a spec dict of the shape
+    ``describe()`` returns::
 
         {"segmenter": "seghdc",
-         "config": {...},        # optional, validated against the config class
-         "options": {...},       # optional extra factory kwargs
-         "capabilities": {...}}  # optional, informational (ignored here)
+         "config": {...}}  # optional, validated against the config class
 
     The dict form is what JSON run-spec files and process-pool initializers
     ship around; both forms raise with the available names on an unknown
-    segmenter and name the offending field on a malformed spec.  A
-    ``"capabilities"`` entry — present when the spec came from a
-    ``describe()`` call — is accepted and ignored: capabilities are derived
-    metadata the rebuilt segmenter re-derives from its config, never an
-    input.
+    segmenter and name the offending field on a malformed spec.
     """
     if isinstance(spec, Mapping):
         if config is not None:
@@ -183,12 +177,6 @@ def make_segmenter(spec, *, config=None, **options):
             )
         name = spec["segmenter"]
         config = spec.get("config")
-        spec_options = spec.get("options") or {}
-        if not isinstance(spec_options, Mapping):
-            raise ValueError(
-                f"spec field 'options' must be a mapping, got {spec_options!r}"
-            )
-        options = {**spec_options, **options}
     elif isinstance(spec, str):
         name = spec
     else:
@@ -196,4 +184,4 @@ def make_segmenter(spec, *, config=None, **options):
             f"spec must be a registered name or a spec dict, got "
             f"{type(spec).__name__}"
         )
-    return segmenter_entry(name).build(config, **options)
+    return segmenter_entry(name).build(config)

@@ -98,20 +98,10 @@ class CNNUnsupervisedSegmenter:
     def __init__(self, config: CNNBaselineConfig | None = None) -> None:
         self.config = config or CNNBaselineConfig()
 
-    def capabilities(self) -> dict:
-        """Workload metadata: stateless, no warm-start, unbounded input."""
-        from repro.api.protocol import normalize_capabilities
-
-        return normalize_capabilities()
-
     def describe(self) -> dict:
         """Spec dict that :func:`make_segmenter` turns back into an
         equivalent segmenter."""
-        return {
-            "segmenter": "cnn_baseline",
-            "config": self.config.to_dict(),
-            "capabilities": self.capabilities(),
-        }
+        return {"segmenter": "cnn_baseline", "config": self.config.to_dict()}
 
     def __reduce__(self):
         # Pickle-by-spec, same seam as SegHDC: the config is the whole state.

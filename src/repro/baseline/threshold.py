@@ -104,20 +104,10 @@ class ThresholdSegmenter:
     def __init__(self, config: "ThresholdConfig | None" = None) -> None:
         self.config = config or ThresholdConfig()
 
-    def capabilities(self) -> dict:
-        """Workload metadata: stateless, no warm-start, unbounded input."""
-        from repro.api.protocol import normalize_capabilities
-
-        return normalize_capabilities()
-
     def describe(self) -> dict:
         """Spec dict that :func:`make_segmenter` turns back into an
         equivalent segmenter."""
-        return {
-            "segmenter": "threshold",
-            "config": self.config.to_dict(),
-            "capabilities": self.capabilities(),
-        }
+        return {"segmenter": "threshold", "config": self.config.to_dict()}
 
     def __reduce__(self):
         # Pickle-by-spec, the same seam as SegHDC and the CNN baseline.

@@ -16,7 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.hdc.backend import available_backends, validate_bundling_tunables
+from repro.hdc.backend import (
+    ASSIGN_CHUNK_ROWS,
+    available_backends,
+    validate_bundling_tunables,
+)
 from repro.hdc.hypervector import packed_words_per_hv
 
 __all__ = [
@@ -34,10 +38,6 @@ __all__ = [
 _FLOAT_BYTES = 4  # float32 element size
 _HV_BYTES = 1  # dense binary hypervectors are stored as uint8
 _WORD_BYTES = 8  # the packed backend stores 64 HV bits per uint64 word
-# Rows per chunk during the K-Means assignment; matches the default chunk
-# size of repro.seghdc.clusterer.HDKMeans so the modelled peak memory
-# reflects what the implementation actually allocates.
-_ASSIGNMENT_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def seghdc_cost(
         # Every iteration streams the HV matrix for the assignment and again
         # for the centroid update.
         bytes_moved = hv_matrix_bytes * (1 + 2 * num_iterations)
-        half_chunk_rows = min(num_pixels, _ASSIGNMENT_CHUNK_ROWS // 2)
+        half_chunk_rows = min(num_pixels, ASSIGN_CHUNK_ROWS // 2)
         peak_memory = (
             2.0 * hv_matrix_bytes  # position grid + bound pixel grid
             + 256 * dimension * _HV_BYTES  # native color tables

@@ -47,6 +47,7 @@ from repro.hdc.hypervector import (
 )
 
 __all__ = [
+    "ASSIGN_CHUNK_ROWS",
     "DenseBackend",
     "DotBounds",
     "HDCBackend",
@@ -58,6 +59,11 @@ __all__ = [
     "popcount16_table",
     "validate_bundling_tunables",
 ]
+
+#: Rows per chunk when :meth:`HDCBackend.dots` converts pixel HVs, bounding
+#: the assignment's transient memory for large images.  The device cost
+#: model imports it so the modelled peak memory matches the implementation.
+ASSIGN_CHUNK_ROWS = 8192
 
 
 def validate_bundling_tunables(
@@ -352,17 +358,12 @@ class HDCBackend(ABC):
     # kernel 2: dots against centroids, and the one cosine rule over them
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def dots(
-        self,
-        storage: HVStorage,
-        centroids: np.ndarray,
-        *,
-        chunk_size: int = 8192,
-    ) -> np.ndarray:
+    def dots(self, storage: HVStorage, centroids: np.ndarray) -> np.ndarray:
         """Exact ``int64`` dot of every row with every centroid, ``(n, k)``.
 
         ``centroids`` is the ``(k, d)`` ``int64`` matrix of non-negative
-        bundles; ``chunk_size`` bounds the rows converted per pass.
+        bundles; :data:`ASSIGN_CHUNK_ROWS` bounds the rows converted per
+        pass.
         """
 
     def assign(
@@ -370,7 +371,6 @@ class HDCBackend(ABC):
         storage: HVStorage,
         centroids: np.ndarray,
         *,
-        chunk_size: int = 8192,
         bounds: DotBounds | None = None,
     ) -> tuple[np.ndarray, DotBounds]:
         """Nearest centroid per row by cosine similarity (Eq. 7), exactly.
@@ -412,7 +412,7 @@ class HDCBackend(ABC):
                 axis=1
             )
         if bounds is None or stale.all():
-            dots = self.dots(storage, integral, chunk_size=chunk_size)
+            dots = self.dots(storage, integral)
             labels = _rank(dots, integral, norms, margin)
             return labels.astype(np.int32), DotBounds(
                 dots, dots, integral, storage.num_rows
@@ -420,7 +420,7 @@ class HDCBackend(ABC):
         index = np.flatnonzero(stale)
         if index.size:
             subset = HVStorage(storage.data[index], storage.dimension, self)
-            dots = self.dots(subset, integral, chunk_size=chunk_size)
+            dots = self.dots(subset, integral)
             labels[index] = _rank(dots, integral, norms, margin)
             lo[index] = dots
             hi[index] = dots
@@ -511,21 +511,15 @@ class DenseBackend(HDCBackend):
         grid = np.bitwise_xor(rows[:, None, :], cols[None, :, :])
         return HVStorage(grid.reshape(height * width, dimension), dimension, self)
 
-    def dots(
-        self,
-        storage: HVStorage,
-        centroids: np.ndarray,
-        *,
-        chunk_size: int = 8192,
-    ) -> np.ndarray:
+    def dots(self, storage: HVStorage, centroids: np.ndarray) -> np.ndarray:
         """Chunked float64 matmul, exact: every partial sum is an integer
-        ``<= d * n``, far below ``2^53``.  Chunks of ``chunk_size // 2`` rows
-        keep the float64 transient the size of a ``chunk_size``-row float32
-        chunk."""
+        ``<= d * n``, far below ``2^53``.  Chunks of ``ASSIGN_CHUNK_ROWS //
+        2`` rows keep the float64 transient the size of an
+        ``ASSIGN_CHUNK_ROWS``-row float32 chunk."""
         hvs = storage.data
         centroids_t = centroids.T.astype(np.float64)
         out = np.empty((hvs.shape[0], centroids.shape[0]), dtype=np.int64)
-        step = max(1, chunk_size // 2)
+        step = max(1, ASSIGN_CHUNK_ROWS // 2)
         for start in range(0, hvs.shape[0], step):
             out[start : start + step] = (
                 hvs[start : start + step].astype(np.float64) @ centroids_t
@@ -637,21 +631,16 @@ class PackedBackend(HDCBackend):
         weights = (1 << np.arange(max(1, top.bit_length()))).astype(narrow.dtype)
         return pack_hvs((narrow & weights[:, None, None]) != 0, dimension=dimension)
 
-    def dots(
-        self,
-        storage: HVStorage,
-        centroids: np.ndarray,
-        *,
-        chunk_size: int = 8192,
-    ) -> np.ndarray:
+    def dots(self, storage: HVStorage, centroids: np.ndarray) -> np.ndarray:
         """Integer dots via AND + popcount over the centroid bit-planes."""
+        step = ASSIGN_CHUNK_ROWS
         words = storage.data
         planes = self.centroid_bit_planes(centroids, storage.dimension)
         num_clusters = planes.shape[1]
         out = np.zeros((words.shape[0], num_clusters), dtype=np.int64)
-        for start in range(0, words.shape[0], chunk_size):
-            chunk = words[start : start + chunk_size]
-            block = out[start : start + chunk_size]
+        for start in range(0, words.shape[0], step):
+            chunk = words[start : start + step]
+            block = out[start : start + step]
             for plane_index in range(planes.shape[0]):
                 for cluster in range(num_clusters):
                     block[:, cluster] += (

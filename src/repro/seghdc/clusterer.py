@@ -114,9 +114,6 @@ class HDKMeans:
     num_iterations:
         Maximum number of assignment/update rounds; the loop stops earlier
         at an exact fixed point (see :meth:`fit`).
-    chunk_size:
-        Pixels are processed in chunks of this many rows when computing the
-        pixel-to-centroid similarities, bounding peak memory for large images.
     record_history:
         When true, the label vector after every iteration is kept.
     backend:
@@ -131,7 +128,6 @@ class HDKMeans:
         num_clusters: int,
         num_iterations: int = 10,
         *,
-        chunk_size: int = 8192,
         record_history: bool = False,
         backend: str | HDCBackend | None = None,
     ) -> None:
@@ -141,11 +137,8 @@ class HDKMeans:
             raise ValueError(
                 f"num_iterations must be at least 1, got {num_iterations}"
             )
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.num_clusters = int(num_clusters)
         self.num_iterations = int(num_iterations)
-        self.chunk_size = int(chunk_size)
         self.record_history = bool(record_history)
         self.backend = make_backend(backend) if backend is not None else DenseBackend()
 
@@ -241,9 +234,7 @@ class HDKMeans:
         bounds = None
         history: list[np.ndarray] = []
         for iterations_run in range(1, self.num_iterations + 1):
-            labels, pass_bounds = backend.assign(
-                storage, centroids, chunk_size=self.chunk_size, bounds=bounds
-            )
+            labels, pass_bounds = backend.assign(storage, centroids, bounds=bounds)
             if self.record_history:
                 history.append(labels.copy())
             if previous_labels is not None and np.array_equal(labels, previous_labels):

@@ -17,7 +17,9 @@ shape:
 * only the per-image level lookup, the table-gather XOR bind
   (:meth:`HDCBackend.bind_color`), and the clustering run per call.
 
-The cache is a small LRU keyed by image shape; hit/miss/build counters are
+The cache is a small LRU keyed by image shape, bounded by the class
+constants :attr:`SegHDCEngine.cache_size` (entries) and
+:attr:`SegHDCEngine.max_cache_bytes` (grid bytes); hit/miss/build counters are
 exposed via :meth:`SegHDCEngine.cache_info` and recorded in every
 ``SegmentationResult.workload`` so callers can assert reuse.
 
@@ -93,30 +95,19 @@ class SegHDCEngine:
     config:
         Pipeline hyper-parameters; ``config.backend`` selects the compute
         backend.
-    cache_size:
-        Maximum number of image shapes whose encoder grids are kept (LRU).
-    max_cache_bytes:
-        Byte budget for the cached position grids.  Least-recently-used
-        entries beyond the budget are evicted, and a grid bigger than the
-        whole budget is not retained at all (those shapes rebuild per call,
-        like the historical pipeline), so a long-lived engine never pins
-        more than this much grid memory — relevant for the dense backend,
-        whose grids are 8x larger than packed ones.
     """
 
-    def __init__(
-        self,
-        config: SegHDCConfig | None = None,
-        *,
-        cache_size: int = 4,
-        max_cache_bytes: int = 512 * 1024 * 1024,
-    ) -> None:
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be positive, got {cache_size}")
-        if max_cache_bytes < 1:
-            raise ValueError(
-                f"max_cache_bytes must be positive, got {max_cache_bytes}"
-            )
+    #: Maximum number of image shapes whose encoder grids are kept (LRU).
+    cache_size = 4
+    #: Byte budget for the cached position grids.  Least-recently-used
+    #: entries beyond the budget are evicted, and a grid bigger than the
+    #: whole budget is not retained at all (those shapes rebuild per call),
+    #: so a long-lived engine never pins more than this much grid memory —
+    #: relevant for the dense backend, whose grids are 8x larger than
+    #: packed ones.
+    max_cache_bytes = 512 * 1024 * 1024
+
+    def __init__(self, config: SegHDCConfig | None = None) -> None:
         self._config = config or SegHDCConfig()
         # The config's tunable surface (counter_depth, bundle_chunk_rows for
         # the packed backend) reaches the kernels here, so a --config-json
@@ -124,8 +115,6 @@ class SegHDCEngine:
         self.backend: HDCBackend = make_backend(
             self._config.backend, **self._config.backend_options()
         )
-        self.cache_size = int(cache_size)
-        self.max_cache_bytes = int(max_cache_bytes)
         self._cache: OrderedDict[tuple[int, int, int], _EncoderBundle] = OrderedDict()
         # Shape keys whose bundle arrived via import_shared_grids rather than
         # a local build; lookups landing on them count as shared_hits.

@@ -34,15 +34,11 @@ class SegHDC:
         config = SegHDCConfig.paper_defaults("dsb2018")
         result = SegHDC(config).segment(sample.image)
         iou = best_foreground_iou(result.labels, sample.mask)
-
-    Extra keyword arguments (``cache_size``, ``max_cache_bytes``) are
-    forwarded to the private :class:`SegHDCEngine`.
     """
 
-    def __init__(self, config: SegHDCConfig | None = None, **engine_kwargs) -> None:
+    def __init__(self, config: SegHDCConfig | None = None) -> None:
         self._config = config or SegHDCConfig()
-        self._engine_kwargs = dict(engine_kwargs)
-        self._engine = SegHDCEngine(self._config, **self._engine_kwargs)
+        self._engine = SegHDCEngine(self._config)
 
     @property
     def config(self) -> SegHDCConfig:
@@ -55,39 +51,17 @@ class SegHDC:
         # grids belong to the old hyper-parameters, so serving them for the
         # new config would silently return stale segmentations.
         self._config = value or SegHDCConfig()
-        self._engine = SegHDCEngine(self._config, **self._engine_kwargs)
+        self._engine = SegHDCEngine(self._config)
 
     @property
     def engine(self) -> SegHDCEngine:
         """The underlying engine (cache counters, batch API)."""
         return self._engine
 
-    def capabilities(self) -> dict:
-        """Workload metadata (see :func:`repro.api.segmenter_capabilities`).
-
-        SegHDC always supports the validated ``warm_start`` config field;
-        it is *stateful* only when that field is on (the engine then
-        remembers per-shape centroids across calls).  Input size is
-        unbounded — huge shapes just fall out of the grid-cache byte
-        budget — so tiling is a front-end choice, not a hard limit.
-        """
-        from repro.api.protocol import normalize_capabilities
-
-        return normalize_capabilities(
-            {
-                "stateful": self._config.warm_start,
-                "supports_warm_start": True,
-            }
-        )
-
     def describe(self) -> dict:
         """Spec dict that :func:`make_segmenter` turns back into an
         equivalent (cold-cache) SegHDC."""
-        spec = {"segmenter": "seghdc", "config": self._config.to_dict()}
-        if self._engine_kwargs:
-            spec["options"] = dict(self._engine_kwargs)
-        spec["capabilities"] = self.capabilities()
-        return spec
+        return {"segmenter": "seghdc", "config": self._config.to_dict()}
 
     def __reduce__(self):
         # Pickle-by-spec: process pools rebuild from the config rather than

@@ -112,10 +112,10 @@ class VideoSession:
     sessions for several streams.
     """
 
-    def __init__(self, config: "SegHDCConfig | None" = None, **engine_kwargs) -> None:
+    def __init__(self, config: "SegHDCConfig | None" = None) -> None:
         base = config or SegHDCConfig()
         self.config = base.with_overrides(warm_start=True)
-        self._segmenter = SegHDC(self.config, **engine_kwargs)
+        self._segmenter = SegHDC(self.config)
         self.iterations_per_frame: list[int] = []
 
     @property

@@ -154,9 +154,6 @@ class ControlPlane:
     options:
         Initial :class:`ServingOptions` (or dict form); ``None`` means the
         defaults.
-    engine_kwargs:
-        Forwarded to the generation-1 build; carried across swaps through
-        the segmenter's ``describe()`` output (SegHDC embeds them).
     drain_timeout:
         Upper bound on retiring an old generation (its ``close(drain=True)``
         deadline).  Jobs still pending past it fail with ``ServerClosed``
@@ -171,7 +168,6 @@ class ControlPlane:
         segmenter=None,
         options: "ServingOptions | Mapping | None" = None,
         *,
-        engine_kwargs: dict | None = None,
         drain_timeout: float = 60.0,
         warmup_timeout: float = 60.0,
     ) -> None:
@@ -182,9 +178,7 @@ class ControlPlane:
         self._options = options
         self._drain_timeout = float(drain_timeout)
         self._warmup_timeout = float(warmup_timeout)
-        self._server = SegmentationServer.from_options(
-            segmenter, options, engine_kwargs=engine_kwargs
-        )
+        self._server = SegmentationServer.from_options(segmenter, options)
         describe = getattr(self._server.segmenter, "describe", None)
         self._spec: "dict | None" = None
         if callable(describe):
@@ -564,9 +558,6 @@ class ControlPlane:
         merged = {**base, **dict(config_diff)}
         parsed = config_from_dict(entry.config_cls, merged)
         new_spec = {"segmenter": entry.name, "config": config_to_dict(parsed)}
-        if same_segmenter and "options" in self._spec:
-            # Engine kwargs (cache budgets etc.) ride the spec across swaps.
-            new_spec["options"] = dict(self._spec["options"])
         return new_spec, new_options
 
     def _changed_fields(self, new_spec, new_options) -> list:

@@ -116,7 +116,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.api.protocol import segmenter_capabilities
 from repro.api.registry import available_segmenters, segmenter_entry
 from repro.api.spec import ServingOptions
 from repro.hdc.backend import available_backends, make_backend
@@ -408,16 +407,25 @@ def _validated_image(array: np.ndarray) -> np.ndarray:
     A uint8 array passes through untouched — on the raw octet-stream path
     that keeps it a zero-copy view of the request body; other numeric
     dtypes are clipped and cast (one copy, unavoidable for a format
-    conversion).
+    conversion).  Images with a zero-length axis and float images with a
+    NaN or infinite pixel are refused: the first cannot be segmented, and
+    casting NaN to ``uint8`` is undefined, so its labels would depend on
+    the platform.
     """
     if array.ndim not in (2, 3):
         raise HTTPRequestError(
             f"expected a 2-D or 3-D image, got shape {tuple(array.shape)}"
         )
+    if 0 in array.shape:
+        raise HTTPRequestError(
+            f"image shape {tuple(array.shape)} has a zero-length axis"
+        )
     if array.dtype.kind not in "uif":
         raise HTTPRequestError(
             f"image dtype {array.dtype} is not numeric"
         )
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        raise HTTPRequestError("image has NaN or infinite pixels")
     if array.dtype != np.uint8:
         array = np.clip(np.asarray(array, dtype=np.float64), 0, 255).astype(
             np.uint8
@@ -429,7 +437,7 @@ def _pixels_to_array(pixels) -> np.ndarray:
     """Nested JSON lists -> numpy array, with a clean error on raggedness."""
     try:
         return np.asarray(pixels, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise HTTPRequestError(
             f"'pixels' is not a rectangular numeric array: {exc}"
         ) from None
@@ -460,15 +468,25 @@ def _parse_json_object(body: bytes) -> dict:
     """
     if not body:
         raise HTTPRequestError("request body is empty; expected JSON")
+    # ValueError covers bad UTF-8, bad JSON and over-long integer literals;
+    # RecursionError covers pathologically deep nesting.
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise HTTPRequestError(f"body is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise HTTPRequestError(
             f"JSON body must be an object, got {type(payload).__name__}"
         )
     return payload
+
+
+def _check_image_count(count: int, max_images: int) -> None:
+    """Refuse a request carrying more than ``max_images`` images."""
+    if count > max_images:
+        raise HTTPRequestError(
+            f"{count} images in one request; the limit is {max_images}"
+        )
 
 
 def decode_segment_request(request: RawRequest, max_images: int) -> dict:
@@ -485,6 +503,12 @@ def decode_segment_request(request: RawRequest, max_images: int) -> dict:
     if request.content_type == _OCTET_STREAM:
         view = memoryview(request.body)
         if len(view) >= 4 and view[:4] == FRAME_MAGIC:
+            # The container header states the frame count: refuse an
+            # over-limit batch before parsing a single frame.
+            if len(view) >= _CONTAINER_HEADER.size:
+                _check_image_count(
+                    _CONTAINER_HEADER.unpack_from(view, 0)[3], max_images
+                )
             raw_arrays = [array for _, array in unpack_frames(view)]
             single = False
         else:
@@ -492,11 +516,6 @@ def decode_segment_request(request: RawRequest, max_images: int) -> dict:
             single = True
         if not raw_arrays:
             raise HTTPRequestError("framed body carries no images")
-        if len(raw_arrays) > max_images:
-            raise HTTPRequestError(
-                f"{len(raw_arrays)} images in one request; the limit "
-                f"is {max_images}"
-            )
         # A raw request defaults to a raw response; Accept with an
         # explicit JSON preference opts back into the JSON envelope.
         encoding = "npy" if request.accept == "application/json" else "raw"
@@ -522,11 +541,7 @@ def decode_segment_request(request: RawRequest, max_images: int) -> dict:
         )
     if not raw_images:
         raise HTTPRequestError("'images' is empty")
-    if len(raw_images) > max_images:
-        raise HTTPRequestError(
-            f"{len(raw_images)} images in one request; the limit is "
-            f"{max_images}"
-        )
+    _check_image_count(len(raw_images), max_images)
     encoding = payload.get("response_encoding", "list")
     if encoding not in _RESPONSE_ENCODINGS:
         raise HTTPRequestError(
@@ -802,8 +817,6 @@ class SegmentationHTTPServer:
         :class:`ServingOptions` (or its dict form) describing the wrapped
         server's topology — mode, workers, queue depth, micro-batch bound,
         shared grid cache.
-    engine_kwargs:
-        Forwarded to the wrapped server (SegHDC engine tunables).
     allow_reconfig:
         Enable ``POST /v1/config`` hot reconfiguration.  Off by default —
         changing the served algorithm over the network is an operator
@@ -818,12 +831,9 @@ class SegmentationHTTPServer:
         host: str = "127.0.0.1",
         port: int = 8080,
         serving: "ServingOptions | Mapping | None" = None,
-        engine_kwargs: dict | None = None,
         allow_reconfig: bool = False,
     ) -> None:
-        self._control = ControlPlane(
-            segmenter, serving, engine_kwargs=engine_kwargs
-        )
+        self._control = ControlPlane(segmenter, serving)
         self._allow_reconfig = bool(allow_reconfig)
         self._run_spec_slots = threading.BoundedSemaphore(
             MAX_CONCURRENT_RUN_SPECS
@@ -1054,22 +1064,12 @@ class SegmentationHTTPServer:
             fields = []
             if hasattr(config_cls, "__dataclass_fields__"):
                 fields = sorted(config_cls.__dataclass_fields__)
-            try:
-                # Default-config capabilities: building a default instance
-                # is cheap for every registered segmenter (no grids are
-                # built until the first segment call).
-                capabilities = segmenter_capabilities(entry.build(None))
-            except Exception:
-                # A segmenter whose default config cannot instantiate still
-                # gets listed — introspection must not 500 the endpoint.
-                capabilities = None
             segmenters.append(
                 {
                     "name": entry.name,
                     "description": entry.description,
                     "config_class": config_cls.__name__,
                     "config_fields": fields,
-                    "capabilities": capabilities,
                 }
             )
         backends = [

@@ -554,10 +554,6 @@ class SegmentationServer:
         instead of letting every worker build its own.  Ignored in thread
         mode (one shared engine needs no shipping) and for segmenters
         without the engine export/import seam.
-    engine_kwargs:
-        Extra :class:`SegHDCEngine` parameters (``cache_size``,
-        ``max_cache_bytes``) applied when the server builds a SegHDC from a
-        config or spec; rejected for ready instances.
     """
 
     def __init__(
@@ -572,7 +568,6 @@ class SegmentationServer:
         use_shared_memory: bool = True,
         shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
         share_grid_cache: bool = True,
-        engine_kwargs: dict | None = None,
     ) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -580,7 +575,7 @@ class SegmentationServer:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         self.mode = mode
         self.num_workers = int(num_workers)
-        self._segmenter = self._resolve_segmenter(segmenter, engine_kwargs)
+        self._segmenter = self._resolve_segmenter(segmenter)
         self._collector = StatsCollector(latency_window=latency_window)
         self._queue = BoundedJobQueue(max_queue_depth, ShapeBatcher(max_batch_size))
         self._closed = False
@@ -636,8 +631,6 @@ class SegmentationServer:
         cls,
         segmenter: "Segmenter | SegHDCConfig | Mapping | str | None" = None,
         options: "ServingOptions | Mapping | None" = None,
-        *,
-        engine_kwargs: dict | None = None,
     ) -> "SegmentationServer":
         """Build a server from declarative :class:`ServingOptions` (the form
         a :class:`repro.api.RunSpec` carries)."""
@@ -645,40 +638,15 @@ class SegmentationServer:
             options = ServingOptions()
         elif isinstance(options, Mapping):
             options = ServingOptions.from_dict(options)
-        return cls(segmenter, engine_kwargs=engine_kwargs, **options.server_kwargs())
+        return cls(segmenter, **options.server_kwargs())
 
     @staticmethod
-    def _resolve_segmenter(segmenter, engine_kwargs) -> Segmenter:
-        kwargs = dict(engine_kwargs or {})
+    def _resolve_segmenter(segmenter) -> Segmenter:
         if segmenter is None or isinstance(segmenter, SegHDCConfig):
-            return SegHDC(segmenter, **kwargs)
+            return SegHDC(segmenter)
         if isinstance(segmenter, (str, Mapping)):
-            spec = {"segmenter": segmenter} if isinstance(segmenter, str) else dict(segmenter)
-            built_spec = dict(spec)
-            if kwargs:
-                built_spec["options"] = {**(spec.get("options") or {}), **kwargs}
-            try:
-                return make_segmenter(built_spec)
-            except TypeError as exc:
-                if kwargs:
-                    # Blame the engine kwargs only when they are actually
-                    # the problem: if the spec fails without them too, the
-                    # original error is the real one (e.g. a bad config).
-                    try:
-                        make_segmenter(spec)
-                    except Exception:
-                        raise exc from None
-                    raise ValueError(
-                        f"engine_kwargs {sorted(kwargs)} are not supported "
-                        f"by segmenter {spec.get('segmenter')!r}: {exc}"
-                    ) from exc
-                raise
+            return make_segmenter(segmenter)
         if isinstance(segmenter, Segmenter):
-            if kwargs:
-                raise ValueError(
-                    "engine_kwargs only apply when the server builds the "
-                    "segmenter from a config or spec, not to a ready instance"
-                )
             return segmenter
         raise TypeError(
             "segmenter must be a SegHDCConfig, a registered name/spec dict, "
@@ -706,18 +674,6 @@ class SegmentationServer:
         if self.mode != "thread":
             return None
         return getattr(self._segmenter, "engine", None)
-
-    def capabilities(self) -> dict:
-        """Normalised capabilities of the served segmenter.
-
-        See :func:`repro.api.segmenter_capabilities`; note that a stateful
-        segmenter only actually shares its state across requests in thread
-        mode — process-mode workers each rebuild from the spec and keep
-        private state.
-        """
-        from repro.api.protocol import segmenter_capabilities
-
-        return segmenter_capabilities(self._segmenter)
 
     def __enter__(self) -> "SegmentationServer":
         return self

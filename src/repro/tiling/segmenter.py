@@ -145,9 +145,6 @@ class TiledSegmenter:
         replaces the base's ``segment_batch`` — the seam the CLI uses to
         fan tiles through a serving pool or the cluster gateway.  Not part
         of the spec: a described/pickled copy runs serially.
-    base_options:
-        Extra factory options for the base segmenter (e.g. SegHDC's
-        ``cache_size``), recorded in ``describe()``.
     """
 
     def __init__(
@@ -155,14 +152,11 @@ class TiledSegmenter:
         config: "TiledConfig | None" = None,
         *,
         tile_runner: "Callable | None" = None,
-        **base_options,
     ) -> None:
         self.config = config or TiledConfig()
-        self._base_options = dict(base_options)
-        spec = {"segmenter": self.config.base, "config": dict(self.config.base_config)}
-        if self._base_options:
-            spec["options"] = dict(self._base_options)
-        self._base = make_segmenter(spec)
+        self._base = make_segmenter(
+            {"segmenter": self.config.base, "config": dict(self.config.base_config)}
+        )
         self._tile_runner = tile_runner
 
     @property
@@ -170,32 +164,10 @@ class TiledSegmenter:
         """The wrapped per-tile segmenter instance."""
         return self._base
 
-    def capabilities(self) -> dict:
-        """Workload metadata: statefulness follows the base; the preferred
-        tile shape is this config's tile shape (a front end that already
-        tiles should cut to it)."""
-        from repro.api.protocol import normalize_capabilities, segmenter_capabilities
-
-        base_capabilities = segmenter_capabilities(self._base)
-        return normalize_capabilities(
-            {
-                "stateful": base_capabilities["stateful"],
-                "supports_warm_start": base_capabilities["supports_warm_start"],
-                "preferred_tile_shape": [
-                    self.config.tile_height,
-                    self.config.tile_width,
-                ],
-            }
-        )
-
     def describe(self) -> dict:
         """Spec dict that :func:`make_segmenter` turns back into an
         equivalent (serial) tiled segmenter."""
-        spec = {"segmenter": "tiled", "config": self.config.to_dict()}
-        if self._base_options:
-            spec["options"] = dict(self._base_options)
-        spec["capabilities"] = self.capabilities()
-        return spec
+        return {"segmenter": "tiled", "config": self.config.to_dict()}
 
     def __reduce__(self):
         # Pickle-by-spec: a process-pool copy rebuilds the serial form (the
@@ -270,15 +242,9 @@ class TiledSegmenter:
         return [self.segment(image) for image in images]
 
 
-def _make_tiled(
-    config: "TiledConfig | None" = None, **options
-) -> TiledSegmenter:
-    return TiledSegmenter(config, **options)
-
-
 register_segmenter(
     "tiled",
-    factory=_make_tiled,
+    factory=TiledSegmenter,
     config_cls=TiledConfig,
     description="Fixed-shape tiling + seam-consistent stitching over a base segmenter",
     overwrite=True,  # module re-import is idempotent

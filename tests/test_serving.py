@@ -463,7 +463,7 @@ class TestUnifiedSegmenterServing:
             "from repro.seghdc import SegHDC, SegHDCConfig\n"
             "register_segmenter(\n"
             "    'thirdparty_spawn',\n"
-            "    factory=lambda config=None, **kw: SegHDC(config, **kw),\n"
+            "    factory=lambda config=None: SegHDC(config),\n"
             "    config_cls=SegHDCConfig,\n"
             "    overwrite=True,\n"
             ")\n"
@@ -488,21 +488,6 @@ class TestUnifiedSegmenterServing:
             server_module._PROCESS_SEGMENTER = None
             registry_module._REGISTRY.pop("thirdparty_spawn", None)
             sys.modules.pop(module_name, None)
-
-    def test_engine_kwargs_on_non_seghdc_spec_raise_cleanly(self):
-        with pytest.raises(ValueError, match="engine_kwargs.*cnn_baseline"):
-            SegmentationServer(
-                {"segmenter": "cnn_baseline"}, engine_kwargs={"cache_size": 2}
-            )
-
-    def test_bad_config_with_engine_kwargs_blames_the_config(self):
-        """A TypeError caused by a bad config must not be rewrapped as an
-        engine_kwargs error just because engine kwargs were also passed."""
-        with pytest.raises(TypeError, match="expects a SegHDCConfig"):
-            SegmentationServer(
-                {"segmenter": "seghdc", "config": 42},
-                engine_kwargs={"cache_size": 2},
-            )
 
     def test_segmenter_instance_served_directly(self):
         segmenter = CNNUnsupervisedSegmenter(_cnn_config())
@@ -545,12 +530,6 @@ class TestUnifiedSegmenterServing:
         assert as_dict["transport"]["pickle"]["bytes_in"] > 0
         with pytest.raises(ValueError, match="shm_slot_bytes"):
             ServingOptions(shm_slot_bytes=0)
-
-    def test_engine_kwargs_rejected_for_ready_instances(self):
-        with pytest.raises(ValueError, match="engine_kwargs"):
-            SegmentationServer(
-                SegHDC(_config()), engine_kwargs={"cache_size": 2}
-            )
 
     def test_rejects_non_segmenter_objects(self):
         with pytest.raises(TypeError, match="Segmenter"):

@@ -126,7 +126,8 @@ class TestEngineExportImport:
         state = parent.export_shared_grids()
         grid_bytes = next(iter(state["grids"].values())).position_grid.nbytes
 
-        child = SegHDCEngine(_config(), max_cache_bytes=grid_bytes - 1)
+        child = SegHDCEngine(_config())
+        child.max_cache_bytes = grid_bytes - 1
         assert child.import_shared_grids(state) == 0
         info = child.cache_info()
         assert info["oversize_skips"] == 1
@@ -138,7 +139,8 @@ class TestEngineExportImport:
         parent.warm(20, 24, 1)
         state = parent.export_shared_grids()
 
-        child = SegHDCEngine(_config(), cache_size=1)
+        child = SegHDCEngine(_config())
+        child.cache_size = 1
         child.import_shared_grids(state)
         child.segment(_image((16, 16)))  # evicts the imported (20, 24, 1)
         info = child.cache_info()
@@ -242,7 +244,7 @@ class TestServerSharedGridCache:
             assert np.array_equal(expected.labels, observed.labels)
         assert stats.cache["position_grid_builds"] == len(shapes)
 
-    def test_worker_side_eviction_falls_back_to_local_builds(self):
+    def test_worker_side_eviction_falls_back_to_local_builds(self, monkeypatch):
         """When a worker engine's own cache is too small for the working
         set (cache_size=1, two alternating shapes), the shared table
         misses on the worker side after eviction and the worker rebuilds
@@ -251,12 +253,13 @@ class TestServerSharedGridCache:
         shapes = [(20, 24), (16, 16)]
         images = [_image(shapes[i % 2], seed=i) for i in range(8)]
         reference = SegHDCEngine(config).segment_batch(images)
+        # Class-wide, so the forked worker engines inherit the limit.
+        monkeypatch.setattr(SegHDCEngine, "cache_size", 1)
         with SegmentationServer(
             config,
             mode="process",
             num_workers=1,  # one worker makes the eviction churn determinate
             max_batch_size=1,
-            engine_kwargs={"cache_size": 1},
         ) as server:
             served = server.segment_batch(images, timeout=300)
             stats = server.stats()
@@ -270,19 +273,20 @@ class TestServerSharedGridCache:
         assert cache["evictions"] > 0
         assert stats.completed == len(images)
 
-    def test_oversize_shapes_are_never_built_in_the_parent(self):
+    def test_oversize_shapes_are_never_built_in_the_parent(self, monkeypatch):
         """Shapes whose grid exceeds the engine byte budget are detected by
         size prediction: the parent marks them unshareable without paying
         for a build, and workers fall back to build-per-call."""
         config = _config()
         images = [_image(seed=i) for i in range(3)]
         reference = SegHDCEngine(config).segment_batch(images)
+        # Every grid is oversize; class-wide, so forked workers inherit it.
+        monkeypatch.setattr(SegHDCEngine, "max_cache_bytes", 1024)
         with SegmentationServer(
             config,
             mode="process",
             num_workers=2,
             max_batch_size=1,
-            engine_kwargs={"max_cache_bytes": 1024},  # every grid is oversize
         ) as server:
             served = server.segment_batch(images, timeout=300)
             stats = server.stats()

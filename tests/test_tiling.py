@@ -291,14 +291,6 @@ class TestTiledSegmenter:
         assert rebuilt.config == segmenter.config
         assert pickle.loads(pickle.dumps(segmenter)).config == segmenter.config
 
-    def test_capabilities_expose_preferred_tile_shape(self):
-        segmenter = TiledSegmenter(
-            TiledConfig(base="threshold", tile_height=48, tile_width=64)
-        )
-        caps = segmenter.capabilities()
-        assert caps["preferred_tile_shape"] == [48, 64]
-        assert caps["stateful"] is False
-
     def test_tile_runner_result_count_is_validated(self):
         segmenter = TiledSegmenter(
             TiledConfig(base="threshold", tile_height=8, tile_width=8),
