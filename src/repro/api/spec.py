@@ -132,7 +132,6 @@ class ServingOptions:
     latency_window: int = 4096
     use_shared_memory: bool = True
     shm_slot_bytes: int = 1 << 24
-    share_grid_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("thread", "process"):

@@ -200,12 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "process mode (each worker amortises its own grid build)",
     )
     http_parser.add_argument(
-        "--no-shared-grids",
-        action="store_true",
-        help="disable the process-mode cross-engine shared grid cache "
-        "(workers build their own encoder grids again)",
-    )
-    http_parser.add_argument(
         "--no-shm",
         action="store_true",
         help="disable the process-mode shared-memory image transport "
@@ -612,7 +606,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.max_queue_depth,
         max_batch_size=batch_size,
         use_shared_memory=not args.no_shm,
-        share_grid_cache=not args.no_shared_grids,
     )
     with SegmentationHTTPServer(
         spec,

@@ -299,8 +299,8 @@ class HDCBackend(ABC):
         """Bytes a ``(num_rows, dimension)`` :class:`HVStorage` occupies.
 
         A pure size prediction — no allocation — so callers (the engine's
-        cache budget, the serving layer's shared grid cache) can decide
-        whether a grid is worth building/retaining before paying for it.
+        cache budget) can decide whether a grid is worth retaining before
+        paying for it.
         """
 
     # ------------------------------------------------------------------ #

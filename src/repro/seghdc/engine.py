@@ -39,16 +39,10 @@ tests.  The heavy per-image work (color bind, clustering) runs outside the
 lock on shared read-only grids.
 
 Across *processes* pickling an engine drops the cache and the lock, so a
-freshly unpickled engine starts cold.  To stop cold-start grid builds from
-scaling with worker count, the engine exposes an explicit **shared grid
-cache** seam instead: :meth:`SegHDCEngine.export_shared_grids` snapshots
-cached encoder bundles into a picklable payload and
-:meth:`SegHDCEngine.import_shared_grids` installs such a payload into
-another engine's cache *without* rebuilding (counted under
-``shared_grid_imports``, with subsequent lookups that land on an imported
-bundle also counted under ``shared_hits``).  The serving layer
-(:mod:`repro.serving`) builds grids once in the parent and ships them to
-process workers through this seam.
+freshly unpickled engine starts cold and builds each shape's grid once in
+its own LRU.  The grid depends only on the config and the shape, so every
+engine rebuilds it bit-exactly; the serving layer's process workers rely on
+exactly that (one build per worker per shape).
 """
 
 from __future__ import annotations
@@ -116,15 +110,14 @@ class SegHDCEngine:
             self._config.backend, **self._config.backend_options()
         )
         self._cache: OrderedDict[tuple[int, int, int], _EncoderBundle] = OrderedDict()
-        # Shape keys whose bundle arrived via import_shared_grids rather than
-        # a local build; lookups landing on them count as shared_hits.
-        self._imported_keys: set = set()
         # Temporal (video) mode: per-shape converged centroid bundles from
         # the most recent segmentation, used to seed the next same-shape
-        # clustering run when ``config.warm_start`` is set.  Guarded by the
-        # same lock as the grid cache; never pickled (history-dependent
+        # clustering run when ``config.warm_start`` is set.  An LRU of at
+        # most ``cache_size`` shapes, like the grid cache, so a client
+        # sending distinct shapes cannot grow it without bound.  Guarded by
+        # the same lock as the grid cache; never pickled (history-dependent
         # state must not leak across process boundaries).
-        self._warm_centroids: dict = {}
+        self._warm_centroids: OrderedDict = OrderedDict()
         self._lock = threading.RLock()
         self._counters = {
             "hits": 0,
@@ -132,8 +125,6 @@ class SegHDCEngine:
             "evictions": 0,
             "oversize_skips": 0,
             "position_grid_builds": 0,
-            "shared_grid_imports": 0,
-            "shared_hits": 0,
         }
 
     def __getstate__(self) -> dict:
@@ -147,8 +138,7 @@ class SegHDCEngine:
         state = self.__dict__.copy()
         state["_lock"] = None
         state["_cache"] = OrderedDict()
-        state["_imported_keys"] = set()
-        state["_warm_centroids"] = {}
+        state["_warm_centroids"] = OrderedDict()
         state["_counters"] = {key: 0 for key in self._counters}
         return state
 
@@ -179,7 +169,6 @@ class SegHDCEngine:
         """Drop all cached encoder grids (counters are kept)."""
         with self._lock:
             self._cache.clear()
-            self._imported_keys.clear()
 
     def reset_warm_state(self) -> None:
         """Forget the per-shape warm-start centroids (temporal mode).
@@ -196,8 +185,8 @@ class SegHDCEngine:
 
         Equivalent to segmenting a first image of that shape, minus the
         per-image work: a cold shape counts one miss and one grid build, a
-        warm shape counts a hit.  The serving layer's shared grid cache uses
-        this to build grids in the parent before exporting them to workers.
+        warm shape counts a hit.  Use it to take a shape's grid build off
+        the first request's latency.
         """
         self._encoders_for_shape(int(height), int(width), int(channels))
 
@@ -206,85 +195,11 @@ class SegHDCEngine:
 
         Pure arithmetic (no allocation), so callers can tell whether a
         shape's grid would exceed :attr:`max_cache_bytes` — and therefore
-        never be retained or shareable — before paying for the build.
+        never be retained — before paying for the build.
         """
         return self.backend.storage_nbytes(
             int(height) * int(width), self._config.dimension
         )
-
-    # ------------------------------------------------------------------ #
-    # cross-engine shared grid cache
-    # ------------------------------------------------------------------ #
-    def export_shared_grids(self, shapes=None) -> dict:
-        """Picklable snapshot of cached encoder bundles, keyed by shape.
-
-        Returns ``{"config": <this engine's config dict>, "grids": {(h, w,
-        c): bundle, ...}}``.  ``shapes`` limits the export to the given
-        ``(height, width, channels)`` keys (default: everything currently
-        cached); shapes not in the cache — never built, evicted, or skipped
-        as oversize — are silently absent from ``"grids"``, so callers can
-        detect "not shareable" by the missing key.  The bundles are the
-        cached objects themselves (grids are immutable once built);
-        pickling them to another process copies the arrays, which is the
-        intended use: build once in a parent engine, ship to worker engines
-        via :meth:`import_shared_grids` so cold starts stop scaling with
-        worker count.  The embedded config lets the importer verify the
-        grids actually belong to its own hyper-parameters.
-        """
-        with self._lock:
-            if shapes is None:
-                keys = list(self._cache)
-            else:
-                keys = [tuple(shape) for shape in shapes]
-            return {
-                "config": self._config.to_dict(),
-                "grids": {
-                    key: self._cache[key] for key in keys if key in self._cache
-                },
-            }
-
-    def import_shared_grids(self, state: dict) -> int:
-        """Install exported encoder bundles into this engine's cache.
-
-        The inverse of :meth:`export_shared_grids`: entries for shapes this
-        engine has not built yet are adopted without a grid build (counted
-        under ``shared_grid_imports``; later lookups that land on them also
-        count under ``shared_hits``), entries already cached locally are
-        ignored, and entries that exceed ``max_cache_bytes`` on their own
-        are skipped like any oversize build.  The exporter's config must
-        match this engine's exactly — grids encode the dimension, seed,
-        and encoder hyper-parameters, so serving a mismatched grid would
-        silently produce wrong labels; any differing field raises instead.
-        Returns the number of entries actually installed.
-        """
-        exported_config = state.get("config")
-        own_config = self._config.to_dict()
-        if exported_config != own_config:
-            mismatched = sorted(
-                key
-                for key in set(own_config) | set(exported_config or {})
-                if (exported_config or {}).get(key) != own_config.get(key)
-            )
-            raise ValueError(
-                "shared grids were exported by an engine with a different "
-                f"config (mismatched field(s): {', '.join(mismatched)}); "
-                "importing them would silently produce wrong labels"
-            )
-        installed = 0
-        with self._lock:
-            for raw_key, bundle in state["grids"].items():
-                key = tuple(raw_key)
-                if key in self._cache:
-                    continue
-                if bundle.position_grid.nbytes > self.max_cache_bytes:
-                    self._counters["oversize_skips"] += 1
-                    continue
-                self._cache[key] = bundle
-                self._imported_keys.add(key)
-                self._counters["shared_grid_imports"] += 1
-                installed += 1
-            self._evict()
-        return installed
 
     def _encoders_for_shape(
         self, height: int, width: int, channels: int
@@ -299,9 +214,6 @@ class SegHDCEngine:
         bundle = self._cache.get(key)
         if bundle is not None:
             self._counters["hits"] += 1
-            if key in self._imported_keys:
-                # Served off a grid another engine built (shared cache).
-                self._counters["shared_hits"] += 1
             self._cache.move_to_end(key)
             return bundle
         self._counters["misses"] += 1
@@ -358,8 +270,7 @@ class SegHDCEngine:
             len(self._cache) > self.cache_size
             or cached_bytes() > self.max_cache_bytes
         ):
-            evicted_key, _ = self._cache.popitem(last=False)
-            self._imported_keys.discard(evicted_key)
+            self._cache.popitem(last=False)
             self._counters["evictions"] += 1
 
     # ------------------------------------------------------------------ #
@@ -396,6 +307,9 @@ class SegHDCEngine:
         if config.warm_start:
             with self._lock:
                 self._warm_centroids[shape_key] = clustering.centroids
+                self._warm_centroids.move_to_end(shape_key)
+                while len(self._warm_centroids) > self.cache_size:
+                    self._warm_centroids.popitem(last=False)
         elapsed = time.perf_counter() - start
 
         labels = clustering.labels.reshape(height, width)

@@ -36,10 +36,9 @@ user-registered algorithm) into a long-lived concurrent service:
   with hysteresis → ACTUATE through the control plane or the cluster
   supervisor), driven under load by :mod:`repro.loadgen`.
 
-In process mode the server also runs the cross-engine shared grid cache:
-encoder grids are built once in the parent and shipped to worker processes,
-so cold starts stop scaling with worker count (see
-:mod:`repro.serving.server`).
+In process mode each worker builds each image shape's encoder grid once in
+its own engine LRU; nothing but the segmenter spec crosses to the workers
+(see :mod:`repro.serving.server`).
 """
 
 from repro.api.spec import ServingOptions

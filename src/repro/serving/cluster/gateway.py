@@ -408,8 +408,9 @@ class ClusterGateway:
 
         ``fleet.totals.position_grid_builds`` sums the grid builds every
         replica's engines ever performed; with shape-affine routing it
-        equals the number of distinct shapes served, fleet-wide — the
-        cluster-level generalisation of the single-host one-build contract.
+        equals the number of distinct shapes served, fleet-wide (for
+        thread-mode replicas, one engine each) — the cluster-level
+        generalisation of the engine's one-build-per-shape cache.
         """
         with self._lock:
             routing = dict(self._routing)

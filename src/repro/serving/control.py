@@ -18,13 +18,13 @@ The swap protocol, in order:
    field is rejected **by name** before any pool is built, and the live
    generation is untouched.
 2. **Build** generation N+1: a complete new ``SegmentationServer`` (its own
-   queue, batcher, worker pool, and — in process mode — shared grid cache
-   and shm ring).
+   queue, batcher, worker pool, and — in process mode — shm ring).
 3. **Warm** it with a probe image of the most recently served shape, so the
-   new generation's encoder-grid / shared-grid caches are hot before real
-   traffic arrives.  A failed or timed-out probe **rolls back**: the new
-   server is torn down and generation N keeps serving, with the failure
-   recorded in the last-swap outcome.
+   new generation's encoder-grid cache is hot before real traffic arrives
+   (in process mode, the probed worker's cache; each other worker builds
+   the shape once on its first request).  A failed or timed-out probe
+   **rolls back**: the new server is torn down and generation N keeps
+   serving, with the failure recorded in the last-swap outcome.
 4. **Swap** the submission target atomically and wait for in-flight
    ``submit`` calls still pointing at generation N to land, so no request
    can fall between the generations.
@@ -583,8 +583,8 @@ class ControlPlane:
         """A deterministic warmup image in the most recently served shape.
 
         Warming the last-seen shape means the new generation's encoder-grid
-        cache (and, in process mode, its parent-side shared grid cache) is
-        hot for the traffic that is actually flowing; a gradient pattern
+        cache (in process mode, the probed worker's) is hot for the traffic
+        that is actually flowing; a gradient pattern
         keeps the clustering non-degenerate.  Shapes beyond
         :data:`_MAX_PROBE_PIXELS` fall back to a small default so a huge
         last frame cannot spuriously time the warmup out.

@@ -5,8 +5,8 @@ using nothing but ``http.server.ThreadingHTTPServer`` — no web framework,
 so the front end runs on the same minimal containers as the rest of the
 repo.  One HTTP server owns one :class:`SegmentationServer` (thread or
 process mode, any registered segmenter), so every request rides the same
-bounded queue, shape-aware micro-batcher, and — in process mode — the
-cross-engine shared grid cache.
+bounded queue and shape-aware micro-batcher, and — in process mode — each
+worker builds each shape's encoder grid once.
 
 Endpoints
 ---------
@@ -78,7 +78,7 @@ Endpoints
 
 ``GET /stats``
     The wrapped server's :class:`ServerStats` (latency percentiles, cache
-    counters — including shared-cache imports/hits — and queue depth) plus
+    counters summed over the worker engines, and queue depth) plus
     HTTP-level request/error counters, ``disconnects`` (clients that hung
     up before their reply was written), request latency percentiles, and
     per-wire-form transport byte counters (``http-raw`` / ``http-base64``
@@ -816,7 +816,7 @@ class SegmentationHTTPServer:
     serving:
         :class:`ServingOptions` (or its dict form) describing the wrapped
         server's topology — mode, workers, queue depth, micro-batch bound,
-        shared grid cache.
+        shared-memory transport.
     allow_reconfig:
         Enable ``POST /v1/config`` hot reconfiguration.  Off by default —
         changing the served algorithm over the network is an operator

@@ -35,18 +35,10 @@ Two execution modes share the queueing/batching front end:
   result's ``workload["serving_transport"]`` records which path it rode,
   and the stats snapshot aggregates bytes moved per path.
 
-Process mode additionally runs a **cross-engine shared grid cache** for
-segmenters that expose the engine export/import seam (SegHDC): the first
-micro-batch of each image shape triggers one position-grid / color-table
-build in the *parent* template engine, the exported bundle rides along with
-micro-batches until every worker process has acknowledged importing it, and
-workers serve off the imported grids from then on.  Cold-start grid builds
-therefore stop scaling with worker count — a 4-worker pool reports exactly
-one ``position_grid_builds`` across the pool instead of four — with imports
-and shared-cache hits visible as ``shared_grid_imports`` / ``shared_hits``
-in the aggregated stats and in every ``SegmentationResult.workload``.
-Disable with ``share_grid_cache=False`` to restore build-per-worker
-semantics (e.g. to benchmark the cold-start cost itself).
+Process workers share nothing but the spec: each worker's segmenter builds
+every image shape's encoder grid once in its own LRU, exactly like the
+thread-mode engine, so a pool of N workers reports at most N
+``position_grid_builds`` per shape in the aggregated stats.
 
 Ordering: results are delivered per job through its handle, so callers that
 need input order simply keep their handles in order
@@ -65,7 +57,6 @@ import os
 import queue as queue_module
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
@@ -355,32 +346,19 @@ def _init_process_worker(spec: dict, provider_module: "str | None" = None) -> No
     _PROCESS_SEGMENTER = make_segmenter(spec)
 
 
-def _run_process_microbatch(
-    batch: "list[np.ndarray | ShmDescriptor]",
-    shared_grids: "dict | None" = None,
-) -> list:
+def _run_process_microbatch(batch: "list[np.ndarray | ShmDescriptor]") -> list:
     """Segment one micro-batch inside a worker process.
 
     Each batch item is either a pixel array (the pickle path) or a
     :class:`repro.serving.shm.ShmDescriptor`, in which case the pixels are
     reconstructed as a read-only view over the parent's shared-memory slot
-    — the worker half of the zero-copy transport.  ``shared_grids`` is an
-    exported encoder-bundle payload (see
-    :meth:`repro.seghdc.engine.SegHDCEngine.export_shared_grids`) the parent
-    attaches while not every worker has acknowledged the batch's shape yet;
-    importing is idempotent, so a worker that already holds the shape's grid
-    ignores the duplicate.  Returns one ``("ok", result)`` or
-    ``("error", exception)`` entry per image, so a single bad image fails
-    its own job instead of the batch.  The worker's pid is stamped into the
-    workload so the collector can keep one cache snapshot per process (and
-    so the parent can stop attaching the shared payload once every pid has
-    acknowledged it).
+    — the worker half of the zero-copy transport.  Returns one
+    ``("ok", result)`` or ``("error", exception)`` entry per image, so a
+    single bad image fails its own job instead of the batch.  The worker's
+    pid is stamped into the workload so the collector can keep one cache
+    snapshot per process.
     """
     assert _PROCESS_SEGMENTER is not None, "pool initializer did not run"
-    if shared_grids:
-        engine = getattr(_PROCESS_SEGMENTER, "engine", None)
-        if engine is not None and hasattr(engine, "import_shared_grids"):
-            engine.import_shared_grids(shared_grids)
     entries: list = []
     for item in batch:
         try:
@@ -391,105 +369,6 @@ def _run_process_microbatch(
         except Exception as exc:  # noqa: BLE001 - shipped back to the caller
             entries.append(("error", exc))
     return entries
-
-
-class _SharedGridCache:
-    """Parent-side registry of exported encoder grids for a process pool.
-
-    One entry per image shape: the first dispatch of a shape builds its
-    encoder grids in the parent *template* engine (exactly one
-    ``position_grid_builds`` across the whole pool), exports the bundle,
-    and attaches the payload to outgoing micro-batches until every worker
-    pid has acknowledged importing it.  Shapes whose grids the engine will
-    not retain (oversize for its byte budget) are marked unshareable and
-    workers fall back to building their own, exactly like the engine's
-    build-per-call fallback.
-
-    The registry itself is a small LRU over shapes (``max_shapes``): a
-    long-lived server cycling through many shapes re-exports — and, if the
-    template engine also evicted, rebuilds — when an evicted shape comes
-    back, which shows up as extra parent-side builds rather than silent
-    unbounded growth.
-
-    Attachment is also bounded per shape: the executor spawns workers on
-    demand and may keep reusing a subset, so waiting for *every* worker
-    pid to acknowledge could re-pickle the multi-MB payload with every
-    batch forever on a lightly loaded pool.  After ``_ATTACH_FACTOR *
-    num_workers`` attachments the payload stops shipping; a worker spawned
-    later than that simply builds the shape locally (the ordinary
-    per-worker fallback, visible in the build counters).
-    """
-
-    _ATTACH_FACTOR = 4
-
-    def __init__(self, engine, num_workers: int, *, max_shapes: int = 8) -> None:
-        self._engine = engine
-        self._num_workers = int(num_workers)
-        self._max_attaches = self._ATTACH_FACTOR * self._num_workers
-        self._max_shapes = int(max_shapes)
-        self._lock = threading.Lock()
-        # shape_key -> {"state": exported payload | None,
-        #               "acked": set of pids, "attached": count}
-        self._entries: "OrderedDict[tuple, dict]" = OrderedDict()
-
-    def payload_for(self, shape_key: tuple) -> "dict | None":
-        """The shared-grid payload to attach for one micro-batch, or ``None``.
-
-        ``None`` means "nothing to ship": every worker already acknowledged
-        this shape, the shape is unshareable (its grid would exceed the
-        engine's byte budget — detected by size prediction, without paying
-        for a build), or the parent-side build failed (workers then build
-        their own, with per-image error containment).  The first call per
-        shape warms the parent engine and exports; the build happens under
-        the registry lock deliberately — like the engine's own cache, a
-        duplicate grid build costs far more than briefly serializing
-        dispatch.
-        """
-        height, width, channels = shape_key
-        with self._lock:
-            entry = self._entries.get(shape_key)
-            if entry is None:
-                state = None
-                if (
-                    self._engine.estimated_grid_nbytes(height, width)
-                    <= self._engine.max_cache_bytes
-                ):
-                    try:
-                        self._engine.warm(height, width, channels)
-                        exported = self._engine.export_shared_grids([shape_key])
-                        state = exported if exported["grids"] else None
-                    except Exception:  # noqa: BLE001 - fall back to workers
-                        # A parent-side build failure (e.g. MemoryError on a
-                        # huge legal shape) must not kill the dispatch
-                        # thread: mark the shape unshareable and let the
-                        # workers build — their failures are routed
-                        # per-image through the job handles.
-                        state = None
-                entry = {"state": state or None, "acked": set(), "attached": 0}
-                self._entries[shape_key] = entry
-                while len(self._entries) > self._max_shapes:
-                    self._entries.popitem(last=False)
-            else:
-                self._entries.move_to_end(shape_key)
-            if (
-                entry["state"] is None
-                or len(entry["acked"]) >= self._num_workers
-                or entry["attached"] >= self._max_attaches
-            ):
-                return None
-            entry["attached"] += 1
-            return entry["state"]
-
-    def ack(self, shape_key: tuple, worker_pid) -> None:
-        """Record that worker ``worker_pid`` holds the shape's grids now."""
-        with self._lock:
-            entry = self._entries.get(shape_key)
-            if entry is not None:
-                entry["acked"].add(worker_pid)
-
-    def cache_info(self) -> dict:
-        """The parent template engine's cache counters (for aggregation)."""
-        return self._engine.cache_info()
 
 
 class SegmentationServer:
@@ -548,12 +427,6 @@ class SegmentationServer:
         Capacity of each shared-memory slot; the ring holds
         ``num_workers * max_batch_size + 2`` slots, sized so slot
         acquisition can never deadlock behind the pool's in-flight limit.
-    share_grid_cache:
-        Process mode only: build encoder grids once in the parent template
-        engine and ship them to worker processes (see the module docstring)
-        instead of letting every worker build its own.  Ignored in thread
-        mode (one shared engine needs no shipping) and for segmenters
-        without the engine export/import seam.
     """
 
     def __init__(
@@ -567,7 +440,6 @@ class SegmentationServer:
         latency_window: int = 4096,
         use_shared_memory: bool = True,
         shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
-        share_grid_cache: bool = True,
     ) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -584,7 +456,6 @@ class SegmentationServer:
         self._id_lock = threading.Lock()
 
         self._pool: ProcessPoolExecutor | None = None
-        self._shared_grids: _SharedGridCache | None = None
         self._shm_ring: SharedMemoryRing | None = None
         if mode == "process":
             if use_shared_memory:
@@ -606,15 +477,6 @@ class SegmentationServer:
                 initializer=_init_process_worker,
                 initargs=(spec, _provider_module(spec)),
             )
-            template_engine = getattr(self._segmenter, "engine", None)
-            if (
-                share_grid_cache
-                and template_engine is not None
-                and hasattr(template_engine, "export_shared_grids")
-            ):
-                self._shared_grids = _SharedGridCache(
-                    template_engine, self.num_workers
-                )
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -853,13 +715,6 @@ class SegmentationServer:
 
     def stats(self) -> ServerStats:
         """Snapshot of counters, queue depth, latency percentiles, cache."""
-        if self._shared_grids is not None:
-            # The parent template engine never reports through a result
-            # workload, so refresh its snapshot here: its (single) grid
-            # build is part of the pool's aggregated cache totals.
-            self._collector.record_cache_snapshot(
-                "shared-grid-parent", self._shared_grids.cache_info()
-            )
         stats = self._collector.snapshot(
             mode=self.mode,
             num_workers=self.num_workers,
@@ -912,12 +767,6 @@ class SegmentationServer:
 
     def _run_batch_process(self, batch: "list[_Job]") -> None:
         assert self._pool is not None
-        # A micro-batch is same-shape by construction (ShapeBatcher), so one
-        # shared-grid payload covers the whole batch.
-        shape_key = batch[0].shape_key
-        shared_state = None
-        if self._shared_grids is not None:
-            shared_state = self._shared_grids.payload_for(shape_key)
         # Zero-copy dispatch: park each image in a shared-memory slot and
         # ship only its descriptor; acquire() returning None (oversize
         # image, ring saturated, shm disabled) falls back to pickling that
@@ -936,7 +785,6 @@ class SegmentationServer:
                         descriptor if descriptor is not None else job.pixels
                         for descriptor, job in zip(descriptors, batch)
                     ],
-                    shared_state,
                 ).result()
             except Exception as exc:  # noqa: BLE001 - pool-level failure
                 for job in batch:
@@ -960,10 +808,6 @@ class SegmentationServer:
             transport = "shm" if descriptor is not None else "pickle"
             if status == "ok":
                 worker_pid = payload.workload.get("serving_worker")
-                if self._shared_grids is not None and worker_pid is not None:
-                    # The worker segmented this shape, so it holds the grid
-                    # now (imported or self-built): stop shipping it there.
-                    self._shared_grids.ack(shape_key, worker_pid)
                 payload.workload["serving_transport"] = transport
                 self._collector.record_transport(
                     transport,

@@ -223,8 +223,6 @@ def _aggregate_cache(snapshots: dict) -> dict:
         "misses": 0,
         "position_grid_builds": 0,
         "evictions": 0,
-        "shared_grid_imports": 0,
-        "shared_hits": 0,
     }
     for snapshot in snapshots.values():
         for key in totals:
@@ -307,18 +305,6 @@ class StatsCollector:
                 if held is None or _lookups(cache) >= _lookups(held):
                     self._cache_snapshots[source] = dict(cache)
             self._lock.notify_all()
-
-    def record_cache_snapshot(self, source, cache: dict) -> None:
-        """Register (or refresh) one engine's cumulative cache counters.
-
-        Workers report snapshots implicitly through
-        :meth:`record_completed`; this explicit hook is for engines that
-        never produce results through the collector — e.g. the parent-side
-        template engine that builds the shared grid cache in process mode —
-        so their builds still show up in the aggregated totals.
-        """
-        with self._lock:
-            self._cache_snapshots[source] = dict(cache)
 
     def record_transport(
         self, path: str, *, images: int = 1, bytes_in: int = 0, bytes_out: int = 0

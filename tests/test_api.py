@@ -309,6 +309,12 @@ class TestConfigRoundTrips:
         with pytest.raises(ValueError, match="'workers'"):
             ServingOptions.from_dict({"workers": 4})
 
+    def test_retired_share_grid_cache_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="'share_grid_cache'"):
+            ServingOptions.from_dict({"share_grid_cache": False})
+        with pytest.raises(ValueError, match="'share_grid_cache'"):
+            ServingOptions.from_dict({"mode": "process", "share_grid_cache": True})
+
     def test_bad_value_type_names_the_field(self):
         with pytest.raises(ValueError, match="'dimension'"):
             SegHDCConfig.from_dict({"dimension": "big"})

@@ -282,7 +282,6 @@ class TestMain:
                 "--mode", "process",
                 "--workers", "4",
                 "--batch-size", "2",
-                "--no-shared-grids",
                 "--backend", "packed",
             ]
         )
@@ -290,8 +289,25 @@ class TestMain:
         assert args.port == 0
         assert args.mode == "process"
         assert args.workers == 4
-        assert args.no_shared_grids is True
         assert args.backend == "packed"
+
+    def test_serve_parser_transport_and_queue_options(self):
+        defaults = build_parser().parse_args(["serve"])
+        assert defaults.no_shm is False
+        assert defaults.max_queue_depth == 64
+        assert defaults.batch_size is None
+        assert defaults.allow_reconfig is False
+        args = build_parser().parse_args(
+            [
+                "serve",
+                "--no-shm",
+                "--max-queue-depth", "8",
+                "--allow-reconfig",
+            ]
+        )
+        assert args.no_shm is True
+        assert args.max_queue_depth == 8
+        assert args.allow_reconfig is True
 
     def test_segment_with_cnn_baseline_segmenter(self, capsys):
         exit_code = main(

@@ -195,6 +195,124 @@ class TestCaching:
         engine.segment(_two_tone(*shape_c))
         assert engine.cache_info()["hits"] == 4
 
+    def test_warm_counts_like_a_first_segment(self):
+        engine = SegHDCEngine(_config())
+        engine.warm(20, 24, 1)
+        info = engine.cache_info()
+        assert info["misses"] == 1 and info["position_grid_builds"] == 1
+        engine.warm(20, 24, 1)  # already warm: a hit, no new build
+        info = engine.cache_info()
+        assert info["hits"] == 1 and info["position_grid_builds"] == 1
+        # Warm is exactly what a first segment would have built.
+        engine.segment(_two_tone())
+        assert engine.cache_info()["position_grid_builds"] == 1
+
+    def test_estimated_grid_nbytes_matches_the_real_build(self):
+        for backend in ("dense", "packed"):
+            engine = SegHDCEngine(_config(backend=backend))
+            predicted = engine.estimated_grid_nbytes(20, 24)
+            engine.warm(20, 24, 1)
+            assert predicted == engine.cache_info()["cached_grid_bytes"], backend
+
+    def test_warm_keys_shapes_by_channel_count(self):
+        engine = SegHDCEngine(_config())
+        engine.warm(20, 24, 1)
+        engine.warm(20, 24, 3)
+        info = engine.cache_info()
+        assert info["position_grid_builds"] == 2
+        assert info["entries"] == 2
+        assert info["hits"] == 0
+
+    @pytest.mark.parametrize("backend", ["dense", "packed"])
+    def test_independent_engines_build_bit_identical_grids(self, backend):
+        """A shape's grids depend only on the config and the shape, so each
+        process-mode worker can build its own copy bit-exactly."""
+        first = SegHDCEngine(_config(backend=backend))
+        second = SegHDCEngine(_config(backend=backend))
+        a = first._encoders_for_shape(20, 24, 3)
+        b = second._encoders_for_shape(20, 24, 3)
+        assert a.position_grid is not b.position_grid
+        assert np.array_equal(a.position_grid.data, b.position_grid.data)
+        assert len(a.color_tables) == len(b.color_tables) == 3
+        for (start_a, table_a), (start_b, table_b) in zip(
+            a.color_tables, b.color_tables
+        ):
+            assert start_a == start_b
+            assert np.array_equal(table_a, table_b)
+        # A different seed is a different grid: the config is the whole key.
+        other = SegHDCEngine(_config(backend=backend, seed=1))
+        c = other._encoders_for_shape(20, 24, 3)
+        assert not np.array_equal(a.position_grid.data, c.position_grid.data)
+
+
+class TestWarmStartStore:
+    def test_same_shape_frames_warm_start(self):
+        engine = SegHDCEngine(_config(warm_start=True))
+        assert engine.segment(_two_tone()).workload["warm_started"] is False
+        assert engine.segment(_two_tone()).workload["warm_started"] is True
+
+    def test_store_is_an_lru_bounded_by_cache_size(self):
+        """Distinct shapes must not grow the warm-start store without
+        bound: after ``cache_size`` other shapes the first one is cold."""
+        engine = SegHDCEngine(_config(warm_start=True))
+        engine.segment(_two_tone(20, 24))
+        for extra in range(engine.cache_size):
+            engine.segment(_two_tone(12, 12 + extra))
+        assert len(engine._warm_centroids) == engine.cache_size
+        result = engine.segment(_two_tone(20, 24))
+        assert result.workload["warm_started"] is False
+        # The most recent shapes are still warm.
+        result = engine.segment(_two_tone(12, 12 + engine.cache_size - 1))
+        assert result.workload["warm_started"] is True
+
+    def test_reuse_refreshes_a_shapes_recency(self):
+        """The store evicts the least recently *used* shape, not the
+        oldest inserted one."""
+        engine = SegHDCEngine(_config(warm_start=True))
+        engine.segment(_two_tone(20, 24))
+        for extra in range(engine.cache_size - 1):
+            engine.segment(_two_tone(12, 12 + extra))
+        # Touch the oldest shape, then add one more: the victim is the
+        # second-oldest shape.
+        assert engine.segment(_two_tone(20, 24)).workload["warm_started"] is True
+        engine.segment(_two_tone(16, 16))
+        assert engine.segment(_two_tone(12, 12)).workload["warm_started"] is False
+        assert engine.segment(_two_tone(20, 24)).workload["warm_started"] is True
+
+    def test_store_follows_the_instance_cache_size(self):
+        engine = SegHDCEngine(_config(warm_start=True))
+        engine.cache_size = 1
+        for _ in range(2):
+            assert (
+                engine.segment(_two_tone(20, 24)).workload["warm_started"]
+                is False
+            )
+            assert (
+                engine.segment(_two_tone(16, 24)).workload["warm_started"]
+                is False
+            )
+        assert len(engine._warm_centroids) == 1
+        assert engine.segment(_two_tone(16, 24)).workload["warm_started"] is True
+
+    def test_warm_builds_grids_but_leaves_the_store_cold(self):
+        engine = SegHDCEngine(_config(warm_start=True))
+        engine.warm(20, 24, 1)
+        result = engine.segment(_two_tone())
+        assert result.workload["warm_started"] is False
+        info = engine.cache_info()
+        assert info["position_grid_builds"] == 1
+        assert info["hits"] == 1
+
+    def test_reset_warm_state_keeps_the_grid_cache(self):
+        engine = SegHDCEngine(_config(warm_start=True))
+        engine.segment(_two_tone())
+        engine.reset_warm_state()
+        assert len(engine._warm_centroids) == 0
+        assert engine.segment(_two_tone()).workload["warm_started"] is False
+        info = engine.cache_info()
+        assert info["position_grid_builds"] == 1
+        assert info["entries"] == 1
+
 
 class TestSegmentBatch:
     def test_batch_of_same_shape_images_reuses_grids(self):

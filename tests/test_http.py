@@ -801,10 +801,10 @@ class TestOverSocket:
                     response = conn.recv(4096)
                 assert b"400" in response.split(b"\r\n", 1)[0], response
 
-    def test_process_mode_shared_grid_cache_visible_in_stats(self):
+    def test_process_mode_parity_and_per_worker_grid_builds(self):
         """The acceptance shape of CI's http-smoke job: a multi-worker
-        process-mode server serves same-shape images over HTTP and /stats
-        reports exactly one position-grid build across the pool."""
+        process-mode server serves same-shape images over HTTP bit-exactly,
+        and /stats reports one position-grid build per worker engine."""
         config = _config()
         images = [_image((16, 20), seed=i) for i in range(6)]
         expected = SegHDCEngine(config).segment_batch(images)
@@ -826,9 +826,8 @@ class TestOverSocket:
             with urllib.request.urlopen(f"{url}/stats", timeout=30) as response:
                 stats = json.load(response)
         cache = stats["serving"]["cache"]
-        assert cache["position_grid_builds"] == 1, cache
-        assert cache["shared_grid_imports"] >= 1
-        assert cache["shared_hits"] == len(images)
+        assert 1 <= cache["engines"] <= 2, cache
+        assert cache["position_grid_builds"] == cache["engines"], cache
 
     def test_raw_octet_stream_bodies_over_socket(self):
         """Raw ``.npy`` request and response over a real socket, bit-exact
@@ -1130,6 +1129,20 @@ class TestConfigEndpoint:
             assert status == 400
             assert "nonsense" in payload["error"]
             # The server keeps serving on the untouched generation.
+            assert server.control.generation == 1
+
+    def test_retired_share_grid_cache_is_a_400_naming_it(self):
+        with SegmentationHTTPServer(
+            _config(),
+            port=0,
+            serving={"mode": "thread", "num_workers": 1},
+            allow_reconfig=True,
+        ) as server:
+            status, payload = self._post_config(
+                server, {"serving": {"share_grid_cache": False}}
+            )
+            assert status == 400
+            assert "share_grid_cache" in payload["error"]
             assert server.control.generation == 1
 
     def test_get_method_not_allowed(self, app):

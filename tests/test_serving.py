@@ -253,7 +253,9 @@ class TestServerThreadMode:
 
 
 class TestServerProcessMode:
-    def test_process_pool_parity_and_shared_grid_cache(self):
+    def test_process_pool_parity_and_builds_per_worker(self):
+        """Every worker process builds the shape's grid once in its own
+        engine, and the pool serves labels bit-exact against the engine."""
         images = [_image(seed=i) for i in range(4)]
         reference = SegHDCEngine(_config()).segment_batch(images)
         with SegmentationServer(
@@ -264,35 +266,105 @@ class TestServerProcessMode:
         for expected, observed in zip(reference, served):
             assert np.array_equal(expected.labels, observed.labels)
         assert stats.completed == 4
-        # The parent template engine built the grid exactly once and the
-        # workers imported it; worker + parent snapshots are all aggregated.
-        assert stats.cache["position_grid_builds"] == 1
-        assert stats.cache["shared_grid_imports"] >= 1
-        assert stats.cache["shared_hits"] == stats.completed
-        assert 2 <= stats.cache["engines"] <= 3  # workers seen + parent
-        assert server.engine is None
-
-    def test_process_pool_without_shared_cache_builds_per_worker(self):
-        """share_grid_cache=False restores the historical cold-start
-        semantics: every worker process builds its own encoder grids."""
-        images = [_image(seed=i) for i in range(4)]
-        reference = SegHDCEngine(_config()).segment_batch(images)
-        with SegmentationServer(
-            _config(),
-            mode="process",
-            num_workers=2,
-            max_batch_size=2,
-            share_grid_cache=False,
-        ) as server:
-            served = server.segment_batch(images, timeout=120)
-            stats = server.stats()
-        for expected, observed in zip(reference, served):
-            assert np.array_equal(expected.labels, observed.labels)
-        assert stats.completed == 4
         # Each worker process reported its own engine's cache snapshot.
         assert 1 <= stats.cache["engines"] <= 2
         assert stats.cache["position_grid_builds"] == stats.cache["engines"]
-        assert stats.cache["shared_grid_imports"] == 0
+        assert server.engine is None
+
+    def test_mixed_shapes_build_once_per_shape_per_worker(self):
+        shapes = [(20, 24), (16, 16)]
+        images = [_image(shapes[i % 2], seed=i) for i in range(8)]
+        reference = SegHDCEngine(_config()).segment_batch(images)
+        with SegmentationServer(
+            _config(), mode="process", num_workers=2, max_batch_size=2
+        ) as server:
+            served = server.segment_batch(images, timeout=300)
+            stats = server.stats()
+        for expected, observed in zip(reference, served):
+            assert np.array_equal(expected.labels, observed.labels)
+        builds = stats.cache["position_grid_builds"]
+        assert len(shapes) <= builds <= len(shapes) * stats.cache["engines"]
+
+    def test_worker_side_eviction_rebuilds_with_parity(self, monkeypatch):
+        """A worker engine whose LRU is too small for the working set
+        (cache_size=1, two alternating shapes) rebuilds evicted shapes:
+        more builds than shapes, but parity is never lost."""
+        shapes = [(20, 24), (16, 16)]
+        images = [_image(shapes[i % 2], seed=i) for i in range(8)]
+        reference = SegHDCEngine(_config()).segment_batch(images)
+        # Class-wide, so the forked worker engines inherit the limit.
+        monkeypatch.setattr(SegHDCEngine, "cache_size", 1)
+        with SegmentationServer(
+            _config(), mode="process", num_workers=1, max_batch_size=1
+        ) as server:
+            served = server.segment_batch(images, timeout=300)
+            stats = server.stats()
+        for expected, observed in zip(reference, served):
+            assert np.array_equal(expected.labels, observed.labels)
+        assert stats.cache["position_grid_builds"] > len(shapes)
+        assert stats.cache["evictions"] > 0
+
+    def test_oversize_shapes_rebuild_per_call_in_workers(self, monkeypatch):
+        images = [_image(seed=i) for i in range(3)]
+        reference = SegHDCEngine(_config()).segment_batch(images)
+        # Every grid is oversize; class-wide, so forked workers inherit it.
+        monkeypatch.setattr(SegHDCEngine, "max_cache_bytes", 1024)
+        with SegmentationServer(
+            _config(), mode="process", num_workers=2, max_batch_size=1
+        ) as server:
+            served = server.segment_batch(images, timeout=300)
+            stats = server.stats()
+        for expected, observed in zip(reference, served):
+            assert np.array_equal(expected.labels, observed.labels)
+        assert stats.cache["position_grid_builds"] == stats.completed
+
+    def test_four_worker_pool_builds_at_most_one_grid_per_worker(self):
+        images = [_image(seed=i) for i in range(8)]
+        reference = SegHDCEngine(_config()).segment_batch(images)
+        with SegmentationServer(
+            _config(), mode="process", num_workers=4, max_batch_size=1
+        ) as server:
+            served = server.segment_batch(images, timeout=300)
+            stats = server.stats()
+        for expected, observed in zip(reference, served):
+            assert np.array_equal(expected.labels, observed.labels)
+        assert stats.completed == len(images)
+        assert 1 <= stats.cache["engines"] <= 4
+        assert stats.cache["position_grid_builds"] == stats.cache["engines"]
+        assert (
+            stats.cache["hits"] + stats.cache["misses"] == len(images)
+        )
+
+    def test_every_result_reports_its_worker_built_the_grid_once(self):
+        with SegmentationServer(
+            _config(), mode="process", num_workers=2, max_batch_size=2
+        ) as server:
+            results = server.segment_batch(
+                [_image(seed=i) for i in range(4)], timeout=120
+            )
+        for result in results:
+            cache = result.workload["cache"]
+            assert cache["position_grid_builds"] == 1, cache
+            assert cache["misses"] == 1, cache
+            assert not any(key.startswith("shared") for key in cache), cache
+
+    def test_warm_start_store_lives_in_the_worker(self):
+        """With one worker, same-shape frames warm-start from that worker's
+        store exactly as a sequential engine does."""
+        config = _config(warm_start=True)
+        frames = [_image(seed=i) for i in range(3)]
+        reference = SegHDCEngine(config).segment_batch(frames)
+        with SegmentationServer(
+            config, mode="process", num_workers=1, max_batch_size=1
+        ) as server:
+            served = server.segment_batch(frames, timeout=120)
+        assert [r.workload["warm_started"] for r in served] == [
+            False,
+            True,
+            True,
+        ]
+        for expected, observed in zip(reference, served):
+            assert np.array_equal(expected.labels, observed.labels)
 
 
 def _cnn_config(**overrides):
@@ -822,8 +894,8 @@ class TestStatsSnapshotConsistency:
         from repro.serving.stats import StatsCollector
 
         collector = StatsCollector()
-        newer = {"hits": 2, "misses": 0, "shared_hits": 2}
-        older = {"hits": 1, "misses": 0, "shared_hits": 1}
+        newer = {"hits": 2, "misses": 0, "position_grid_builds": 2}
+        older = {"hits": 1, "misses": 0, "position_grid_builds": 1}
         collector.record_completed(0.001, cache=newer, source=101)
         collector.record_completed(0.001, cache=older, source=101)
         collector.record_completed(0.001, cache=older, source=202)
@@ -831,8 +903,39 @@ class TestStatsSnapshotConsistency:
             mode="process", num_workers=2, queue_depth=0
         ).cache
         assert cache["hits"] == 3
-        assert cache["shared_hits"] == 3
+        assert cache["position_grid_builds"] == 3
         assert cache["engines"] == 2
+
+    def test_aggregate_reports_only_the_summed_cache_keys(self):
+        """Per-engine keys outside the summed set (occupancy, oversize
+        skips) never reach the aggregate."""
+        from repro.serving.stats import StatsCollector
+
+        collector = StatsCollector()
+        collector.record_completed(
+            0.001,
+            cache={"hits": 3, "misses": 1, "position_grid_builds": 1,
+                   "evictions": 0, "oversize_skips": 2, "entries": 1,
+                   "cached_grid_bytes": 4096},
+            source=101,
+        )
+        collector.record_completed(
+            0.001,
+            cache={"hits": 0, "misses": 1, "position_grid_builds": 1,
+                   "evictions": 1},
+            source=202,
+        )
+        cache = collector.snapshot(
+            mode="process", num_workers=2, queue_depth=0
+        ).cache
+        assert cache == {
+            "hits": 3,
+            "misses": 2,
+            "position_grid_builds": 2,
+            "evictions": 1,
+            "hit_rate": 0.6,
+            "engines": 2,
+        }
 
 
 class TestLatencyReservoir:

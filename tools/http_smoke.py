@@ -9,10 +9,10 @@ What it proves, end to end (real subprocess, real sockets, stdlib clients only):
    must be bit-exact against a direct :class:`SegHDCEngine` run of the same
    config.  A ``/v1/run-spec`` POST and ``/healthz`` / ``/stats`` sanity
    checks ride along.
-2. **Shared grid cache** — a 4-worker *process-mode* server serves a batch
-   of same-shape images, and ``/stats`` must report **exactly one**
-   position-grid build across the whole pool (the parent's), with shared
-   imports visible.
+2. **Process pool** — a 4-worker *process-mode* server serves a batch of
+   same-shape images bit-exact against the dense engine, and ``/stats``
+   must report between one and one-per-worker position-grid builds (each
+   worker builds the shape once) and no ``shared_*`` keys.
 3. **Zero-copy transport** — a 4-worker process-mode server around the
    ``threshold`` probe serves a 512x512 batch; ``/stats`` must show the
    shared-memory transport moving **zero** pickled pixel bytes, raw
@@ -247,8 +247,17 @@ def smoke_backend_parity(backend: str, port: int, output_dir: Path) -> None:
     print(f"[http-smoke] {backend}: parity + run-spec + stats OK")
 
 
-def smoke_shared_grid_cache(port: int, output_dir: Path) -> None:
-    """4-worker process mode: exactly one grid build across the pool."""
+def _keys(node) -> "set[str]":
+    """Every dict key anywhere in a JSON payload."""
+    if isinstance(node, dict):
+        return set(node).union(*(_keys(value) for value in node.values()))
+    if isinstance(node, list):
+        return set().union(*(_keys(value) for value in node))
+    return set()
+
+
+def smoke_process_pool(port: int, output_dir: Path) -> None:
+    """4-worker process mode: bit-exact, one grid build per worker engine."""
     from repro.seghdc import SegHDCEngine
 
     images = _images(8, seed=11)
@@ -271,19 +280,18 @@ def smoke_shared_grid_cache(port: int, output_dir: Path) -> None:
             )
         stats = _get(f"{server.url}/stats")
         cache = stats["serving"]["cache"]
-        assert cache["position_grid_builds"] == 1, (
-            "shared grid cache regression: expected exactly 1 position-grid "
-            f"build across the 4-worker pool, got {cache}"
+        assert 1 <= cache["position_grid_builds"] <= cache["engines"] <= 4, (
+            "process pool: expected one position-grid build per worker "
+            f"engine at most, got {cache}"
         )
-        assert cache["shared_grid_imports"] >= 1, cache
-        assert cache["shared_hits"] == len(images), cache
-        (output_dir / "stats_process_shared.json").write_text(
+        shared = sorted(key for key in _keys(stats) if key.startswith("shared_"))
+        assert not shared, f"/stats still reports {shared}"
+        (output_dir / "stats_process_pool.json").write_text(
             json.dumps(stats, indent=2) + "\n"
         )
     print(
-        "[http-smoke] process x4: 1 grid build, "
-        f"{cache['shared_grid_imports']} imports, "
-        f"{cache['shared_hits']} shared hits OK"
+        f"[http-smoke] process x4: {cache['position_grid_builds']} grid "
+        f"build(s) across {cache['engines']} worker engine(s) OK"
     )
 
 
@@ -589,7 +597,7 @@ def main(argv: "list[str] | None" = None) -> int:
     output_dir.mkdir(parents=True, exist_ok=True)
     smoke_backend_parity("dense", args.base_port, output_dir)
     smoke_backend_parity("packed", args.base_port + 1, output_dir)
-    smoke_shared_grid_cache(args.base_port + 2, output_dir)
+    smoke_process_pool(args.base_port + 2, output_dir)
     smoke_zero_copy(args.base_port + 3, output_dir)
     smoke_hot_reconfig(args.base_port + 4, output_dir)
     smoke_wire_latency(args.base_port + 5, output_dir)
