@@ -161,16 +161,25 @@ def seghdc_cost(
     (bundles, member sums, the bounds' reference centroids, the drift's
     sorted prefix sums).
 
+    The engine stores each distinct pixel HV once.  Finding them costs
+    ``int64`` per-pixel transients: the key, ``np.unique``'s sort
+    permutation, the pixel-to-row inverse and the representative indices
+    (``32 * N`` bytes), next to the cached per-pixel position keys
+    (``8 * N``).
+
     ``counter_depth`` / ``bundle_chunk_rows`` mirror the packed backend's
     bundling tunables and only affect the packed formula.
 
-    The operation and traffic counts charge every iteration a full
-    assignment and a full bundle, so they are upper bounds twice over: the
-    HD K-Means loop stops at its exact fixed point, often well before
-    ``num_iterations``, and the passes after the first bundle pass
-    recompute dots only for rows whose dot bound fails and re-bundle only
-    the rows that switched.  Peak memory does not depend on the iteration
-    count.
+    The operation and traffic counts, and the pixel-matrix terms of peak
+    memory, model the worst case where every pixel HV is distinct, so they
+    stay upper bounds when repeated HVs are stored once (a flat image, or
+    pixels sharing a ``beta`` block and color levels).  The counts also
+    charge every iteration a full assignment and a full bundle, so they
+    are upper bounds twice over: the HD K-Means loop stops at its exact
+    fixed point, often well before ``num_iterations``, and the passes
+    after the first bundle pass recompute dots only for rows whose dot
+    bound fails and re-bundle only the rows that switched.  Peak memory
+    does not depend on the iteration count.
     """
     if height <= 0 or width <= 0 or channels <= 0:
         raise ValueError("image dimensions must be positive")
@@ -180,6 +189,7 @@ def seghdc_cost(
     resident_bytes = (
         256 * dimension * _HV_BYTES  # color level tables
         + num_pixels * 20  # intensities, labels, row popcounts
+        + num_pixels * 40  # position keys; key, sort, inverse, representatives
         + num_pixels * num_clusters * 32  # dots + keys, lo/hi dot bounds
         + 8 * num_clusters * dimension * 8  # (k, d) centroid arrays
     )

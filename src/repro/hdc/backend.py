@@ -340,16 +340,20 @@ class HDCBackend(ABC):
         position_grid: HVStorage,
         level_indices: "list[np.ndarray]",
         tables: "list[tuple[int, np.ndarray]]",
+        rows: np.ndarray,
     ) -> HVStorage:
-        """XOR the position grid with every pixel's color HV.
+        """XOR position-grid rows with their pixels' color HVs.
 
-        A pixel's color HV is the concatenation of one level-table row per
-        channel (Fig. 4), so binding is a gather: ``level_indices[c]`` holds
-        every pixel's level in channel ``c`` (flat, one per grid row) and
-        ``tables`` comes from :meth:`color_tables`.  Only one channel's
-        gathered columns are alive at a time.
+        Output row ``i`` is grid row ``rows[i]`` bound with the color HV
+        whose level in channel ``c`` is ``level_indices[c][i]``, so the
+        engine builds only the distinct pixel HVs of an image (pass
+        ``np.arange(num_pixels)`` and every pixel's levels for the whole
+        image).  A pixel's color HV is the concatenation of one level-table
+        row per channel (Fig. 4), so binding is a gather from ``tables``
+        (see :meth:`color_tables`).  Only one channel's gathered columns
+        are alive at a time.
         """
-        out = position_grid.data.copy()
+        out = position_grid.data[rows]
         for (start, table), indices in zip(tables, level_indices):
             out[:, start : start + table.shape[1]] ^= table[indices]
         return HVStorage(out, position_grid.dimension, self)
@@ -430,14 +434,25 @@ class HDCBackend(ABC):
     # kernel 3: masked bundling
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def bundle_masked(self, storage: HVStorage, mask: np.ndarray) -> np.ndarray:
+    def bundle_masked(
+        self,
+        storage: HVStorage,
+        mask: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Element-wise ``int64`` sum of the rows selected by ``mask``.
 
         This is the centroid-update kernel of the HD K-Means clusterer: the
         new centroid of a cluster is the bundle (per-dimension sum) of its
-        member hypervectors.  All backends must return bit-identical sums
-        for the same logical rows — the packed/dense parity contract covers
-        bundling as well as assignment.
+        member hypervectors.  ``weights`` (one non-negative integer per
+        storage row, like ``mask``) counts each selected row that many
+        times, as if it were stored that often — the clusterer stores each
+        distinct pixel HV once and weights it by its multiplicity.  Both
+        backends split the weights into their binary digits
+        (:func:`_weight_digits`), so a row of weight ``w`` enters the sum
+        of each set bit of ``w``.  All backends must return bit-identical
+        sums for the same logical rows — the packed/dense parity contract
+        covers bundling as well as assignment.
         """
 
     # ------------------------------------------------------------------ #
@@ -526,10 +541,19 @@ class DenseBackend(HDCBackend):
             )
         return out
 
-    def bundle_masked(self, storage: HVStorage, mask: np.ndarray) -> np.ndarray:
-        """Fancy-index the member rows and sum them into ``int64`` (the
-        reduction casts in small buffers, never an ``(m, d)`` int64 copy)."""
-        return storage.data[mask].sum(axis=0, dtype=np.int64)
+    def bundle_masked(
+        self,
+        storage: HVStorage,
+        mask: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Fancy-index the member rows of each weight digit and sum them into
+        ``int64``, shifted by the digit (the reduction casts in small
+        buffers, never an ``(m, d)`` int64 copy)."""
+        total = np.zeros(storage.dimension, dtype=np.int64)
+        for bit, rows in _weight_digits(np.flatnonzero(mask), weights):
+            total += storage.data[rows].sum(axis=0, dtype=np.int64) << bit
+        return total
 
 
 class PackedBackend(HDCBackend):
@@ -649,7 +673,12 @@ class PackedBackend(HDCBackend):
                     )
         return out
 
-    def bundle_masked(self, storage: HVStorage, mask: np.ndarray) -> np.ndarray:
+    def bundle_masked(
+        self,
+        storage: HVStorage,
+        mask: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Bit-sliced vertical-count bundle of the rows selected by ``mask``.
 
         The kernel sums the selected packed rows per dimension without ever
@@ -661,9 +690,11 @@ class PackedBackend(HDCBackend):
         of that column.  The kernel represents partial counts as *weighted
         bit-planes*: a plane of weight ``2^j`` is a ``(w,)`` word row whose
         set bits each contribute ``2^j`` to their dimension's count.  The
-        member rows themselves enter as planes of weight ``2^0``, and the
-        plane set of one block is exactly a binary counter per dimension,
-        distributed across planes (the "vertical counter").
+        member rows themselves enter as planes of weight ``2^0`` — or, with
+        ``weights``, a row of weight ``w`` enters as one plane of weight
+        ``2^j`` for every set bit ``j`` of ``w`` — and the plane set of one
+        block is exactly a binary counter per dimension, distributed across
+        planes (the "vertical counter").
 
         **Word-wide carry-save adds.**  Three planes of equal weight ``2^j``
         are compressed into two with one full-adder step applied to all 64
@@ -681,10 +712,13 @@ class PackedBackend(HDCBackend):
 
         **Invariants and overflow bounds.**  One accumulation block holds at
         most ``min(bundle_chunk_rows, 2^counter_depth - 1)`` member rows, so
-        every per-dimension count inside a block is below
+        with unit weights every per-dimension count inside a block is below
         ``2^counter_depth`` and no vertical counter ever needs a plane of
         weight ``>= 2^counter_depth``; with ``counter_depth <= 62`` every
-        plane weight is an exact ``int64``.  Larger member sets are split
+        plane weight is an exact ``int64``.  Weighted rows raise a block's
+        counts to at most its summed weights, and a plane of weight ``2^j``
+        only exists while some count reaches ``2^j``, so planes stay exact
+        below ``2^63`` summed weights.  Larger member sets are split
         across blocks and flushed into the ``int64`` accumulator, which
         cannot overflow before ``2^63`` total member rows.  Padding bits of
         the last word are zero in every stored row, stay zero through XOR /
@@ -700,22 +734,26 @@ class PackedBackend(HDCBackend):
         total = np.zeros(storage.dimension, dtype=np.int64)
         block = min(self.bundle_chunk_rows, (1 << self.counter_depth) - 1)
         for start in range(0, indices.size, block):
-            rows = storage.data[indices[start : start + block]]
-            self._accumulate_block(rows, total, storage.dimension)
+            buckets = {
+                bit: storage.data[rows]
+                for bit, rows in _weight_digits(
+                    indices[start : start + block], weights
+                )
+            }
+            self._accumulate_block(buckets, total, storage.dimension)
         return total
 
     @staticmethod
     def _accumulate_block(
-        planes: np.ndarray, total: np.ndarray, dimension: int
+        buckets: "dict[int, np.ndarray]", total: np.ndarray, dimension: int
     ) -> None:
-        """Flush one block of weight-1 packed rows into ``total`` (in place).
+        """Flush one block of packed rows into ``total`` (in place).
 
         ``buckets`` maps the weight exponent ``j`` to the stack of pending
         planes of weight ``2^j``; 3:2 carry-save passes drain each level and
         push carries one level up until every level holds at most two
         planes, which are unpacked and added with their weight.
         """
-        buckets: dict[int, np.ndarray] = {0: planes}
         while buckets:
             weight = min(buckets)
             stack = buckets.pop(weight)
@@ -732,10 +770,9 @@ class PackedBackend(HDCBackend):
                     if tail.shape[0]
                     else compressed
                 )
-            for plane in stack:  # at most two planes survive per level
-                total += np.int64(1 << weight) * unpack_hvs(
-                    plane[None, :], dimension
-                )[0]
+            # At most two planes survive per level; one unpack flushes them.
+            flushed = unpack_hvs(stack, dimension).sum(axis=0, dtype=np.int64)
+            total += flushed << weight
             if carries:
                 merged = (
                     carries[0] if len(carries) == 1 else np.concatenate(carries)
@@ -746,6 +783,31 @@ class PackedBackend(HDCBackend):
                     if pending is None
                     else np.concatenate([pending, merged])
                 )
+
+
+def _weight_digits(
+    indices: np.ndarray, weights: np.ndarray | None
+) -> list[tuple[int, np.ndarray]]:
+    """``(j, rows)`` for every bit ``j`` set in some selected row's weight.
+
+    ``rows`` are the entries of ``indices`` (storage rows) whose weight has
+    bit ``j`` set, in order; without ``weights`` every row has weight 1,
+    which is the single digit ``(0, indices)``.  Summing each digit's rows
+    shifted by ``j`` equals summing every row ``weight`` times.
+    """
+    if weights is None:
+        return [(0, indices)]
+    selected = np.asarray(weights)[indices]
+    if selected.dtype.kind not in "iu":
+        raise ValueError(f"bundle weights must be integers, got {selected.dtype}")
+    if selected.min(initial=0) < 0:
+        raise ValueError("bundle weights must be non-negative")
+    digits = []
+    for bit in range(int(selected.max(initial=0)).bit_length()):
+        rows = indices[((selected >> bit) & 1).astype(bool)]
+        if rows.size:
+            digits.append((bit, rows))
+    return digits
 
 
 def _rebuild_packed_backend(

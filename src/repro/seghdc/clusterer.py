@@ -17,6 +17,14 @@ A revised K-Means over pixel hypervectors:
   update re-bundles only the rows that switched.  Both are exact, so the
   labels and centroids equal those of full passes.
 
+The storage may hold each distinct pixel HV once: :meth:`HDKMeans.fit`
+takes ``rows=``, the storage row of every pixel.  Seeds are picked per
+pixel and mapped through ``rows``, member sums weight each row by its
+pixel count (one weighted :meth:`~repro.hdc.backend.HDCBackend.bundle_masked`
+call per update), and labels and history come back per pixel as
+``labels[rows]`` — exactly the clustering of the full per-pixel matrix.
+:class:`~repro.seghdc.engine.SegHDCEngine` always clusters this way.
+
 The clusterer also exposes a **warm-start seam**: :meth:`HDKMeans.fit`
 accepts ``initial_centroids=`` to seed the loop from externally supplied
 centroids (e.g. the previous video frame's converged bundles) instead of
@@ -148,6 +156,7 @@ class HDKMeans:
         intensities: np.ndarray,
         *,
         initial_centroids: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> ClusteringResult:
         """Cluster ``pixel_hvs`` (shape ``(n, d)``) into ``num_clusters`` groups.
 
@@ -159,6 +168,16 @@ class HDKMeans:
         warm-start seam: a video session passes the previous frame's
         converged centroid bundles so the loop starts next to the fixed
         point instead of at the intensity extremes.
+
+        ``rows`` (one storage row index per pixel, covering every storage
+        row) lets the storage hold each distinct pixel HV once: pixel ``i``
+        is row ``rows[i]``.  Seeds are picked from the per-pixel
+        ``intensities`` and mapped through ``rows``, member sums weight each
+        row by its number of pixels, and the labels and history come back
+        per pixel as ``labels[rows]``.  Identical rows get identical dots
+        and labels, and a weighted sum is the sum of the copies, so the
+        result equals clustering the full per-pixel matrix.  Without
+        ``rows`` storage row ``i`` is pixel ``i``.
 
         The loop breaks as soon as an assignment pass returns the same
         labels as the previous pass.  Unchanged labels mean unchanged
@@ -204,7 +223,19 @@ class HDKMeans:
                     )
             backend = self.backend
             storage = backend.pack(hvs)
+        weights = None
         num_pixels = storage.num_rows
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.ndim != 1 or rows.dtype.kind not in "iu":
+                raise ValueError("rows must be a 1-D integer array")
+            weights = np.bincount(rows, minlength=storage.num_rows)
+            if weights.size != storage.num_rows or not weights.all():
+                raise ValueError(
+                    f"rows must map pixels onto all {storage.num_rows} "
+                    "storage rows"
+                )
+            num_pixels = rows.size
         flat_intensity = np.asarray(intensities, dtype=np.float64).reshape(-1)
         if flat_intensity.size != num_pixels:
             raise ValueError(
@@ -228,6 +259,8 @@ class HDKMeans:
             seed_indices = select_initial_centroid_indices(
                 flat_intensity, self.num_clusters
             )
+            if rows is not None:
+                seed_indices = rows[seed_indices]
             centroids = backend.unpack(storage, seed_indices).astype(np.float64)
         previous_labels: np.ndarray | None = None
         member_sums: np.ndarray | None = None
@@ -243,7 +276,7 @@ class HDKMeans:
                 # centroids this assignment just used; skip it and stop.
                 break
             member_sums = self._update_member_sums(
-                backend, storage, labels, previous_labels, member_sums
+                backend, storage, labels, previous_labels, member_sums, weights
             )
             # An empty cluster keeps its previous centroid.
             occupied = np.bincount(labels, minlength=self.num_clusters) > 0
@@ -256,6 +289,9 @@ class HDKMeans:
             history.extend(
                 labels.copy() for _ in range(self.num_iterations - len(history))
             )
+        if rows is not None:
+            labels = labels[rows]
+            history = [step[rows] for step in history]
         return ClusteringResult(
             labels=labels,
             centroids=centroids,
@@ -271,13 +307,15 @@ class HDKMeans:
         labels: np.ndarray,
         previous_labels: np.ndarray | None,
         member_sums: np.ndarray | None,
+        weights: np.ndarray | None,
     ) -> np.ndarray:
         """Exact ``(k, d)`` ``int64`` bundles of each cluster's members.
 
         Without previous labels every row counts as switched into a zero
         sum, so each cluster is bundled in full; otherwise ``member_sums``
         is updated in place by the rows that switched:
-        ``S_c += sum(joined_c) - sum(left_c)``.
+        ``S_c += sum(joined_c) - sum(left_c)``, each row counted ``weights``
+        times (once without weights).
         """
         if previous_labels is None:
             member_sums = np.zeros(
@@ -288,8 +326,12 @@ class HDKMeans:
         for cluster in range(self.num_clusters):
             joined = switched & (labels == cluster)
             if joined.any():
-                member_sums[cluster] += backend.bundle_masked(storage, joined)
+                member_sums[cluster] += backend.bundle_masked(
+                    storage, joined, weights
+                )
             left = switched & (previous_labels == cluster)
             if left.any():
-                member_sums[cluster] -= backend.bundle_masked(storage, left)
+                member_sums[cluster] -= backend.bundle_masked(
+                    storage, left, weights
+                )
         return member_sums

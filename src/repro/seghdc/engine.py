@@ -13,9 +13,21 @@ shape:
   configuration and the image shape, never on pixel values, so it is
   cached;
 * the **color level tables** are cached next to it, backend-native
-  (:meth:`HDCBackend.color_tables`);
+  (:meth:`HDCBackend.color_tables`), and so are the per-pixel **position
+  keys** that number each pixel's run of identical row HVs and of
+  identical column HVs;
 * only the per-image level lookup, the table-gather XOR bind
   (:meth:`HDCBackend.bind_color`), and the clustering run per call.
+
+Every image is clustered over its **distinct pixel HVs**.  A pixel's key
+is its position key followed by its level in each channel (mixed radix),
+and pixels with equal keys have bit-identical HVs — block decay gives all
+pixels of a ``beta x beta`` block one position HV.  One ``np.unique`` over
+the keys picks a representative pixel per distinct HV; only those rows are
+bound, :class:`HDKMeans` clusters them weighted by their pixel counts, and
+the labels are broadcast back to the pixels.  The result is bit-identical
+to clustering every pixel's copy, and ``workload["hv_storage_bytes"]``
+counts the distinct rows.
 
 The cache is a small LRU keyed by image shape, bounded by the class
 constants :attr:`SegHDCEngine.cache_size` (entries) and
@@ -35,8 +47,8 @@ guarded by a lock, so concurrent :meth:`SegHDCEngine.segment` calls see exact
 hit/miss/build counts and never build the same shape's grid twice.  The grid
 build happens *under* the lock — deliberate, because a duplicate build costs
 far more than the brief serialisation, and it keeps the counters exact for
-tests.  The heavy per-image work (color bind, clustering) runs outside the
-lock on shared read-only grids.
+tests.  The heavy per-image work (keys, color bind, clustering) runs
+outside the lock on shared read-only grids.
 
 Across *processes* pickling an engine drops the cache and the lock, so a
 freshly unpickled engine starts cold and builds each shape's grid once in
@@ -66,13 +78,57 @@ from repro.seghdc.position_encoder import make_position_encoder
 __all__ = ["SegHDCEngine"]
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass
 class _EncoderBundle:
-    """Everything the engine caches for one image shape."""
+    """Everything the engine caches for one image shape.
+
+    ``position_keys[p]`` numbers pixel ``p``'s position group (its row run
+    times the column-run count plus its column run, see
+    :func:`_identical_runs`); pixels with equal keys have bit-identical
+    position HVs.  ``position_groups`` bounds the keys.
+    """
 
     color_encoder: ColorEncoder
     position_grid: HVStorage
     color_tables: list[tuple[int, np.ndarray]]
+    position_keys: np.ndarray
+    position_groups: int
+
+
+def _identical_runs(table: np.ndarray) -> np.ndarray:
+    """Run number of every row: runs are stretches of bit-identical
+    consecutive rows.  A non-adjacent repeat starts a new run, which only
+    leaves identical HVs unmerged (slower, never inexact)."""
+    changes = np.any(table[1:] != table[:-1], axis=1)
+    return np.concatenate([[0], np.cumsum(changes)]).astype(np.int64)
+
+
+def _pixel_keys(
+    position_keys: np.ndarray,
+    position_groups: int,
+    level_indices: "list[np.ndarray]",
+    levels: "list[int]",
+) -> np.ndarray:
+    """One ``int64`` key per pixel from its position group and its level in
+    every channel; equal keys mean bit-identical pixel HVs.
+
+    The keys are mixed radix, ``key * levels + level`` per channel.  If a
+    channel would overflow ``int64``, the keys so far are first renumbered
+    densely (``np.unique``'s inverse), which keeps them below the pixel
+    count.
+    """
+    keys = position_keys
+    groups = position_groups
+    for indices, count in zip(level_indices, levels):
+        if groups * count > _INT64_MAX:
+            keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
+            groups = int(keys.max()) + 1
+        keys = keys * count + indices
+        groups *= count
+    return keys
 
 
 class SegHDCEngine:
@@ -237,15 +293,19 @@ class SegHDCEngine:
             levels=config.color_levels,
             gamma=config.gamma,
         )
-        position_grid = self.backend.bind_position_grid(
-            position_encoder.row_hypervectors(),
-            position_encoder.column_hypervectors(),
-        )
+        row_hvs = position_encoder.row_hypervectors()
+        column_hvs = position_encoder.column_hypervectors()
+        position_grid = self.backend.bind_position_grid(row_hvs, column_hvs)
         self._counters["position_grid_builds"] += 1
+        row_runs = _identical_runs(row_hvs)
+        column_runs = _identical_runs(column_hvs)
+        column_groups = int(column_runs[-1]) + 1
         bundle = _EncoderBundle(
             color_encoder,
             position_grid,
             self.backend.color_tables(color_encoder.level_tables()),
+            (row_runs[:, None] * column_groups + column_runs).reshape(-1),
+            (int(row_runs[-1]) + 1) * column_groups,
         )
         if position_grid.nbytes > self.max_cache_bytes:
             # A grid larger than the whole byte budget is never retained:
@@ -283,11 +343,7 @@ class SegHDCEngine:
         start = time.perf_counter()
 
         bundle = self._encoders_for_shape(height, width, channels)
-        pixel_storage = self.backend.bind_color(
-            bundle.position_grid,
-            bundle.color_encoder.level_indices(pixels),
-            bundle.color_tables,
-        )
+        pixel_storage, rows = self._bind_distinct_pixels(bundle, pixels)
 
         intensities = to_grayscale(pixels).astype(np.float64)
         clusterer = HDKMeans(
@@ -302,7 +358,10 @@ class SegHDCEngine:
             with self._lock:
                 initial_centroids = self._warm_centroids.get(shape_key)
         clustering = clusterer.fit(
-            pixel_storage, intensities, initial_centroids=initial_centroids
+            pixel_storage,
+            intensities,
+            initial_centroids=initial_centroids,
+            rows=rows,
         )
         if config.warm_start:
             with self._lock:
@@ -337,6 +396,32 @@ class SegHDCEngine:
             workload=workload,
         )
 
+    def _bind_distinct_pixels(
+        self, bundle: _EncoderBundle, pixels: np.ndarray
+    ) -> tuple[HVStorage, np.ndarray]:
+        """Each distinct pixel HV of the image once, and every pixel's row.
+
+        Pixels with equal :func:`_pixel_keys` have bit-identical HVs, so
+        one ``np.unique`` over the keys yields a representative pixel per
+        distinct HV (the rows :meth:`HDCBackend.bind_color` builds) and the
+        pixel-to-row map :meth:`HDKMeans.fit` broadcasts labels back with.
+        """
+        level_indices = bundle.color_encoder.level_indices(pixels)
+        keys = _pixel_keys(
+            bundle.position_keys,
+            bundle.position_groups,
+            level_indices,
+            [table.shape[0] for _, table in bundle.color_tables],
+        )
+        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+        storage = self.backend.bind_color(
+            bundle.position_grid,
+            [indices[first] for indices in level_indices],
+            bundle.color_tables,
+            first,
+        )
+        return storage, rows
+
     def segment_batch(
         self, images: "list[Image | np.ndarray]"
     ) -> list[SegmentationResult]:
@@ -344,7 +429,7 @@ class SegHDCEngine:
 
         Same-shape images share one position grid and one set of color level
         tables, so for a homogeneous batch the encoders are built exactly
-        once; the per-image work is the level lookup, the table-gather XOR
-        bind, and the clustering.  Results come back in input order.
+        once; the per-image work is the level lookup, the distinct-pixel
+        keys, the table-gather XOR bind, and the clustering.  Results come back in input order.
         """
         return [self.segment(image) for image in images]

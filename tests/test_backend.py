@@ -148,15 +148,22 @@ class TestKernels:
         encoder = producer.color_encoder
         shape = (7, 5, 3) if rgb_input else (7, 5)
         pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
-        bound = backend.bind_color(
-            backend.bind_position_grid(
-                producer.position_encoder.row_hypervectors(),
-                producer.position_encoder.column_hypervectors(),
-            ),
-            encoder.level_indices(pixels),
-            backend.color_tables(encoder.level_tables()),
+        grid = backend.bind_position_grid(
+            producer.position_encoder.row_hypervectors(),
+            producer.position_encoder.column_hypervectors(),
         )
-        assert np.array_equal(backend.unpack(bound), producer.produce_image(pixels))
+        levels = encoder.level_indices(pixels)
+        tables = backend.color_tables(encoder.level_tables())
+        bound = backend.bind_color(grid, levels, tables, np.arange(7 * 5))
+        expected = producer.produce_image(pixels)
+        assert np.array_equal(backend.unpack(bound), expected)
+        # A subset of rows, out of order and repeated: row i of the output
+        # is pixel picked[i].
+        picked = np.array([34, 3, 3, 17, 0])
+        subset = backend.bind_color(
+            grid, [indices[picked] for indices in levels], tables, picked
+        )
+        assert np.array_equal(backend.unpack(subset), expected[picked])
 
     def test_bundle_masked_matches_sum(self, backend, rng):
         hvs = self._hvs(rng)

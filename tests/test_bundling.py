@@ -110,6 +110,81 @@ class TestBitSlicedKernel:
         assert np.array_equal(total, hvs[labels == 1].astype(np.int64).sum(axis=0))
 
 
+def _weighted_oracle(hvs, mask, weights):
+    """The weighted bundle spelled out: every selected row repeated
+    ``weights[i]`` times, then summed."""
+    repeated = np.repeat(hvs[mask], weights[mask], axis=0)
+    return repeated.astype(np.int64).sum(axis=0)
+
+
+class TestWeightedBundle:
+    """``bundle_masked(storage, mask, weights)`` equals the plain sum of the
+    selected rows repeated ``weights`` times, on both backends."""
+
+    BACKENDS = [DenseBackend(), PackedBackend(), PackedBackend(counter_depth=2)]
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=["dense", "packed", "depth2"])
+    @pytest.mark.parametrize("dimension", [63, 64, 65, 1000])
+    def test_weights_match_repeated_rows(self, rng, backend, dimension):
+        hvs = _random_hvs(rng, 24, dimension)
+        mask = rng.integers(0, 2, size=24).astype(bool)
+        mask[:4] = True
+        weights = rng.choice([1, 2, 3, 255], size=24)
+        total = backend.bundle_masked(backend.pack(hvs), mask, weights)
+        assert total.dtype == np.int64
+        assert np.array_equal(total, _weighted_oracle(hvs, mask, weights))
+
+    @pytest.mark.parametrize("weight", [1, 2, 3, 4, 7, 255])
+    def test_weight_above_the_block_capacity(self, rng, weight):
+        """counter_depth=2 caps a block at 3 rows (counts below 4 with unit
+        weights); weights at and past that, over several blocks, stay
+        exact.  All-ones rows make every counter saturate."""
+        packed = PackedBackend(counter_depth=2)
+        dense = DenseBackend()
+        for hvs in (np.ones((10, 70), dtype=np.uint8), _random_hvs(rng, 10, 70)):
+            mask = np.ones(10, dtype=bool)
+            weights = np.full(10, weight)
+            weights[3] = 5
+            expected = _weighted_oracle(hvs, mask, weights)
+            assert np.array_equal(
+                packed.bundle_masked(packed.pack(hvs), mask, weights), expected
+            )
+            assert np.array_equal(
+                dense.bundle_masked(dense.pack(hvs), mask, weights), expected
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=["dense", "packed", "depth2"])
+    @pytest.mark.parametrize("dimension", [63, 64, 65, 1000])
+    def test_unit_weights_equal_the_unweighted_sum(self, rng, backend, dimension):
+        hvs = _random_hvs(rng, 30, dimension)
+        mask = rng.integers(0, 2, size=30).astype(bool)
+        storage = backend.pack(hvs)
+        assert np.array_equal(
+            backend.bundle_masked(storage, mask, np.ones(30, dtype=np.int64)),
+            backend.bundle_masked(storage, mask),
+        )
+
+    @pytest.mark.parametrize("backend", [DenseBackend(), PackedBackend()])
+    def test_only_selected_weights_count(self, rng, backend):
+        """Unselected rows' weights play no part; a selected weight of 0
+        adds nothing."""
+        hvs = _random_hvs(rng, 6, 100)
+        mask = np.array([True, False, True, False, True, True])
+        weights = np.array([2, 9, 3, 9, 0, 1])
+        total = backend.bundle_masked(backend.pack(hvs), mask, weights)
+        expected = 2 * hvs[0].astype(np.int64) + 3 * hvs[2] + hvs[5]
+        assert np.array_equal(total, expected)
+
+    @pytest.mark.parametrize("backend", [DenseBackend(), PackedBackend()])
+    def test_bad_weights_are_refused(self, rng, backend):
+        storage = backend.pack(_random_hvs(rng, 4, 64))
+        mask = np.ones(4, dtype=bool)
+        with pytest.raises(ValueError, match="non-negative"):
+            backend.bundle_masked(storage, mask, np.array([1, -1, 1, 1]))
+        with pytest.raises(ValueError, match="integers"):
+            backend.bundle_masked(storage, mask, np.array([1.0, 2.0, 1.0, 1.0]))
+
+
 class TestTunableSurface:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="counter_depth"):

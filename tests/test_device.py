@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.device import (
@@ -117,6 +118,38 @@ class TestCostModels:
             num_iterations=config.num_iterations,
             channels=image.channels,
             backend=backend,
+        ).peak_memory_bytes
+        assert measured <= modelled, (measured, modelled)
+
+    def test_packed_peak_memory_covers_a_flat_segment(self):
+        """A flat image stores one distinct HV, but its per-pixel key,
+        sort and inverse transients are still charged: the model stays
+        an upper bound."""
+        from repro.seghdc import SegHDCConfig, SegHDCEngine
+
+        config = SegHDCConfig.paper_defaults("dsb2018").scaled_for_shape(
+            64, 64
+        ).with_overrides(backend="packed")
+        image = np.full((64, 64), 120, dtype=np.uint8)
+        engine = SegHDCEngine(config)
+        engine.warm(64, 64, 1)
+        tracemalloc.start()
+        try:
+            result = engine.segment(image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.workload["hv_storage_bytes"] < engine.estimated_grid_nbytes(
+            64, 64
+        )
+        measured = peak + engine.estimated_grid_nbytes(64, 64)
+        modelled = seghdc_cost(
+            64, 64,
+            dimension=config.dimension,
+            num_clusters=config.num_clusters,
+            num_iterations=config.num_iterations,
+            channels=1,
+            backend="packed",
         ).peak_memory_bytes
         assert measured <= modelled, (measured, modelled)
 

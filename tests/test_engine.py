@@ -22,6 +22,29 @@ def _two_tone(height=20, width=24, value=220):
     return image
 
 
+class TestDistinctPixelKeys:
+    def test_keys_renumber_before_they_would_overflow(self):
+        """Mixed-radix keys that would pass int64 are first renumbered
+        densely; equal keys still mean equal (position, levels) tuples."""
+        from repro.seghdc.engine import _pixel_keys
+
+        position = np.array([0, 0, 5, 5, 9, 9]) << 38
+        levels = [np.array([1, 1, 2, 2, 1, 1]), np.array([3, 4, 3, 3, 0, 0])]
+        keys = _pixel_keys(position, 1 << 42, levels, [1 << 21, 1 << 21])
+        assert keys.dtype == np.int64
+        expected = [0, 1, 2, 2, 3, 3]  # pixels 2,3 and 4,5 share a tuple
+        assert np.array_equal(np.unique(keys, return_inverse=True)[1], expected)
+
+    def test_uniform_image_is_one_stored_row(self):
+        config = _config(beta=100)
+        engine = SegHDCEngine(config)
+        result = engine.segment(np.full((12, 10), 90, dtype=np.uint8))
+        assert result.workload["hv_storage_bytes"] == engine.backend.storage_nbytes(
+            1, config.dimension
+        )
+        assert result.labels.shape == (12, 10)
+
+
 class TestCaching:
     def test_same_shape_builds_position_grid_only_once(self):
         """Two same-shape images must reuse one cached position grid."""

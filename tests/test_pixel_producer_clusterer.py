@@ -252,6 +252,37 @@ class TestHDKMeans:
         result = HDKMeans(2, num_iterations=2).fit(hvs, intensities)
         assert result.labels.shape == (6,)
 
+    @pytest.mark.parametrize("backend", ["dense", "packed"])
+    def test_rows_equal_fitting_the_repeated_matrix(self, rng, backend):
+        """Distinct rows plus a pixel-to-row map cluster exactly like the
+        matrix that stores every pixel's copy."""
+        distinct, _ = self._two_blob_data(rng, per_cluster=12)
+        rows = np.concatenate([np.arange(24), rng.integers(0, 24, size=200)])
+        rng.shuffle(rows)
+        intensities = rng.uniform(0.0, 255.0, size=rows.size)
+        clusterer = HDKMeans(
+            3, num_iterations=6, record_history=True, backend=backend
+        )
+        reference = clusterer.fit(distinct[rows], intensities)
+        result = clusterer.fit(distinct, intensities, rows=rows)
+        assert np.array_equal(result.labels, reference.labels)
+        assert np.array_equal(result.centroids, reference.centroids)
+        assert result.iterations_run == reference.iterations_run
+        for step, expected in zip(result.history, reference.history, strict=True):
+            assert np.array_equal(step, expected)
+
+    def test_rows_must_cover_the_storage(self, rng):
+        hvs, _ = self._two_blob_data(rng, per_cluster=3)
+        intensities = np.arange(8.0)
+        with pytest.raises(ValueError, match="all 6 storage rows"):
+            HDKMeans(2).fit(hvs, intensities, rows=np.array([0, 1, 2, 3, 4, 4, 4, 4]))
+        with pytest.raises(ValueError, match="all 6 storage rows"):
+            HDKMeans(2).fit(hvs, intensities, rows=np.array([0, 1, 2, 3, 4, 5, 6, 0]))
+        with pytest.raises(ValueError, match="1-D integer"):
+            HDKMeans(2).fit(hvs, intensities, rows=np.arange(8.0))
+        with pytest.raises(ValueError, match="intensities size"):
+            HDKMeans(2).fit(hvs, intensities[:7], rows=np.arange(8) % 6)
+
     def test_fit_accepts_backend_storage(self, rng):
         hvs, intensities = self._two_blob_data(rng, per_cluster=20)
         storage = make_backend("packed").pack(hvs)
