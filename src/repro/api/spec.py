@@ -130,8 +130,6 @@ class ServingOptions:
     max_queue_depth: int = 64
     max_batch_size: int = 8
     latency_window: int = 4096
-    use_shared_memory: bool = True
-    shm_slot_bytes: int = 1 << 24
 
     def __post_init__(self) -> None:
         if self.mode not in ("thread", "process"):
@@ -139,8 +137,7 @@ class ServingOptions:
                 f"mode must be 'thread' or 'process', got {self.mode!r}"
             )
         for name in (
-            "num_workers", "max_queue_depth", "max_batch_size",
-            "latency_window", "shm_slot_bytes",
+            "num_workers", "max_queue_depth", "max_batch_size", "latency_window",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(

@@ -200,12 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "process mode (each worker amortises its own grid build)",
     )
     http_parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="disable the process-mode shared-memory image transport "
-        "(images travel to workers by pickle again)",
-    )
-    http_parser.add_argument(
         "--dataset",
         default="dsb2018",
         choices=available_datasets(),
@@ -605,7 +599,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         max_queue_depth=args.max_queue_depth,
         max_batch_size=batch_size,
-        use_shared_memory=not args.no_shm,
     )
     with SegmentationHTTPServer(
         spec,

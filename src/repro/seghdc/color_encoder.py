@@ -42,7 +42,7 @@ __all__ = [
 def _quantize(channel: np.ndarray, levels: int) -> np.ndarray:
     """Map 0..255 intensities to 0..levels-1 indices."""
     arr = np.clip(np.asarray(channel, dtype=np.int64), 0, 255)
-    if levels >= 256:
+    if levels == 256:
         return arr
     return (arr * levels) // 256
 
@@ -66,8 +66,10 @@ class ColorEncoder(ABC):
     ) -> None:
         if channels not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {channels}")
-        if levels < 2:
-            raise ValueError(f"levels must be at least 2, got {levels}")
+        if not 2 <= levels <= 256:
+            # _quantize maps 8-bit intensities onto at most 256 indices, so
+            # table rows past the 256th would never be read.
+            raise ValueError(f"levels must be in [2, 256], got {levels}")
         self.space = space
         self.channels = int(channels)
         self.requested_levels = int(levels)

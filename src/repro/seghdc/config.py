@@ -46,8 +46,9 @@ class SegHDCConfig:
         the full SegHDC; ``"random"`` selects the RPos / RColor ablations.
     color_levels:
         Number of quantisation levels for the color encoder (256 in the
-        paper).  It is automatically reduced when the per-channel dimension
-        cannot resolve that many levels.
+        paper, and at most 256: 8-bit intensities never select a level past
+        the 256th).  It is automatically reduced when the per-channel
+        dimension cannot resolve that many levels.
     seed:
         Seed of the hypervector space; fixes all random base HVs.
     backend:
@@ -116,9 +117,9 @@ class SegHDCConfig:
             raise ValueError(f"beta must be at least 1, got {self.beta}")
         if self.gamma < 1:
             raise ValueError(f"gamma must be at least 1, got {self.gamma}")
-        if self.color_levels < 2:
+        if not 2 <= self.color_levels <= 256:
             raise ValueError(
-                f"color_levels must be at least 2, got {self.color_levels}"
+                f"color_levels must be in [2, 256], got {self.color_levels}"
             )
         if self.position_encoding not in _POSITION_VARIANTS:
             raise ValueError(

@@ -11,10 +11,6 @@ user-registered algorithm) into a long-lived concurrent service:
   form of the server's topology, consumed by ``SegmentationServer.from_options``;
 * :class:`repro.serving.batcher.ShapeBatcher` — shape-aware micro-batching
   so each worker hits the engine's cached encoder grid;
-* :class:`repro.serving.shm.SharedMemoryRing` — zero-copy image transport
-  for process mode: pixels park in shared-memory slots and only tiny
-  descriptors cross the pickle pipe (``use_shared_memory`` in
-  :class:`ServingOptions` toggles it);
 * :class:`repro.serving.stats.ServerStats` — queue depth, end-to-end latency
   percentiles, and cache hit rates aggregated from result workloads;
 * :class:`repro.serving.control.ControlPlane` — generation-based hot
@@ -38,6 +34,7 @@ user-registered algorithm) into a long-lived concurrent service:
 
 In process mode each worker builds each image shape's encoder grid once in
 its own engine LRU; nothing but the segmenter spec crosses to the workers
+at start-up, and each image's pixels are pickled through the pool pipe
 (see :mod:`repro.serving.server`).
 """
 
@@ -72,7 +69,6 @@ from repro.serving.server import (
     ServerSaturated,
     ServingError,
 )
-from repro.serving.shm import SharedMemoryRing, ShmDescriptor, attach_view
 from repro.serving.stats import ServerStats, StatsCollector
 
 __all__ = [
@@ -101,8 +97,5 @@ __all__ = [
     "ServingError",
     "ServingOptions",
     "ShapeBatcher",
-    "SharedMemoryRing",
-    "ShmDescriptor",
     "StatsCollector",
-    "attach_view",
 ]

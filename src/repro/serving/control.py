@@ -18,7 +18,7 @@ The swap protocol, in order:
    field is rejected **by name** before any pool is built, and the live
    generation is untouched.
 2. **Build** generation N+1: a complete new ``SegmentationServer`` (its own
-   queue, batcher, worker pool, and — in process mode — shm ring).
+   queue, batcher and worker pool).
 3. **Warm** it with a probe image of the most recently served shape, so the
    new generation's encoder-grid cache is hot before real traffic arrives
    (in process mode, the probed worker's cache; each other worker builds

@@ -28,12 +28,10 @@ Two execution modes share the queueing/batching front end:
   ``make_segmenter``), the pickle-by-spec seam of the API.  Results are
   pickled back and per-process cache counters are aggregated through the
   ``workload["cache"]`` snapshots.  This mode sidesteps the GIL entirely;
-  by default input pixels cross the process boundary through a
-  shared-memory ring (:mod:`repro.serving.shm`) — workers read them in
-  place and only the label maps are pickled back — with a per-image pickle
-  fallback for oversize images or ``use_shared_memory=False``.  Each
-  result's ``workload["serving_transport"]`` records which path it rode,
-  and the stats snapshot aggregates bytes moved per path.
+  input pixels are pickled through the pool pipe and only the label maps
+  come back.  Each result's ``workload["serving_transport"]`` records the
+  path it rode (``"pickle"`` here, ``"inline"`` in thread mode), and the
+  stats snapshot aggregates bytes moved per path.
 
 Process workers share nothing but the spec: each worker's segmenter builds
 every image shape's encoder grid once in its own LRU, exactly like the
@@ -72,12 +70,6 @@ from repro.seghdc.config import SegHDCConfig
 from repro.seghdc.pipeline import SegHDC
 from repro.serving.batcher import ShapeBatcher
 from repro.serving.jobqueue import BoundedJobQueue
-from repro.serving.shm import (
-    DEFAULT_SLOT_BYTES,
-    SharedMemoryRing,
-    ShmDescriptor,
-    attach_view,
-)
 from repro.serving.stats import ServerStats, StatsCollector
 
 __all__ = [
@@ -346,23 +338,18 @@ def _init_process_worker(spec: dict, provider_module: "str | None" = None) -> No
     _PROCESS_SEGMENTER = make_segmenter(spec)
 
 
-def _run_process_microbatch(batch: "list[np.ndarray | ShmDescriptor]") -> list:
-    """Segment one micro-batch inside a worker process.
+def _run_process_microbatch(batch: "list[np.ndarray]") -> list:
+    """Segment one micro-batch of pixel arrays inside a worker process.
 
-    Each batch item is either a pixel array (the pickle path) or a
-    :class:`repro.serving.shm.ShmDescriptor`, in which case the pixels are
-    reconstructed as a read-only view over the parent's shared-memory slot
-    — the worker half of the zero-copy transport.  Returns one
-    ``("ok", result)`` or ``("error", exception)`` entry per image, so a
+    Returns one ``("ok", result)`` or ``("error", exception)`` entry per image, so a
     single bad image fails its own job instead of the batch.  The worker's
     pid is stamped into the workload so the collector can keep one cache
     snapshot per process.
     """
     assert _PROCESS_SEGMENTER is not None, "pool initializer did not run"
     entries: list = []
-    for item in batch:
+    for pixels in batch:
         try:
-            pixels = attach_view(item) if isinstance(item, ShmDescriptor) else item
             result = _PROCESS_SEGMENTER.segment(pixels)
             result.workload["serving_worker"] = os.getpid()
             entries.append(("ok", result))
@@ -415,18 +402,6 @@ class SegmentationServer:
         the run it receives.
     latency_window:
         Number of most-recent end-to-end latencies kept for percentiles.
-    use_shared_memory:
-        Process mode only: ship image pixels to workers through a
-        :class:`repro.serving.shm.SharedMemoryRing` instead of pickling
-        them through the pool pipe (results still return as pickled label
-        maps).  Images that exceed ``shm_slot_bytes`` — or any slot-acquire
-        that times out — fall back to the pickle path per image, and
-        ``use_shared_memory=False`` restores pickle-everything semantics.
-        Ignored in thread mode (no process boundary to cross).
-    shm_slot_bytes:
-        Capacity of each shared-memory slot; the ring holds
-        ``num_workers * max_batch_size + 2`` slots, sized so slot
-        acquisition can never deadlock behind the pool's in-flight limit.
     """
 
     def __init__(
@@ -438,8 +413,6 @@ class SegmentationServer:
         max_queue_depth: int = 64,
         max_batch_size: int = 8,
         latency_window: int = 4096,
-        use_shared_memory: bool = True,
-        shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
     ) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -456,21 +429,7 @@ class SegmentationServer:
         self._id_lock = threading.Lock()
 
         self._pool: ProcessPoolExecutor | None = None
-        self._shm_ring: SharedMemoryRing | None = None
         if mode == "process":
-            if use_shared_memory:
-                # Slots for every image the pool can hold in flight
-                # (workers x batch size) plus slack, so acquire() blocking
-                # on a full ring always has a release coming.
-                try:
-                    self._shm_ring = SharedMemoryRing(
-                        self.num_workers * max_batch_size + 2,
-                        shm_slot_bytes,
-                    )
-                except OSError:
-                    # No usable /dev/shm (tiny container, exhausted tmpfs):
-                    # serve over the pickle path rather than refuse to boot.
-                    self._shm_ring = None
             spec = self._segmenter.describe()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.num_workers,
@@ -582,9 +541,6 @@ class SegmentationServer:
             worker.join(remaining())
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self._shm_ring is not None:
-            # After the pool: no worker can still hold a view into a slot.
-            self._shm_ring.close()
 
     # ------------------------------------------------------------------ #
     # submission
@@ -767,62 +723,28 @@ class SegmentationServer:
 
     def _run_batch_process(self, batch: "list[_Job]") -> None:
         assert self._pool is not None
-        # Zero-copy dispatch: park each image in a shared-memory slot and
-        # ship only its descriptor; acquire() returning None (oversize
-        # image, ring saturated, shm disabled) falls back to pickling that
-        # image through the pool pipe, per image, not per batch.
-        descriptors: "list[ShmDescriptor | None]" = [
-            self._shm_ring.acquire(job.pixels)
-            if self._shm_ring is not None
-            else None
-            for job in batch
-        ]
         try:
-            try:
-                entries = self._pool.submit(
-                    _run_process_microbatch,
-                    [
-                        descriptor if descriptor is not None else job.pixels
-                        for descriptor, job in zip(descriptors, batch)
-                    ],
-                ).result()
-            except Exception as exc:  # noqa: BLE001 - pool-level failure
-                for job in batch:
-                    self._collector.record_failed(
-                        time.perf_counter() - job.submitted_at
-                    )
-                    job.handle._set_error(
-                        ServingError(f"worker pool failed: {exc!r}")
-                    )
-                return
-        finally:
-            # The future has resolved either way, so no worker still reads
-            # the slots: return them to the ring before delivering results.
-            if self._shm_ring is not None:
-                for descriptor in descriptors:
-                    if descriptor is not None:
-                        self._shm_ring.release(descriptor)
-        for job, descriptor, (status, payload) in zip(
-            batch, descriptors, entries
-        ):
-            transport = "shm" if descriptor is not None else "pickle"
+            entries = self._pool.submit(
+                _run_process_microbatch, [job.pixels for job in batch]
+            ).result()
+        except Exception as exc:  # noqa: BLE001 - pool-level failure
+            for job in batch:
+                self._collector.record_failed(time.perf_counter() - job.submitted_at)
+                job.handle._set_error(ServingError(f"worker pool failed: {exc!r}"))
+            return
+        for job, (status, payload) in zip(batch, entries):
+            bytes_in = int(job.pixels.nbytes)
             if status == "ok":
-                worker_pid = payload.workload.get("serving_worker")
-                payload.workload["serving_transport"] = transport
+                payload.workload["serving_transport"] = "pickle"
                 self._collector.record_transport(
-                    transport,
-                    bytes_in=0 if descriptor is not None else int(job.pixels.nbytes),
-                    bytes_out=int(payload.labels.nbytes),
+                    "pickle", bytes_in=bytes_in, bytes_out=int(payload.labels.nbytes)
                 )
-                self._finish(job, payload, source=worker_pid)
+                self._finish(
+                    job, payload, source=payload.workload.get("serving_worker")
+                )
             else:
-                self._collector.record_transport(
-                    transport,
-                    bytes_in=0 if descriptor is not None else int(job.pixels.nbytes),
-                )
-                self._collector.record_failed(
-                    time.perf_counter() - job.submitted_at
-                )
+                self._collector.record_transport("pickle", bytes_in=bytes_in)
+                self._collector.record_failed(time.perf_counter() - job.submitted_at)
                 job.handle._set_error(payload)
 
     def _finish(self, job: "_Job", result: SegmentationResult, *, source) -> None:

@@ -171,7 +171,7 @@ def latency_percentiles(latencies, *, total: "int | None" = None) -> dict:
 def aggregate_transport(counters: dict) -> dict:
     """JSON-ready copy of per-path transport counters with derived rates.
 
-    ``counters`` maps a transport path (``"shm"``, ``"pickle"``,
+    ``counters`` maps a transport path (``"pickle"``, ``"inline"``,
     ``"http-raw"``, ...) to its raw ``images`` / ``bytes_in`` / ``bytes_out``
     totals; the copy adds ``bytes_per_image`` — total bytes moved over that
     path divided by the images that rode it — which is the number the
@@ -311,12 +311,10 @@ class StatsCollector:
     ) -> None:
         """Count bytes moved across a process/transport boundary.
 
-        ``path`` names how the pixels travelled to the worker — ``"shm"``
-        (descriptor only, zero pickled pixel bytes), ``"pickle"`` (the
-        process-pool pipe), or ``"inline"`` (thread mode, no boundary at
-        all).  ``bytes_in`` counts serialized input pixel bytes and
-        ``bytes_out`` serialized result (label map) bytes, so the shm path
-        reports ``bytes_in == 0`` by construction.
+        ``path`` names how the pixels travelled to the worker —
+        ``"pickle"`` (the process-pool pipe) or ``"inline"`` (thread mode,
+        no boundary at all).  ``bytes_in`` counts serialized input pixel
+        bytes and ``bytes_out`` serialized result (label map) bytes.
         """
         with self._lock:
             record_transport_locked(

@@ -309,6 +309,14 @@ class TestConfigRoundTrips:
         with pytest.raises(ValueError, match="'workers'"):
             ServingOptions.from_dict({"workers": 4})
 
+    @pytest.mark.parametrize("key", ["use_shared_memory", "shm_slot_bytes"])
+    def test_retired_shm_keys_are_refused_by_name(self, key):
+        value = False if key == "use_shared_memory" else 1 << 20
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            ServingOptions.from_dict({key: value})
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            ServingOptions.from_dict({"mode": "process", key: value})
+
     def test_retired_share_grid_cache_is_refused_by_name(self):
         with pytest.raises(ValueError, match="'share_grid_cache'"):
             ServingOptions.from_dict({"share_grid_cache": False})

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import http.client
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.serving.http import npy_bytes
 
 
 class TestParser:
@@ -291,21 +302,18 @@ class TestMain:
         assert args.workers == 4
         assert args.backend == "packed"
 
-    def test_serve_parser_transport_and_queue_options(self):
+    def test_serve_parser_queue_and_reconfig_options(self):
         defaults = build_parser().parse_args(["serve"])
-        assert defaults.no_shm is False
         assert defaults.max_queue_depth == 64
         assert defaults.batch_size is None
         assert defaults.allow_reconfig is False
         args = build_parser().parse_args(
             [
                 "serve",
-                "--no-shm",
                 "--max-queue-depth", "8",
                 "--allow-reconfig",
             ]
         )
-        assert args.no_shm is True
         assert args.max_queue_depth == 8
         assert args.allow_reconfig is True
 
@@ -397,6 +405,64 @@ class TestMain:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "backend=packed" in out
+
+
+class TestServeShutdown:
+    def test_sigterm_stops_a_process_mode_serve_and_its_workers(self):
+        """SIGTERM (docker stop, CI teardown) shuts `seghdc serve --mode
+        process` down like Ctrl-C: the command exits 0, and its stdout
+        reaches EOF, so no worker process outlives it holding the pipe."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--port", "0",
+                "--mode", "process",
+                "--workers", "2",
+                "--segmenter", "threshold",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            port = None
+            for line in process.stdout:
+                match = re.match(r"SEGHDC_SERVE_PORT=(\d+)", line)
+                if match:
+                    port = int(match.group(1))
+                    break
+            assert port, "serve never printed its port"
+            # One request makes the pool start its worker processes.
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            image = np.arange(16 * 16, dtype=np.uint8).reshape(16, 16)
+            connection.request(
+                "POST",
+                "/v1/segment",
+                body=npy_bytes(image),
+                headers={"Content-Type": "application/octet-stream"},
+            )
+            assert connection.getresponse().status == 200
+            connection.close()
+            process.send_signal(signal.SIGTERM)
+            output, _ = process.communicate(timeout=60)
+        finally:
+            # The server's process group holds its workers too: a failed run
+            # must not leave them behind.
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            if process.poll() is None:
+                process.communicate()
+        assert process.returncode == 0, output
+        assert "shutting down" in output
 
 
 class TestTileCommand:

@@ -118,6 +118,8 @@ class TestManhattanColorEncoderThreeChannel:
             ManhattanColorEncoder(space, 3, gamma=0)
         with pytest.raises(ValueError):
             ManhattanColorEncoder(space, 3, levels=1)
+        with pytest.raises(ValueError, match="levels"):
+            RandomColorEncoder(space, 1, levels=257)
 
 
 class TestFlipPrefixLevelTables:

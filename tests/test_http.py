@@ -1145,6 +1145,36 @@ class TestConfigEndpoint:
             assert "share_grid_cache" in payload["error"]
             assert server.control.generation == 1
 
+    @pytest.mark.parametrize("key", ["use_shared_memory", "shm_slot_bytes"])
+    def test_retired_shm_keys_are_a_400_naming_them(self, key):
+        value = False if key == "use_shared_memory" else 1 << 20
+        with SegmentationHTTPServer(
+            _config(),
+            port=0,
+            serving={"mode": "thread", "num_workers": 1},
+            allow_reconfig=True,
+        ) as server:
+            status, payload = self._post_config(
+                server, {"serving": {"mode": "process", key: value}}
+            )
+            assert status == 400
+            assert key in payload["error"]
+            assert server.control.generation == 1
+
+    def test_color_levels_above_256_is_a_400_naming_it(self):
+        with SegmentationHTTPServer(
+            _config(),
+            port=0,
+            serving={"mode": "thread", "num_workers": 1},
+            allow_reconfig=True,
+        ) as server:
+            status, payload = self._post_config(
+                server, {"config": {"color_levels": 257}}
+            )
+            assert status == 400
+            assert "color_levels" in payload["error"]
+            assert server.control.generation == 1
+
     def test_get_method_not_allowed(self, app):
         status, payload = app.handle_request("GET", "/v1/config", b"")
         assert status == 405

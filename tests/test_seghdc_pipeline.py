@@ -47,6 +47,7 @@ class TestSegHDCConfig:
             {"beta": 0},
             {"gamma": 0},
             {"color_levels": 1},
+            {"color_levels": 257},
             {"position_encoding": "polar"},
             {"color_encoding": "hsv"},
         ],
@@ -54,6 +55,13 @@ class TestSegHDCConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SegHDCConfig(**kwargs)
+
+    def test_color_levels_above_256_is_refused_by_name(self):
+        """8-bit intensities select at most 256 levels, so a larger table
+        would only hold rows that are never read."""
+        with pytest.raises(ValueError, match="color_levels"):
+            SegHDCConfig(dimension=600, color_encoding="random", color_levels=20000)
+        assert SegHDCConfig(color_levels=256).color_levels == 256
 
 
 class TestSegHDCPipeline:

@@ -29,6 +29,7 @@ from repro.serving import (
     ServingOptions,
     ShapeBatcher,
 )
+from repro.serving.http import array_from_npy_bytes, npy_bytes
 
 
 def _config(**overrides):
@@ -240,6 +241,16 @@ class TestServerThreadMode:
         with pytest.raises(ServerClosed):
             server.submit(_image())
 
+    def test_thread_mode_records_the_inline_path(self):
+        with SegmentationServer(
+            _config(), mode="thread", num_workers=2
+        ) as server:
+            result = server.submit(_image()).result(timeout=60)
+            stats = server.stats()
+        assert result.workload["serving_transport"] == "inline"
+        assert stats.transport["inline"]["images"] == 1
+        assert stats.transport["inline"]["bytes_in"] == 0
+
     def test_close_is_idempotent(self):
         server = SegmentationServer(_config(), num_workers=1)
         server.close()
@@ -270,6 +281,29 @@ class TestServerProcessMode:
         assert 1 <= stats.cache["engines"] <= 2
         assert stats.cache["position_grid_builds"] == stats.cache["engines"]
         assert server.engine is None
+
+    def test_pixels_ride_the_pickle_path_and_are_counted(self):
+        """Every process-mode image is pickled to its worker: the transport
+        table has exactly the ``pickle`` path, counting pixel bytes in and
+        label bytes out — a read-only view over a request body included."""
+        view = array_from_npy_bytes(npy_bytes(_image(seed=9)))
+        assert not view.flags.writeable and not view.flags.owndata
+        images = [_image(seed=i) for i in range(3)] + [view]
+        reference = SegHDCEngine(_config()).segment_batch(images)
+        with SegmentationServer(
+            _config(), mode="process", num_workers=2, max_batch_size=2
+        ) as server:
+            served = server.segment_batch(images, timeout=120)
+            stats = server.stats()
+        for expected, observed in zip(reference, served):
+            assert np.array_equal(expected.labels, observed.labels)
+            assert observed.workload["serving_transport"] == "pickle"
+        assert set(stats.transport) == {"pickle"}
+        counters = stats.transport["pickle"]
+        assert counters["images"] == len(images)
+        assert counters["bytes_in"] == sum(image.nbytes for image in images)
+        assert counters["bytes_out"] == sum(r.labels.nbytes for r in served)
+        assert stats.as_dict()["transport"] == stats.transport
 
     def test_mixed_shapes_build_once_per_shape_per_worker(self):
         shapes = [(20, 24), (16, 16)]
@@ -582,26 +616,6 @@ class TestUnifiedSegmenterServing:
             stats = server.stats()
             assert stats.mode == "thread"
             assert stats.num_workers == 3
-
-    def test_from_options_carries_the_transport_toggle(self):
-        """ServingOptions.use_shared_memory must reach the server: with the
-        ring disabled, a process-mode pool serves over pickle and says so in
-        the per-path transport counters (also present in as_dict())."""
-        options = ServingOptions(
-            mode="process",
-            num_workers=1,
-            max_batch_size=2,
-            use_shared_memory=False,
-        )
-        with SegmentationServer.from_options(_config(), options) as server:
-            server.segment_batch([_image(seed=3)], timeout=120)
-            stats = server.stats()
-        assert set(stats.transport) == {"pickle"}
-        as_dict = stats.as_dict()
-        assert as_dict["transport"]["pickle"]["images"] == 1
-        assert as_dict["transport"]["pickle"]["bytes_in"] > 0
-        with pytest.raises(ValueError, match="shm_slot_bytes"):
-            ServingOptions(shm_slot_bytes=0)
 
     def test_rejects_non_segmenter_objects(self):
         with pytest.raises(TypeError, match="Segmenter"):

@@ -13,12 +13,12 @@ What it proves, end to end (real subprocess, real sockets, stdlib clients only):
    same-shape images bit-exact against the dense engine, and ``/stats``
    must report between one and one-per-worker position-grid builds (each
    worker builds the shape once) and no ``shared_*`` keys.
-3. **Zero-copy transport** — a 4-worker process-mode server around the
-   ``threshold`` probe serves a 512x512 batch; ``/stats`` must show the
-   shared-memory transport moving **zero** pickled pixel bytes, raw
-   octet-stream responses must be bit-exact against base64, the streaming
-   endpoint must agree, and the raw wire form must sustain >= 1.2x the
-   base64 form's images/sec.
+3. **Raw wire** — a 4-worker process-mode server around the ``threshold``
+   probe serves a 512x512 batch; raw octet-stream responses must be
+   bit-exact against base64, the streaming endpoint must agree, the raw
+   wire form must sustain >= 1.2x the base64 form's images/sec, and
+   ``/stats`` must show every image pickled to its worker at exactly its
+   pixel bytes (512 x 512 per image).
 4. **Hot reconfiguration** — a ``--allow-reconfig`` server streams a long
    batch while ``POST /v1/config`` switches dense→packed mid-stream: the
    stream must deliver every frame exactly once (zero dropped, zero
@@ -120,7 +120,7 @@ class _Server:
 
     ``seghdc_flags=False`` drops the SegHDC-specific ``--dimension`` /
     ``--iterations`` flags (they are rejected for other ``--segmenter``
-    choices, e.g. the threshold probe of the zero-copy pass).
+    choices, e.g. the threshold probe of the raw-wire pass).
     """
 
     def __init__(
@@ -315,23 +315,21 @@ def _post_raw(url: str, body: bytes, timeout: float = 300.0) -> bytes:
         return response.read()
 
 
-def smoke_zero_copy(port: int, output_dir: Path) -> None:
-    """Zero-copy acceptance: shm transport + raw wire, measured end to end.
+def smoke_raw_wire(port: int, output_dir: Path) -> None:
+    """Raw-wire acceptance: parity and throughput, measured end to end.
 
     A 4-worker process-mode server wrapped around the Otsu ``threshold``
     probe (compute ~ 0, so transport dominates) serves a 512x512 batch, and
     three things must hold:
 
-    1. the shared-memory transport actually ran — the serving stats report
-       ``transport["shm"]`` with images served and **zero** pickled pixel
-       bytes to the workers;
-    2. raw octet-stream responses are bit-exact against the base64 JSON
-       wire form;
-    3. the raw wire form sustains at least 1.2x the base64 form's
+    1. raw octet-stream responses (plain and streamed) are bit-exact
+       against the base64 JSON wire form;
+    2. the raw wire form sustains at least 1.2x the base64 form's
        images/sec on the same server (best of three, since CI runners are
        noisy neighbours) — base64 pays a 4/3 inflation plus an encode and
-       a JSON parse per image, which is the wire half of what this PR
-       removed.
+       a JSON parse per image;
+    3. the serving stats account every image on the ``pickle`` path at
+       exactly its pixel bytes to the workers (512 x 512 uint8).
     """
     from repro.serving.http import npy_bytes, pack_frames, unpack_frames
 
@@ -362,7 +360,7 @@ def smoke_zero_copy(port: int, output_dir: Path) -> None:
         assert len(raw_entries) == len(images), sorted(raw_entries)
         for index, entry in enumerate(reference["results"]):
             assert np.array_equal(raw_entries[index], _labels(entry)), (
-                f"zero-copy: raw label map {index} diverged from base64"
+                f"raw-wire: raw label map {index} diverged from base64"
             )
 
         # Throughput: same server, same images, only the wire form differs.
@@ -388,17 +386,15 @@ def smoke_zero_copy(port: int, output_dir: Path) -> None:
         for index in range(len(images)):
             assert np.array_equal(
                 stream_entries[index], raw_entries[index]
-            ), f"zero-copy: streamed label map {index} diverged"
+            ), f"raw-wire: streamed label map {index} diverged"
 
         stats = _get(f"{server.url}/stats")
         serving_transport = stats["serving"]["transport"]
-        assert "shm" in serving_transport, (
-            "zero-copy: process-mode server never used the shared-memory "
-            f"transport: {serving_transport}"
-        )
-        assert serving_transport["shm"]["images"] > 0, serving_transport
-        assert serving_transport["shm"]["bytes_in"] == 0, (
-            "zero-copy: shm transport moved pickled pixel bytes: "
+        assert set(serving_transport) == {"pickle"}, serving_transport
+        pickled = serving_transport["pickle"]
+        assert pickled["images"] > 0, serving_transport
+        assert pickled["bytes_in"] == pickled["images"] * 512 * 512, (
+            f"raw-wire: pickled pixel bytes are not 512*512 per image: "
             f"{serving_transport}"
         )
         http_transport = stats["http"]["transport"]
@@ -412,17 +408,17 @@ def smoke_zero_copy(port: int, output_dir: Path) -> None:
         expected_raw = len(framed) + sum(
             len(npy_bytes(labels)) for labels in raw_entries.values()
         )
-        (output_dir / "stats_zero_copy.json").write_text(
+        (output_dir / "stats_raw_wire.json").write_text(
             json.dumps(stats, indent=2) + "\n"
         )
     print(
-        f"[http-smoke] zero-copy: shm bytes_in=0 over "
-        f"{serving_transport['shm']['images']} images, raw parity OK, "
+        f"[http-smoke] raw-wire: {pickled['images']} images pickled at "
+        f"{pickled['bytes_in'] // pickled['images']} B each, raw parity OK, "
         f"raw {raw_ips:.1f} img/s vs base64 {b64_ips:.1f} img/s "
         f"({best_ratio:.2f}x), ~{expected_raw // len(images)} raw B/img"
     )
     assert best_ratio >= 1.2, (
-        f"zero-copy: raw wire form reached only {best_ratio:.2f}x base64 "
+        f"raw-wire: raw wire form reached only {best_ratio:.2f}x base64 "
         "images/sec (gate: 1.2x)"
     )
 
@@ -598,7 +594,7 @@ def main(argv: "list[str] | None" = None) -> int:
     smoke_backend_parity("dense", args.base_port, output_dir)
     smoke_backend_parity("packed", args.base_port + 1, output_dir)
     smoke_process_pool(args.base_port + 2, output_dir)
-    smoke_zero_copy(args.base_port + 3, output_dir)
+    smoke_raw_wire(args.base_port + 3, output_dir)
     smoke_hot_reconfig(args.base_port + 4, output_dir)
     smoke_wire_latency(args.base_port + 5, output_dir)
     print("[http-smoke] all checks passed")
