@@ -10,6 +10,7 @@ counter totals under contention.
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -282,16 +283,19 @@ class TestServerProcessMode:
         assert stats.cache["position_grid_builds"] == stats.cache["engines"]
         assert server.engine is None
 
-    def test_pixels_ride_the_pickle_path_and_are_counted(self):
+    @pytest.mark.parametrize("backend", ["dense", "packed"])
+    def test_pixels_ride_the_pickle_path_and_are_counted(self, backend):
         """Every process-mode image is pickled to its worker: the transport
         table has exactly the ``pickle`` path, counting pixel bytes in and
-        label bytes out — a read-only view over a request body included."""
+        label bytes out — a read-only view over a request body included —
+        and both compute backends serve labels bit-exact to the engine."""
+        config = _config(backend=backend)
         view = array_from_npy_bytes(npy_bytes(_image(seed=9)))
         assert not view.flags.writeable and not view.flags.owndata
         images = [_image(seed=i) for i in range(3)] + [view]
-        reference = SegHDCEngine(_config()).segment_batch(images)
+        reference = SegHDCEngine(config).segment_batch(images)
         with SegmentationServer(
-            _config(), mode="process", num_workers=2, max_batch_size=2
+            config, mode="process", num_workers=2, max_batch_size=2
         ) as server:
             served = server.segment_batch(images, timeout=120)
             stats = server.stats()
@@ -304,6 +308,58 @@ class TestServerProcessMode:
         assert counters["bytes_in"] == sum(image.nbytes for image in images)
         assert counters["bytes_out"] == sum(r.labels.nbytes for r in served)
         assert stats.as_dict()["transport"] == stats.transport
+
+    def test_color_pixels_are_pickled_and_counted_per_channel(self):
+        """An RGB frame crosses the pipe whole: labels stay bit-exact and
+        ``bytes_in`` counts all three channels."""
+        config = _config(color_encoding="random")
+        images = [_image((12, 14, 3), seed=i) for i in range(2)]
+        reference = SegHDCEngine(config).segment_batch(images)
+        with SegmentationServer(
+            config, mode="process", num_workers=1, max_batch_size=2
+        ) as server:
+            served = server.segment_batch(images, timeout=120)
+            stats = server.stats()
+        for expected, observed in zip(reference, served):
+            assert np.array_equal(expected.labels, observed.labels)
+            assert observed.labels.shape == (12, 14)
+        counters = stats.transport["pickle"]
+        assert counters["bytes_in"] == 2 * 12 * 14 * 3
+        assert counters["bytes_out"] == sum(r.labels.nbytes for r in served)
+
+    def test_worker_error_fails_its_own_job_and_counts_its_pixels(self):
+        """A 1x1 image passes submit validation but cannot form two
+        clusters: its job alone fails with the worker's error, its pixels
+        were still pickled (``bytes_in``), and no labels came back."""
+        good, bad = _image(seed=1), _image((1, 1), seed=2)
+        with SegmentationServer(
+            _config(), mode="process", num_workers=1, max_batch_size=2
+        ) as server:
+            handles = [server.submit(good), server.submit(bad)]
+            result = handles[0].result(timeout=120)
+            with pytest.raises(ValueError, match="clusters"):
+                handles[1].result(timeout=120)
+            stats = server.stats()
+        assert stats.completed == 1
+        assert stats.failed == 1
+        counters = stats.transport["pickle"]
+        assert counters["images"] == 2
+        assert counters["bytes_in"] == good.nbytes + bad.nbytes
+        assert counters["bytes_out"] == result.labels.nbytes
+
+    def test_close_reaps_every_worker_process(self):
+        server = SegmentationServer(
+            _config(), mode="process", num_workers=2, max_batch_size=1
+        )
+        try:
+            server.segment_batch([_image(seed=i) for i in range(4)], timeout=120)
+            pids = server.worker_pids()
+            assert pids, "the pool never started a worker"
+        finally:
+            server.close()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_mixed_shapes_build_once_per_shape_per_worker(self):
         shapes = [(20, 24), (16, 16)]
