@@ -875,6 +875,15 @@ def _run_tile(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"seghdc: error: --tile must be HxW, got {args.tile!r}"
         ) from None
+    if args.height < 1 or args.width < 1:
+        raise SystemExit(
+            f"seghdc: error: --height/--width must be positive, got "
+            f"{args.height}x{args.width}"
+        )
+    if args.runner == "server" and args.workers < 1:
+        raise SystemExit(
+            f"seghdc: error: --workers must be positive, got {args.workers}"
+        )
     target = None if args.url is None else _parse_host_port(args.url)
     base_config = {}
     if args.base_config_json:

@@ -8,7 +8,7 @@ from scipy import ndimage
 __all__ = ["connected_components", "extract_instances", "instance_sizes"]
 
 #: 4-connectivity (von Neumann) and 8-connectivity (Moore) structuring elements.
-_STRUCTURES = {
+STRUCTURES = {
     4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
     8: np.ones((3, 3), dtype=bool),
 }
@@ -23,9 +23,9 @@ def connected_components(mask: np.ndarray, *, connectivity: int = 8) -> np.ndarr
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
-    if connectivity not in _STRUCTURES:
+    if connectivity not in STRUCTURES:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    labelled, _ = ndimage.label(arr != 0, structure=_STRUCTURES[connectivity])
+    labelled, _ = ndimage.label(arr != 0, structure=STRUCTURES[connectivity])
     return labelled.astype(np.int32)
 
 

@@ -8,8 +8,9 @@ The pieces, bottom-up:
 * :func:`canonical_labels` / :func:`partition_components` /
   :func:`stitch_tiles` — per-tile label canonicalisation (clusters by
   ascending mean intensity), connected components of a full label
-  partition, and the union-find seam merge producing one global cluster
-  map + segment map.
+  partition, and the stitch that places each tile's owned rectangle into
+  one global cluster map and labels its segments with one whole-image
+  component pass (exact by construction).
 * :class:`TiledSegmenter` (registered as ``"tiled"``) — the
   :class:`repro.api.Segmenter` that wires it all behind the standard
   protocol, with a pluggable tile runner for serving/cluster fan-out.
@@ -22,7 +23,6 @@ from repro.tiling.grid import TileBox, TileGrid
 from repro.tiling.segmenter import TiledConfig, TiledSegmenter
 from repro.tiling.stitch import (
     StitchResult,
-    UnionFind,
     canonical_labels,
     partition_components,
     stitch_tiles,
@@ -35,7 +35,6 @@ __all__ = [
     "TileGrid",
     "TiledConfig",
     "TiledSegmenter",
-    "UnionFind",
     "blob_field",
     "canonical_labels",
     "partition_components",

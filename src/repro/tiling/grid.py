@@ -13,8 +13,9 @@ the final stride shrinks, the tile shape never does.
 Each tile also carries an **ownership rectangle**: the sub-region of the
 image whose stitched output comes from this tile.  Ownership rectangles
 partition the image exactly (overlapping pixels go to the tile whose
-interior is closer, via the midpoint of each overlap band), which gives the
-stitcher a deterministic, seam-localised merge problem — see
+interior is closer, via the midpoint of each overlap band), so the stitcher
+assembles one global cluster map with every pixel taken from exactly one
+tile and labels its components in a single whole-image pass — see
 :mod:`repro.tiling.stitch`.
 """
 
@@ -149,12 +150,8 @@ class TileGrid:
         self.overlap = int(overlap)
         row_starts = _tile_starts(self.image_height, tile_h, tile_h - self.overlap)
         col_starts = _tile_starts(self.image_width, tile_w, tile_w - self.overlap)
-        row_cuts = _ownership_cuts(row_starts, tile_h)
-        col_cuts = _ownership_cuts(col_starts, tile_w)
-        row_bounds = [0, *row_cuts, self.image_height]
-        col_bounds = [0, *col_cuts, self.image_width]
-        self.row_cuts = row_cuts
-        self.col_cuts = col_cuts
+        row_bounds = [0, *_ownership_cuts(row_starts, tile_h), self.image_height]
+        col_bounds = [0, *_ownership_cuts(col_starts, tile_w), self.image_width]
         self.boxes: list[TileBox] = []
         for gr, r0 in enumerate(row_starts):
             for gc, c0 in enumerate(col_starts):

@@ -225,7 +225,7 @@ class TiledSegmenter:
         protocol_result = SegmentationResult(
             labels=stitched.cluster_labels,
             elapsed_seconds=elapsed,
-            num_clusters=int(np.unique(stitched.cluster_labels).size),
+            num_clusters=stitched.stats["num_clusters"],
             workload=workload,
         )
         return protocol_result, stitched

@@ -14,13 +14,10 @@ coherent global result:
 2. **Objects spanning tiles.**  A connected object crossing a seam is two
    (or, at a tile corner, four) different per-tile components.
    :func:`stitch_tiles` places each tile's canonical labels into its owned
-   rectangle (see :class:`repro.tiling.grid.TileGrid`), labels the
-   connected components *within* each owned rectangle, then walks every
-   ownership boundary and union-finds components whose pixels touch across
-   the seam with equal cluster labels.  The merged components are
-   renumbered in row-major first-appearance order, which makes the result
-   exactly the partition a fresh connected-component pass over the stitched
-   cluster map would produce — pinned by the golden seam tests.
+   rectangle (see :class:`repro.tiling.grid.TileGrid`), then runs one
+   :func:`partition_components` pass over the whole stitched cluster map.
+   The global segments are therefore exactly that fresh component pass by
+   construction; the per-tile component count is kept only as a statistic.
 """
 
 from __future__ import annotations
@@ -28,55 +25,15 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from repro.postprocess.components import STRUCTURES
 from repro.tiling.grid import TileGrid
 
 __all__ = [
     "StitchResult",
-    "UnionFind",
     "canonical_labels",
     "partition_components",
     "stitch_tiles",
 ]
-
-#: 4-connectivity (von Neumann) and 8-connectivity (Moore) structuring
-#: elements, matching :mod:`repro.postprocess.components`.
-_STRUCTURES = {
-    4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
-    8: np.ones((3, 3), dtype=bool),
-}
-
-
-class UnionFind:
-    """Disjoint-set forest over integer ids with path compression.
-
-    ``union`` returns whether the two ids were in *different* sets (a real
-    merge), so the stitcher can count seam merges exactly.
-    """
-
-    def __init__(self, size: int) -> None:
-        self._parent = np.arange(int(size), dtype=np.int64)
-
-    def find(self, item: int) -> int:
-        """Root of ``item``'s set (compressing the walked path)."""
-        parent = self._parent
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return int(root)
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; True when they were distinct."""
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a == root_b:
-            return False
-        # Deterministic orientation: the smaller root wins, so the same
-        # union sequence always yields the same forest.
-        if root_b < root_a:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        return True
 
 
 def canonical_labels(labels: np.ndarray, intensity: np.ndarray) -> np.ndarray:
@@ -122,9 +79,9 @@ def partition_components(labels: np.ndarray, *, connectivity: int = 4) -> np.nda
     arr = np.asarray(labels)
     if arr.ndim != 2:
         raise ValueError(f"labels must be 2-D, got shape {arr.shape}")
-    if connectivity not in _STRUCTURES:
+    if connectivity not in STRUCTURES:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    structure = _STRUCTURES[connectivity]
+    structure = STRUCTURES[connectivity]
     components = np.zeros(arr.shape, dtype=np.int32)
     offset = 0
     for value in np.unique(arr):
@@ -172,35 +129,6 @@ class StitchResult:
         return int(self.stats["num_segments"])
 
 
-def _union_along_seam(
-    union: UnionFind,
-    cluster_a: np.ndarray,
-    cluster_b: np.ndarray,
-    comp_a: np.ndarray,
-    comp_b: np.ndarray,
-) -> int:
-    """Union components of two adjacent pixel rows/columns; count merges.
-
-    ``*_a`` and ``*_b`` are the cluster labels and component ids of two
-    length-L lines of globally adjacent pixels (one on each side of a
-    seam).  Only pairs with equal cluster labels connect; duplicate
-    ``(comp, comp)`` pairs are collapsed before touching the forest, so the
-    python-level union loop runs once per *distinct* component pair, not
-    once per boundary pixel.
-    """
-    touching = cluster_a == cluster_b
-    if not np.any(touching):
-        return 0
-    pairs = np.unique(
-        np.stack([comp_a[touching], comp_b[touching]]), axis=1
-    )
-    merges = 0
-    for first, second in pairs.T:
-        if union.union(int(first), int(second)):
-            merges += 1
-    return merges
-
-
 def stitch_tiles(
     tile_labels: "list[np.ndarray]",
     tile_intensities: "list[np.ndarray]",
@@ -224,21 +152,23 @@ def stitch_tiles(
     connectivity:
         4 or 8; adjacency used both within tiles and across seams.
 
-    Returns a :class:`StitchResult`; ``segment_labels`` is bit-identical to
-    ``partition_components(cluster_labels, connectivity=...)`` — the merge
-    is exact, not approximate.
+    Returns a :class:`StitchResult` whose ``segment_labels`` is
+    ``partition_components(cluster_labels, connectivity=...)`` — one
+    whole-image pass, so the merge is exact by construction.
+    ``stats["pre_merge_components"]`` sums the components inside each owned
+    rectangle and ``stats["seam_merges"]`` is how many of them the seams
+    joined (``pre_merge_components - num_segments``).
     """
-    if connectivity not in _STRUCTURES:
+    if connectivity not in STRUCTURES:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     if len(tile_labels) != grid.num_tiles or len(tile_intensities) != grid.num_tiles:
         raise ValueError(
             f"expected {grid.num_tiles} tile label/intensity maps, got "
             f"{len(tile_labels)}/{len(tile_intensities)}"
         )
-    height, width = grid.image_height, grid.image_width
-    cluster_map = np.zeros((height, width), dtype=np.int32)
-    component_map = np.zeros((height, width), dtype=np.int64)
-    offset = 0
+    structure = STRUCTURES[connectivity]
+    cluster_map = np.zeros((grid.image_height, grid.image_width), dtype=np.int32)
+    pre_merge = 0
     for box, labels, intensity in zip(grid.boxes, tile_labels, tile_intensities):
         tile = np.asarray(labels)
         if tile.shape != grid.tile_shape:
@@ -246,83 +176,20 @@ def stitch_tiles(
                 f"tile {box.index} labels have shape {tile.shape}, "
                 f"expected {grid.tile_shape}"
             )
-        canonical = canonical_labels(tile, intensity)
-        owned = canonical[box.owned_local_slices]
+        owned = canonical_labels(tile, intensity)[box.owned_local_slices]
         cluster_map[box.owned_slices] = owned
-        # Components are labelled on the owned rectangle only: pixels the
-        # tile saw but does not own belong to a neighbour in the stitched
-        # map, so letting them bridge two owned regions could merge
-        # segments that are *not* connected in the final cluster map.
-        owned_components = partition_components(owned, connectivity=connectivity)
-        component_map[box.owned_slices] = owned_components.astype(np.int64) + offset
-        offset += int(owned_components.max(initial=0))
-
-    union = UnionFind(offset + 1)
-    seam_merges = 0
-    for cut in grid.row_cuts:
-        seam_merges += _union_along_seam(
-            union,
-            cluster_map[cut - 1, :],
-            cluster_map[cut, :],
-            component_map[cut - 1, :],
-            component_map[cut, :],
-        )
-        if connectivity == 8:
-            seam_merges += _union_along_seam(
-                union,
-                cluster_map[cut - 1, :-1],
-                cluster_map[cut, 1:],
-                component_map[cut - 1, :-1],
-                component_map[cut, 1:],
-            )
-            seam_merges += _union_along_seam(
-                union,
-                cluster_map[cut - 1, 1:],
-                cluster_map[cut, :-1],
-                component_map[cut - 1, 1:],
-                component_map[cut, :-1],
-            )
-    for cut in grid.col_cuts:
-        seam_merges += _union_along_seam(
-            union,
-            cluster_map[:, cut - 1],
-            cluster_map[:, cut],
-            component_map[:, cut - 1],
-            component_map[:, cut],
-        )
-        if connectivity == 8:
-            seam_merges += _union_along_seam(
-                union,
-                cluster_map[:-1, cut - 1],
-                cluster_map[1:, cut],
-                component_map[:-1, cut - 1],
-                component_map[1:, cut],
-            )
-            seam_merges += _union_along_seam(
-                union,
-                cluster_map[1:, cut - 1],
-                cluster_map[:-1, cut],
-                component_map[1:, cut - 1],
-                component_map[:-1, cut],
-            )
-
-    # Collapse per-tile component ids to their union-find roots, then
-    # renumber the merged components in row-major first-appearance order —
-    # the same convention partition_components uses, so the stitched
-    # numbering equals a whole-image component pass.
-    distinct = np.unique(component_map)
-    # Root lookup once per distinct id, then a vectorised gather over the
-    # pixel map (a python-level find per pixel would crawl on gigapixel
-    # inputs; per distinct component it is a few thousand at most).
-    roots = np.array([union.find(int(item)) for item in distinct], dtype=np.int64)
-    rooted = roots[np.searchsorted(distinct, component_map)]
-    segment_labels = _renumber_by_first_appearance(rooted)
+        # Count (not number) the components inside the owned rectangle:
+        # the statistic the seam merge count is measured against.
+        for value in np.unique(owned):
+            pre_merge += ndimage.label(owned == value, structure=structure)[1]
+    segment_labels = partition_components(cluster_map, connectivity=connectivity)
+    num_segments = int(segment_labels.max(initial=0))
     stats = {
         **grid.describe(),
         "connectivity": connectivity,
-        "num_segments": int(segment_labels.max(initial=0)),
-        "pre_merge_components": int(distinct.size),
-        "seam_merges": seam_merges,
+        "num_segments": num_segments,
+        "pre_merge_components": pre_merge,
+        "seam_merges": pre_merge - num_segments,
         "num_clusters": int(np.unique(cluster_map).size),
     }
     return StitchResult(cluster_map, segment_labels, stats)

@@ -510,3 +510,36 @@ class TestTileCommand:
         with pytest.raises(SystemExit, match="--tile must be HxW"):
             main(["tile", "--tile", "64by64"])
 
+    def test_server_runner_overlap_and_8_connectivity(self, capsys):
+        code = main(
+            [
+                "tile",
+                "--height", "96", "--width", "96",
+                "--tile", "48x48",
+                "--overlap", "8",
+                "--connectivity", "8",
+                "--spacing", "32",
+                "--dimension", "1024",
+                "--runner", "server",
+                "--workers", "2",
+                "--check-parity",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "parity vs direct whole-image run: BIT-EXACT" in out
+        assert "connectivity=8" in out
+        assert "runner=server:2" in out
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_server_runner_refuses_non_positive_workers(self, workers):
+        with pytest.raises(SystemExit, match="--workers must be positive"):
+            main(["tile", "--runner", "server", "--workers", workers])
+
+    @pytest.mark.parametrize("flag", ["--height", "--width"])
+    def test_refuses_non_positive_image_size(self, flag):
+        with pytest.raises(
+            SystemExit, match="--height/--width must be positive"
+        ):
+            main(["tile", flag, "0"])
+

@@ -7,9 +7,9 @@ The load-bearing promises under test:
 * :func:`stitch_tiles` merges per-tile components into seam-consistent
   global segments — the goldens pin the exact stitched maps for objects
   spanning two and four tiles, with and without overlap;
-* the stitched ``segment_labels`` are bit-identical to running
-  :func:`partition_components` on the stitched cluster map (stitch
-  exactness — tiling must never invent or lose a segment boundary);
+* the stitch statistics keep their meanings (components counted inside
+  each owned rectangle, seam merges = that count minus the segments), and
+  swapping cluster ids inside tiles changes nothing;
 * on imagery whose every tile contains both intensity modes, the tiled
   pipeline's cluster map is bit-exact against a direct whole-image run
   (canonicalised), on the dense AND the packed backend.
@@ -28,7 +28,6 @@ from repro.tiling import (
     TileGrid,
     TiledConfig,
     TiledSegmenter,
-    UnionFind,
     blob_field,
     canonical_labels,
     partition_components,
@@ -84,13 +83,6 @@ class TestTileGrid:
 
 
 class TestStitchPrimitives:
-    def test_union_find_merges_and_reports(self):
-        union = UnionFind(4)
-        assert union.union(0, 1) is True
-        assert union.union(1, 0) is False  # already one set
-        assert union.find(1) == union.find(0)
-        assert union.find(2) != union.find(0)
-
     def test_canonical_labels_order_clusters_by_mean_intensity(self):
         labels = np.array([[0, 0], [1, 1]])
         intensity = np.array([[200, 210], [10, 20]], dtype=np.uint8)
@@ -218,22 +210,93 @@ class TestStitchGoldens:
         assert four.num_segments == 3
         assert eight.num_segments == 2
 
-    def test_stitch_exactness_on_random_maps(self):
-        # Property: stitched segment_labels must equal partition_components
-        # of the stitched cluster map — tiling is invisible to the segments.
+    def test_stitch_stats_on_random_maps(self):
+        # The segments are one whole-image component pass by construction;
+        # the stats must keep their meanings: components counted inside each
+        # owned rectangle, and the seams joining the surplus back together.
         rng = np.random.default_rng(11)
-        for connectivity in (4, 8):
-            cluster_map = rng.integers(0, 3, size=(37, 29))
-            intensity = rng.integers(0, 256, size=(37, 29)).astype(np.uint8)
-            stitched = _stitch_synthetic(
-                cluster_map, intensity, (16, 16), connectivity=connectivity
-            )
-            assert np.array_equal(
-                stitched.segment_labels,
-                partition_components(
-                    stitched.cluster_labels, connectivity=connectivity
-                ),
-            ), f"connectivity={connectivity}"
+        for shape in ((37, 29), (50, 41)):
+            for overlap in (0, 3):
+                for connectivity in (4, 8):
+                    case = f"shape={shape} overlap={overlap} c={connectivity}"
+                    cluster_map = rng.integers(0, 3, size=shape)
+                    intensity = rng.integers(0, 256, size=shape).astype(np.uint8)
+                    stitched = _stitch_synthetic(
+                        cluster_map,
+                        intensity,
+                        (16, 16),
+                        overlap=overlap,
+                        connectivity=connectivity,
+                    )
+                    stats = stitched.stats
+                    grid = TileGrid(*shape, 16, 16, overlap=overlap)
+                    per_tile = sum(
+                        int(
+                            partition_components(
+                                stitched.cluster_labels[box.owned_slices],
+                                connectivity=connectivity,
+                            ).max()
+                        )
+                        for box in grid.boxes
+                    )
+                    assert stats["pre_merge_components"] == per_tile, case
+                    assert (
+                        stats["seam_merges"]
+                        == per_tile - stitched.num_segments
+                    ), case
+                    assert (
+                        stats["num_clusters"]
+                        == np.unique(stitched.cluster_labels).size
+                    ), case
+
+    @pytest.mark.parametrize("overlap", [0, 4])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_permuted_tile_ids_stitch_identically(self, overlap, connectivity):
+        # K-Means ids are arbitrary per tile: swapping them in every other
+        # tile must not change the stitched maps or any statistic.
+        rng = np.random.default_rng(5)
+        cluster_map = rng.integers(0, 2, size=(40, 56))
+        intensity = np.where(cluster_map == 1, 200, 30).astype(np.uint8)
+        grid = TileGrid(40, 56, 16, 16, overlap=overlap)
+        tile_labels = [cluster_map[box.tile_slices] for box in grid.boxes]
+        swapped = [
+            1 - labels if index % 2 else labels
+            for index, labels in enumerate(tile_labels)
+        ]
+        tile_intensities = [intensity[box.tile_slices] for box in grid.boxes]
+        plain = stitch_tiles(
+            tile_labels, tile_intensities, grid, connectivity=connectivity
+        )
+        permuted = stitch_tiles(
+            swapped, tile_intensities, grid, connectivity=connectivity
+        )
+        assert np.array_equal(plain.cluster_labels, permuted.cluster_labels)
+        assert np.array_equal(plain.segment_labels, permuted.segment_labels)
+        assert plain.stats == permuted.stats
+
+
+class TestStitchRefusals:
+    def _inputs(self):
+        grid = TileGrid(16, 16, 8, 8)
+        labels = [np.zeros((8, 8), dtype=np.int32)] * grid.num_tiles
+        intensity = [np.zeros((8, 8), dtype=np.uint8)] * grid.num_tiles
+        return labels, intensity, grid
+
+    def test_refuses_wrong_tile_count(self):
+        labels, intensity, grid = self._inputs()
+        with pytest.raises(ValueError, match="expected 4 tile"):
+            stitch_tiles(labels[:3], intensity[:3], grid)
+
+    def test_refuses_wrong_tile_shape(self):
+        labels, intensity, grid = self._inputs()
+        labels[2] = np.zeros((8, 7), dtype=np.int32)
+        with pytest.raises(ValueError, match="tile 2 labels have shape"):
+            stitch_tiles(labels, intensity, grid)
+
+    def test_refuses_connectivity_6(self):
+        labels, intensity, grid = self._inputs()
+        with pytest.raises(ValueError, match="connectivity must be 4 or 8"):
+            stitch_tiles(labels, intensity, grid, connectivity=6)
 
 
 class TestBlobField:
