@@ -27,7 +27,7 @@ from repro.datasets import DSB2018Synthetic
 from repro.device import http_wire_bytes, seghdc_cost, serving_estimate
 from repro.seghdc import SegHDCConfig, SegHDCEngine
 from repro.serving import SegmentationServer
-from repro.serving.http import array_to_b64_npy, npy_bytes
+from repro.serving.http import npy_bytes
 
 BATCH = 10
 SHAPE = (64, 64)
@@ -156,16 +156,11 @@ def test_network_term_consistent_with_measured_wire_bytes():
     image = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
     labels = rng.integers(0, 2, size=(height, width)).astype(np.int32)
 
-    measured = {
-        "raw": len(npy_bytes(image)) + len(npy_bytes(labels)),
-        "npy": len(array_to_b64_npy(image)) + len(array_to_b64_npy(labels)),
-    }
-    for wire, measured_bytes in measured.items():
-        modeled = http_wire_bytes(height, width, wire=wire)
-        assert measured_bytes == pytest.approx(modeled, rel=0.01), (
-            f"{wire}: measured {measured_bytes} B/image vs modeled "
-            f"{modeled} B/image"
-        )
+    measured = len(npy_bytes(image)) + len(npy_bytes(labels))
+    modeled = http_wire_bytes(height, width, wire="raw")
+    assert measured == pytest.approx(modeled, rel=0.01), (
+        f"raw: measured {measured} B/image vs modeled {modeled} B/image"
+    )
 
     # Feed the measured raw bytes into the estimator with a NIC slow enough
     # to dominate: the pool must be network-bound at bandwidth / bytes.
@@ -181,11 +176,11 @@ def test_network_term_consistent_with_measured_wire_bytes():
         memory_bandwidth_bytes=1e14,
         num_cores=4,
         network_bandwidth_bytes=bandwidth,
-        network_bytes_per_image=float(measured["raw"]),
+        network_bytes_per_image=float(measured),
     )
     assert estimate.bottleneck == "network"
     assert estimate.images_per_second == pytest.approx(
-        bandwidth / measured["raw"]
+        bandwidth / measured
     )
     # The modeled wire bytes predict the same rate within 1%.
     modeled_estimate = serving_estimate(
@@ -200,6 +195,3 @@ def test_network_term_consistent_with_measured_wire_bytes():
     assert modeled_estimate.images_per_second == pytest.approx(
         estimate.images_per_second, rel=0.01
     )
-    # Raw moves fewer bytes than base64 by construction, so its network
-    # ceiling is strictly higher.
-    assert measured["raw"] < measured["npy"]

@@ -170,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     http_parser = subparsers.add_parser(
         "serve",
-        help="serve segmentation over HTTP (POST /v1/segment, /v1/run-spec, "
-        "/v1/config with --allow-reconfig; GET /v1/segmenters, /healthz, "
-        "/stats)",
+        help="serve segmentation over HTTP (POST /v1/segment, "
+        "/v1/segment-stream, /v1/config with --allow-reconfig; "
+        "GET /v1/segmenters, /healthz, /stats)",
     )
     http_parser.add_argument("--host", default="127.0.0.1")
     http_parser.add_argument(
@@ -610,7 +610,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         # Machine-parsable bound-port line, printed first and flushed: with
         # --port 0 the kernel picks the port, and supervisors/smoke tests
         # read it back from this line instead of racing for a free one.
-        print(f"SEGHDC_SERVE_PORT={server.bound_port}", flush=True)
+        print(f"SEGHDC_SERVE_PORT={server.port}", flush=True)
         print(
             f"seghdc serve: {spec['segmenter']} on "
             f"http://{server.host}:{server.port} "
@@ -619,7 +619,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
         print(
             "endpoints: POST /v1/segment  POST /v1/segment-stream  "
-            "POST /v1/run-spec  GET /v1/segmenters  GET /healthz  GET /stats"
+            "GET /v1/segmenters  GET /healthz  GET /stats"
             + ("  POST /v1/config" if args.allow_reconfig else ""),
             flush=True,
         )
@@ -711,7 +711,7 @@ def _run_cluster(args: argparse.Namespace) -> int:
     )
     # Same machine-parsable contract as `seghdc serve`: the gateway's bound
     # port comes first, flushed, before the slow part (booting replicas).
-    print(f"SEGHDC_GATEWAY_PORT={gateway.bound_port}", flush=True)
+    print(f"SEGHDC_GATEWAY_PORT={gateway.port}", flush=True)
     try:
         supervisor.start()
         gateway.wait_ready(timeout=120.0)
@@ -875,11 +875,6 @@ def _run_tile(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"seghdc: error: --tile must be HxW, got {args.tile!r}"
         ) from None
-    if args.height < 1 or args.width < 1:
-        raise SystemExit(
-            f"seghdc: error: --height/--width must be positive, got "
-            f"{args.height}x{args.width}"
-        )
     if args.runner == "server" and args.workers < 1:
         raise SystemExit(
             f"seghdc: error: --workers must be positive, got {args.workers}"
@@ -916,17 +911,20 @@ def _run_tile(args: argparse.Namespace) -> int:
             "seghdc: error: --dimension/--iterations/--backend configure a "
             "seghdc base; use --base-config-json for other bases"
         )
-    config = TiledConfig(
-        base=args.base,
-        base_config=base_config,
-        tile_height=tile_shape[0],
-        tile_width=tile_shape[1],
-        overlap=args.overlap,
-        connectivity=args.connectivity,
-    )
-    image = blob_field(
-        args.height, args.width, spacing=args.spacing, seed=args.seed
-    )
+    try:
+        config = TiledConfig(
+            base=args.base,
+            base_config=base_config,
+            tile_height=tile_shape[0],
+            tile_width=tile_shape[1],
+            overlap=args.overlap,
+            connectivity=args.connectivity,
+        )
+        image = blob_field(
+            args.height, args.width, spacing=args.spacing, seed=args.seed
+        )
+    except ValueError as exc:
+        raise SystemExit(f"seghdc: error: {exc}") from None
     base_spec = {"segmenter": config.base, "config": dict(config.base_config)}
 
     with contextlib.ExitStack() as stack:

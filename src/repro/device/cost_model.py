@@ -470,7 +470,7 @@ _NPY_HEADER_BYTES = 128
 #: text (digits + separator, for uint8 pixels and small label ids alike).
 _JSON_CHARS_PER_ELEMENT = 4
 
-_WIRE_FORMS = ("raw", "npy", "json")
+_WIRE_FORMS = ("raw", "json")
 
 
 def http_wire_bytes(
@@ -492,8 +492,6 @@ def http_wire_bytes(
 
     * ``"raw"`` — bare ``.npy`` octet-stream bodies: payload plus one
       ``.npy`` header each way, no inflation (the zero-copy wire form);
-    * ``"npy"`` — base64 ``.npy`` inside the JSON envelope: the raw bytes
-      inflated by the 4/3 base64 factor;
     * ``"json"`` — nested decimal lists, approximated at
       ``4`` characters per element (digits plus separator).
 
@@ -507,14 +505,9 @@ def http_wire_bytes(
     if label_bytes < 1:
         raise ValueError(f"label_bytes must be positive, got {label_bytes}")
     pixels = height * width * channels
-    pixel_bytes = pixels + _NPY_HEADER_BYTES
-    label_map_bytes = height * width * label_bytes + _NPY_HEADER_BYTES
     if wire == "raw":
-        return float(pixel_bytes + label_map_bytes)
-    if wire == "npy":
-        # base64: every 3 payload bytes become 4 wire characters.
         return float(
-            4 * math.ceil(pixel_bytes / 3) + 4 * math.ceil(label_map_bytes / 3)
+            pixels + height * width * label_bytes + 2 * _NPY_HEADER_BYTES
         )
     if wire == "json":
         return float(_JSON_CHARS_PER_ELEMENT * (pixels + height * width))

@@ -19,9 +19,10 @@ user-registered algorithm) into a long-lived concurrent service:
   pool without dropping a request (:class:`SpecWatcher` is the
   file-driven front end for ``seghdc serve --watch-spec``);
 * :class:`repro.serving.http.SegmentationHTTPServer` — the stdlib HTTP
-  front end (``POST /v1/segment``, ``POST /v1/run-spec``,
+  front end (``POST /v1/segment``, ``POST /v1/segment-stream``,
   ``POST /v1/config``, ``GET /v1/segmenters``, ``GET /healthz``,
-  ``GET /stats``), wired to the CLI as ``seghdc serve``;
+  ``GET /stats``) speaking raw ``.npy`` / SHDC frames or nested-list
+  JSON, wired to the CLI as ``seghdc serve``;
 * :mod:`repro.serving.cluster` — the multi-node tier: a
   :class:`ClusterGateway` routing the same HTTP surface across a fleet of
   replica servers by shape affinity (consistent-hash ring, health-probed

@@ -6,7 +6,7 @@ pool of persistent :class:`http.client.HTTPConnection` objects (keep-alive,
 instead of paying a handshake per request, speaking the zero-copy raw wire
 forms from :mod:`repro.serving.http` — bare ``.npy`` bodies and the
 ``SHDC`` framed container — so pixels and label maps cross the fleet
-boundary without base64 or JSON inflation.
+boundary as bytes, never as JSON text.
 
 Failure semantics are deliberately coarse: *any* transport-level problem
 (refused connection, reset mid-response, malformed HTTP) raises
@@ -333,8 +333,8 @@ class ReplicaClient:
     def segment_raw(self, images: list) -> list[np.ndarray]:
         """Segment a batch over the raw framed wire; returns label maps.
 
-        One ``POST /v1/segment`` with a framed octet-stream body (zero
-        base64, zero JSON); the response frames come back indexed by
+        One ``POST /v1/segment`` with a framed octet-stream body (no JSON
+        text either way); the response frames come back indexed by
         position, so the returned list lines up with ``images``.
         """
         status, body = self.request(

@@ -1,9 +1,9 @@
 """Shape-affinity HTTP gateway over a fleet of segmentation replicas.
 
 :class:`ClusterGateway` is the fleet's single front door.  It re-exposes the
-single-host wire surface — ``POST /v1/segment`` (JSON / base64 / raw
-octet-stream bodies), ``POST /v1/segment-stream``, ``GET /healthz``,
-``GET /stats`` — and fans the work across N
+single-host wire surface — ``POST /v1/segment`` (raw ``.npy`` / SHDC
+frame octet-stream or nested-list JSON bodies), ``POST /v1/segment-stream``,
+``GET /healthz``, ``GET /stats`` — and fans the work across N
 :class:`~repro.serving.http.SegmentationHTTPServer` replicas:
 
 * **Routing** is shape-affine: each request's images are grouped by
@@ -24,7 +24,8 @@ octet-stream bodies), ``POST /v1/segment-stream``, ``GET /healthz``,
   recovered one earns its arcs back.
 
 The gateway reuses the single-host front end's request decoding
-(:func:`repro.serving.http.decode_segment_request`) and HTTP plumbing
+(:func:`repro.serving.http.decode_segment_request`), response encoding
+(:func:`repro.serving.http.encode_segment_response`) and HTTP plumbing
 verbatim, so every wire form a replica accepts is accepted here with
 byte-identical semantics — the gateway's label maps are bit-exact with a
 direct engine call because the replicas' are.
@@ -47,7 +48,7 @@ import queue
 import secrets
 import threading
 import time
-from typing import Iterator
+from typing import Generator
 
 import numpy as np
 
@@ -59,22 +60,18 @@ from repro.serving.cluster.client import (
 from repro.serving.cluster.health import HealthProber
 from repro.serving.cluster.ring import DEFAULT_VNODES, ConsistentHashRing
 from repro.serving.http import (
-    FRAME_MAGIC,
     MAX_IMAGES_PER_REQUEST,
     MAX_STREAM_IMAGES,
     HTTPRequestError,
     RawRequest,
-    RawResponse,
     StreamingResponse,
     _BoundHTTPServer,
-    _CONTAINER_HEADER,
-    _FRAME_HEADER,
     _Handler,
     _HttpStats,
     decode_segment_request,
-    encode_labels,
+    encode_segment_response,
+    framed_stream,
     npy_bytes,
-    pack_frames,
 )
 
 __all__ = ["ClusterGateway"]
@@ -92,7 +89,7 @@ class ClusterGateway:
     ----------
     host / port:
         Bind address for the gateway's own HTTP server; ``port=0`` picks an
-        ephemeral port (available as :attr:`port` / :attr:`bound_port`).
+        ephemeral port (available as :attr:`port`).
     probe_interval / fail_threshold / recover_threshold:
         Health-prober cadence and hysteresis (see
         :class:`~repro.serving.cluster.health.HealthProber`).
@@ -217,11 +214,6 @@ class ClusterGateway:
     def port(self) -> int:
         """Bound TCP port (the real one, also when constructed with 0)."""
         return self._httpd.server_address[1]
-
-    @property
-    def bound_port(self) -> int:
-        """Alias of :attr:`port` (same contract as the replica server)."""
-        return self.port
 
     def __enter__(self) -> "ClusterGateway":
         return self
@@ -499,48 +491,18 @@ class ClusterGateway:
                 labels_by_index[global_index] = labels[local]
                 replica_by_index[global_index] = replica_id
         ordered = [labels_by_index[i] for i in range(len(images))]
-        if decoded["encoding"] == "raw":
-            if decoded["single"]:
-                body = npy_bytes(ordered[0])
-            else:
-                body = pack_frames(enumerate(ordered))
-            self.http_stats.record_transport(
-                decoded["path"],
-                images=len(ordered),
-                bytes_in=decoded["bytes_in"],
-                bytes_out=len(body),
-            )
-            return RawResponse(
-                body=body, headers={"X-Seghdc-Count": str(len(ordered))}
-            )
-        encoded = []
-        bytes_out = 0
-        for index, labels in enumerate(ordered):
-            labels_encoded = encode_labels(labels, decoded["encoding"])
-            bytes_out += (
-                len(labels_encoded)
-                if isinstance(labels_encoded, str)
-                else int(labels.nbytes)
-            )
-            encoded.append(
+        return encode_segment_response(
+            decoded,
+            ordered,
+            (
                 {
-                    "shape": list(labels.shape),
                     "num_clusters": int(labels.max()) + 1 if labels.size else 0,
                     "replica": replica_by_index[index],
-                    "labels": labels_encoded,
                 }
-            )
-        self.http_stats.record_transport(
-            decoded["path"],
-            images=len(ordered),
-            bytes_in=decoded["bytes_in"],
-            bytes_out=bytes_out,
+                for index, labels in enumerate(ordered)
+            ),
+            self.http_stats,
         )
-        return {
-            "count": len(encoded),
-            "response_encoding": decoded["encoding"],
-            "results": encoded,
-        }
 
     def _handle_segment_stream(self, request: RawRequest) -> StreamingResponse:
         """``POST /v1/segment-stream``: fan out by shape, re-interleave.
@@ -621,11 +583,8 @@ class ClusterGateway:
                 )
                 results.put((global_index, 1, message.encode("utf-8")))
 
-        http_stats = self.http_stats
-
-        def chunks() -> Iterator[bytes]:
-            """Container header, then frames in fleet completion order."""
-            bytes_out = 0
+        def frames() -> Generator:
+            """``(index, status, body)`` frames in fleet completion order."""
             threads = [
                 threading.Thread(
                     target=worker,
@@ -635,25 +594,13 @@ class ClusterGateway:
                 )
                 for shape, indices in groups.items()
             ]
+            for thread in threads:
+                thread.start()
             try:
-                yield _CONTAINER_HEADER.pack(FRAME_MAGIC, 1, 0, len(images))
-                for thread in threads:
-                    thread.start()
                 for _ in range(len(images)):
-                    global_index, status, body = results.get()
-                    if status == 0:
-                        bytes_out += len(body)
-                    yield _FRAME_HEADER.pack(
-                        global_index, status, len(body)
-                    ) + body
+                    yield results.get()
             finally:
                 for thread in threads:
                     thread.join(timeout=10.0)
-                http_stats.record_transport(
-                    decoded["path"],
-                    images=len(images),
-                    bytes_in=decoded["bytes_in"],
-                    bytes_out=bytes_out,
-                )
 
-        return StreamingResponse(chunks=chunks())
+        return framed_stream(decoded, frames(), self.http_stats)

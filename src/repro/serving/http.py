@@ -14,26 +14,25 @@ Endpoints
 ``POST /v1/segment``
     Segment one image or a batch.  Two request wire forms:
 
-    * **JSON** (``Content-Type: application/json``) — the body carries
-      ``"image"`` (one payload) or ``"images"`` (a list); each image
-      payload is ``{"data": "<base64>", "encoding": "npy"}`` (a
-      base64-encoded ``.npy``), ``{"pixels": [[...]]}`` (nested JSON
-      lists of 0-255 intensities), or a bare nested list.
     * **Raw** (``Content-Type: application/octet-stream``) — the body *is*
       a bare ``.npy`` file (single image) or the framed multi-array
-      container (:func:`pack_frames`) for a batch.  No base64, no JSON:
-      pixels are decoded as zero-copy views of the request body.
+      container (:func:`pack_frames`, "SHDC" frames) for a batch; pixels
+      are decoded as zero-copy views of the request body.
+    * **JSON** (``Content-Type: application/json``) — the body carries
+      ``"image"`` (one payload) or ``"images"`` (a list); each image
+      payload is ``{"pixels": [[...]]}`` (nested JSON lists of 0-255
+      intensities) or a bare nested list.  The retired text-encoded
+      ``.npy`` payload (``{"data": ...}``) is refused with a 400.
 
     ``"response_encoding"`` selects how label maps come back: ``"list"``
-    (default, nested JSON lists), ``"npy"`` (base64 ``.npy`` inside the
-    JSON envelope), or ``"raw"`` — the response body becomes a bare
-    ``.npy`` (single) or framed container (batch) octet-stream.  Raw
-    requests default to raw responses; ``Accept:
-    application/octet-stream`` upgrades a JSON request's response and
-    ``Accept: application/json`` opts a raw request back into the JSON
-    envelope.  Label maps are produced by the same engine kernels as a
-    direct :meth:`SegHDCEngine.segment` call and are bit-exact with one
-    on every wire form.
+    (default, nested JSON lists inside the envelope) or ``"raw"`` — the
+    response body becomes a bare ``.npy`` (single) or framed container
+    (batch) octet-stream.  Raw requests default to raw responses;
+    ``Accept: application/octet-stream`` upgrades a JSON request's
+    response and ``Accept: application/json`` opts a raw request into the
+    ``"list"`` envelope.  Label maps are produced by the same engine
+    kernels as a direct :meth:`SegHDCEngine.segment` call and are
+    bit-exact with one on every wire form.
 
 ``POST /v1/segment-stream``
     Chunked streaming segmentation for bulk clients: same request bodies
@@ -42,12 +41,6 @@ Endpoints
     chunked`` whose frames arrive in **completion order** — each frame
     index is the image's position in the request — riding
     :meth:`SegmentationServer.map` underneath.
-
-``POST /v1/run-spec``
-    Execute a declarative JSON :class:`repro.api.RunSpec` and return the
-    result payload (per-image IoU, throughput, serving stats).  The spec's
-    ``output`` field is ignored: a network request must not write files on
-    the server host.
 
 ``POST /v1/config``
     Hot reconfiguration (requires the server to be built with
@@ -81,8 +74,8 @@ Endpoints
     counters summed over the worker engines, and queue depth) plus
     HTTP-level request/error counters, ``disconnects`` (clients that hung
     up before their reply was written), request latency percentiles, and
-    per-wire-form transport byte counters (``http-raw`` / ``http-base64``
-    / ``http-json``, each with measured ``bytes_per_image``).
+    per-wire-form transport byte counters (``http-raw`` / ``http-json``,
+    each with measured ``bytes_per_image``).
 
 Errors are JSON too: ``{"error": "..."}`` with 400 for malformed payloads,
 404/405 for unknown routes/methods, 503 when the queue is saturated, and
@@ -100,7 +93,6 @@ Usage::
 from __future__ import annotations
 
 import ast
-import base64
 import io
 import json
 import math
@@ -112,7 +104,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator, Mapping
+from typing import Generator, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -137,31 +129,26 @@ __all__ = [
     "array_from_npy_bytes",
     "decode_image_payload",
     "decode_segment_request",
-    "encode_labels",
+    "encode_segment_response",
+    "framed_stream",
     "npy_bytes",
     "pack_frames",
     "unpack_frames",
 ]
 
 #: Request bodies above this are rejected before parsing (64 MiB covers a
-#: batch of dozens of megapixel grayscale frames with base64 overhead).
+#: raw batch of dozens of megapixel grayscale frames).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Upper bound on images per ``/v1/segment`` request; real batch workloads
 #: should stream several requests and let the micro-batcher group them.
 MAX_IMAGES_PER_REQUEST = 64
-#: ``/v1/run-spec`` executions allowed at once.  Each one is a whole
-#: experiment (dataset build + sweep, possibly its own worker pool), so it
-#: must not scale with connection count the way handler threads do.
-MAX_CONCURRENT_RUN_SPECS = 2
-#: Upper bound on ``num_images`` a network-submitted run-spec may request.
-MAX_RUN_SPEC_IMAGES = 64
 
 #: Upper bound on images in one ``/v1/segment-stream`` request.  Streaming
 #: exists for bulk clients, so the cap is higher than the batch endpoint's —
 #: results leave as they finish, so they never pile up server-side.
 MAX_STREAM_IMAGES = 1024
 
-_RESPONSE_ENCODINGS = ("list", "npy", "raw")
+_RESPONSE_ENCODINGS = ("list", "raw")
 _OCTET_STREAM = "application/octet-stream"
 
 #: Multi-array framing for octet-stream batches: a 12-byte container header
@@ -348,49 +335,28 @@ def unpack_frames(data: "bytes | memoryview") -> list:
     return entries
 
 
-def _b64_npy_to_array(data: str) -> np.ndarray:
-    """Decode a base64 ``.npy`` payload into an array (no pickle allowed).
-
-    The base64 decode is the unavoidable copy of this path; the ``.npy``
-    parse itself goes through :func:`array_from_npy_bytes`, skipping the
-    second staging buffer ``np.load(io.BytesIO(...))`` used to add.
-    """
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except Exception as exc:
-        raise HTTPRequestError(f"image data is not valid base64: {exc}") from None
-    return array_from_npy_bytes(raw)
-
-
-def array_to_b64_npy(array: np.ndarray) -> str:
-    """Inverse of the ``.npy`` image payload: array -> base64 ``.npy``."""
-    return base64.b64encode(npy_bytes(array)).decode("ascii")
-
-
 def decode_image_payload(entry) -> np.ndarray:
     """One request image payload -> pixel array (2-D or 3-D, uint8).
 
-    Accepts the two wire forms the module docstring describes (base64
-    ``.npy`` under ``"data"``, nested lists under ``"pixels"``) plus a bare
-    nested list for convenience.  Validation errors raise
-    :class:`HTTPRequestError` naming the problem, so the handler can return
-    a clean 400 instead of a stack trace.
+    Accepts nested lists under ``"pixels"`` or a bare nested list; the
+    retired text-encoded ``.npy`` payload under ``"data"`` is refused by
+    name.  Validation errors raise :class:`HTTPRequestError` naming the
+    problem, so the handler can return a clean 400 instead of a stack
+    trace.
     """
     if isinstance(entry, Mapping):
         if "data" in entry:
-            encoding = entry.get("encoding", "npy")
-            if encoding != "npy":
-                raise HTTPRequestError(
-                    f"unknown image encoding {encoding!r}; expected 'npy'"
-                )
-            array = _b64_npy_to_array(entry["data"])
-        elif "pixels" in entry:
-            array = _pixels_to_array(entry["pixels"])
-        else:
             raise HTTPRequestError(
-                "image payload must carry 'data' (base64 .npy) or 'pixels' "
-                f"(nested lists); got keys {sorted(entry)}"
+                "image payload 'data' (a text-encoded .npy) is retired; "
+                "send the .npy as an application/octet-stream body or the "
+                "pixels as nested lists under 'pixels'"
             )
+        if "pixels" not in entry:
+            raise HTTPRequestError(
+                "image payload must carry 'pixels' (nested lists); got keys "
+                f"{sorted(entry)}"
+            )
+        array = _pixels_to_array(entry["pixels"])
     elif isinstance(entry, list):
         array = _pixels_to_array(entry)
     else:
@@ -443,23 +409,6 @@ def _pixels_to_array(pixels) -> np.ndarray:
         ) from None
 
 
-def encode_labels(labels: np.ndarray, encoding: str):
-    """Label map -> JSON response form (nested lists or base64 ``.npy``).
-
-    ``"raw"`` is a whole-response encoding (the body becomes an
-    octet-stream, see ``POST /v1/segment``), so it is rejected here — this
-    helper only produces values that can sit inside a JSON payload.
-    """
-    if encoding == "list":
-        return labels.tolist()
-    if encoding == "npy":
-        return array_to_b64_npy(labels)
-    raise HTTPRequestError(
-        f"unknown response_encoding {encoding!r}; expected one of "
-        f"{_RESPONSE_ENCODINGS}"
-    )
-
-
 def _parse_json_object(body: bytes) -> dict:
     """Parse a request body as one JSON object, with clean 400s.
 
@@ -494,11 +443,12 @@ def decode_segment_request(request: RawRequest, max_images: int) -> dict:
 
     Octet-stream bodies carry a bare ``.npy`` (single image) or the framed
     container (batch); the arrays stay zero-copy views of the body.  JSON
-    bodies are the historical form.  Returns a dict with the decoded
-    ``images``, the ``single``/``encoding``/``include_workload`` options,
-    and the transport-accounting facts (``path``, ``bytes_in`` — image wire
-    bytes, not envelope).  Shared by the single-host front end and the
-    cluster gateway so both speak byte-identical wire forms.
+    bodies carry nested lists.  Returns a dict with the decoded ``images``,
+    the ``single``/``encoding``/``include_workload`` options, and the
+    transport-accounting facts (``path``, ``bytes_in`` — the raw body
+    length, or a JSON body's decoded pixel bytes).  Shared by the
+    single-host front end and the cluster gateway so both speak
+    byte-identical wire forms.
     """
     if request.content_type == _OCTET_STREAM:
         view = memoryview(request.body)
@@ -517,8 +467,8 @@ def decode_segment_request(request: RawRequest, max_images: int) -> dict:
         if not raw_arrays:
             raise HTTPRequestError("framed body carries no images")
         # A raw request defaults to a raw response; Accept with an
-        # explicit JSON preference opts back into the JSON envelope.
-        encoding = "npy" if request.accept == "application/json" else "raw"
+        # explicit JSON preference opts into the nested-list envelope.
+        encoding = "list" if request.accept == "application/json" else "raw"
         return {
             "images": [_validated_image(array) for array in raw_arrays],
             "single": single,
@@ -551,24 +501,95 @@ def decode_segment_request(request: RawRequest, max_images: int) -> dict:
     if request.accept == _OCTET_STREAM:
         encoding = "raw"
     images = [decode_image_payload(entry) for entry in raw_images]
-    base64_input = any(
-        isinstance(entry, Mapping) and "data" in entry
-        for entry in raw_images
-    )
-    bytes_in = sum(
-        len(entry["data"])
-        if isinstance(entry, Mapping) and "data" in entry
-        else int(image.nbytes)
-        for entry, image in zip(raw_images, images)
-    )
     return {
         "images": images,
         "single": single,
         "encoding": encoding,
         "include_workload": bool(payload.get("include_workload", True)),
-        "path": "http-base64" if base64_input else "http-json",
-        "bytes_in": bytes_in,
+        "path": "http-json",
+        "bytes_in": sum(int(image.nbytes) for image in images),
     }
+
+
+def encode_segment_response(
+    decoded: dict,
+    label_maps: list,
+    fields: "Iterable[Mapping]",
+    http_stats: "_HttpStats",
+):
+    """Encode one ``/v1/segment`` reply and record its transport bytes.
+
+    ``decoded`` is the :func:`decode_segment_request` dict, ``label_maps``
+    the results in request order and ``fields`` the caller's extra JSON
+    fields per result (read only for a JSON reply).  A ``"raw"`` encoding
+    answers a :class:`RawResponse` — a bare ``.npy`` for a single-image
+    request, the framed container for a batch; ``"list"`` answers the
+    ``{"count", "response_encoding", "results"}`` envelope.  Shared by the
+    replica and the cluster gateway, so both speak one response format.
+    """
+    if decoded["encoding"] == "raw":
+        if decoded["single"]:
+            body = npy_bytes(label_maps[0])
+        else:
+            body = pack_frames(enumerate(label_maps))
+        bytes_out = len(body)
+        response = RawResponse(
+            body=body, headers={"X-Seghdc-Count": str(len(label_maps))}
+        )
+    else:
+        results = [
+            {"shape": list(labels.shape), **extra, "labels": labels.tolist()}
+            for labels, extra in zip(label_maps, fields)
+        ]
+        # Nested lists count at their label bytes: the decimal text is
+        # larger, so the list path never under-reports raw's edge.
+        bytes_out = sum(int(labels.nbytes) for labels in label_maps)
+        response = {
+            "count": len(results),
+            "response_encoding": decoded["encoding"],
+            "results": results,
+        }
+    http_stats.record_transport(
+        decoded["path"],
+        images=len(label_maps),
+        bytes_in=decoded["bytes_in"],
+        bytes_out=bytes_out,
+    )
+    return response
+
+
+def framed_stream(
+    decoded: dict, frames: Generator, http_stats: "_HttpStats"
+) -> StreamingResponse:
+    """One chunked framed container over ``(index, status, body)`` frames.
+
+    The container header (counting the request's images) leaves first,
+    then one chunk per frame as ``frames`` produces it.  However the stream
+    ends, ``frames`` is closed and the request's transport bytes are
+    recorded once.  Shared by the replica's and the cluster gateway's
+    ``/v1/segment-stream``.
+    """
+    images = len(decoded["images"])
+
+    def chunks() -> Iterator[bytes]:
+        """The container header, then one chunk per frame."""
+        bytes_out = 0
+        try:
+            yield _CONTAINER_HEADER.pack(FRAME_MAGIC, 1, 0, images)
+            for index, status, body in frames:
+                if status == 0:
+                    bytes_out += len(body)
+                yield _FRAME_HEADER.pack(index, status, len(body)) + body
+        finally:
+            frames.close()
+            http_stats.record_transport(
+                decoded["path"],
+                images=images,
+                bytes_in=decoded["bytes_in"],
+                bytes_out=bytes_out,
+            )
+
+    return StreamingResponse(chunks=chunks())
 
 
 def _json_default(value):
@@ -620,11 +641,10 @@ class _HttpStats:
         """Count wire bytes spent on image payloads for one segment request.
 
         ``path`` names the request's image encoding — ``"http-raw"``
-        (octet-stream ``.npy``/framed bodies), ``"http-base64"`` (JSON with
-        base64 ``.npy`` data), or ``"http-json"`` (nested pixel lists) —
-        and the byte counts cover the image payloads only, not the JSON
-        envelope, so ``bytes_per_image`` is directly comparable to the cost
-        model's per-image network term.
+        (octet-stream ``.npy``/framed bodies) or ``"http-json"`` (nested
+        pixel lists) — and the byte counts cover the image payloads only,
+        not the JSON envelope, so ``bytes_per_image`` is directly
+        comparable to the cost model's per-image network term.
         """
         with self._lock:
             record_transport_locked(
@@ -774,7 +794,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        """Serve POST endpoints (segment, run-spec)."""
+        """Serve POST endpoints (segment, segment-stream, config)."""
         self._dispatch("POST")
 
 
@@ -815,8 +835,7 @@ class SegmentationHTTPServer:
         available as :attr:`port`).
     serving:
         :class:`ServingOptions` (or its dict form) describing the wrapped
-        server's topology — mode, workers, queue depth, micro-batch bound,
-        shared-memory transport.
+        server's topology — mode, workers, queue depth, micro-batch bound.
     allow_reconfig:
         Enable ``POST /v1/config`` hot reconfiguration.  Off by default —
         changing the served algorithm over the network is an operator
@@ -835,9 +854,6 @@ class SegmentationHTTPServer:
     ) -> None:
         self._control = ControlPlane(segmenter, serving)
         self._allow_reconfig = bool(allow_reconfig)
-        self._run_spec_slots = threading.BoundedSemaphore(
-            MAX_CONCURRENT_RUN_SPECS
-        )
         self.http_stats = _HttpStats()
         # Replica identity: a fresh random id per server instance lets a
         # fleet health prober distinguish "same replica, still warm" from
@@ -879,14 +895,6 @@ class SegmentationHTTPServer:
     def port(self) -> int:
         """Bound TCP port (the real one, also when constructed with 0)."""
         return self._httpd.server_address[1]
-
-    @property
-    def bound_port(self) -> int:
-        """Alias of :attr:`port`, named for the supervisor/smoke contract:
-        after ``port=0`` this is the ephemeral port the kernel actually
-        assigned, the value ``seghdc serve`` prints as
-        ``SEGHDC_SERVE_PORT=<port>``."""
-        return self.port
 
     def __enter__(self) -> "SegmentationHTTPServer":
         return self
@@ -957,7 +965,6 @@ class SegmentationHTTPServer:
             ("GET", "/v1/segmenters"): self._handle_segmenters,
             ("POST", "/v1/segment"): self._handle_segment,
             ("POST", "/v1/segment-stream"): self._handle_segment_stream,
-            ("POST", "/v1/run-spec"): self._handle_run_spec,
             ("POST", "/v1/config"): self._handle_config,
         }
         known_paths = {r for _, r in routes}
@@ -974,7 +981,7 @@ class SegmentationHTTPServer:
                 # they get the raw body + headers instead of parsed JSON.
                 return 200, handler(request)
             if method == "POST":
-                result = handler(self._parse_json_body(body))
+                result = handler(_parse_json_object(body))
             else:
                 result = handler()
             # A handler may pick its own status by returning a
@@ -989,11 +996,6 @@ class SegmentationHTTPServer:
             return 503, {"error": f"server saturated: {exc}"}
         except Exception as exc:  # noqa: BLE001 - must answer, not crash
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
-
-    @staticmethod
-    def _parse_json_body(body: bytes) -> dict:
-        """Parse one JSON-object body (see :func:`_parse_json_object`)."""
-        return _parse_json_object(body)
 
     # ------------------------------------------------------------------ #
     # endpoints
@@ -1087,10 +1089,6 @@ class SegmentationHTTPServer:
             },
         }
 
-    def _decode_segment_request(self, request: RawRequest, max_images: int):
-        """Normalize a segment request (see :func:`decode_segment_request`)."""
-        return decode_segment_request(request, max_images)
-
     def _handle_segment(self, request: RawRequest):
         """Segment one image or a batch through the wrapped server.
 
@@ -1101,57 +1099,22 @@ class SegmentationHTTPServer:
         path, so ``/stats`` can report measured ``bytes_per_image`` per
         wire form.
         """
-        decoded = self._decode_segment_request(request, MAX_IMAGES_PER_REQUEST)
+        decoded = decode_segment_request(request, MAX_IMAGES_PER_REQUEST)
         results = self._segment_batch_bounded(decoded["images"])
-        if decoded["encoding"] == "raw":
-            if decoded["single"]:
-                body = npy_bytes(results[0].labels)
-            else:
-                body = pack_frames(
-                    (index, result.labels)
-                    for index, result in enumerate(results)
-                )
-            self.http_stats.record_transport(
-                decoded["path"],
-                images=len(results),
-                bytes_in=decoded["bytes_in"],
-                bytes_out=len(body),
-            )
-            return RawResponse(
-                body=body, headers={"X-Seghdc-Count": str(len(results))}
-            )
-        encoded = []
-        bytes_out = 0
-        for result in results:
-            labels_encoded = encode_labels(result.labels, decoded["encoding"])
-            # For base64 the string length *is* the wire size; for nested
-            # lists the raw label bytes stand in (the decimal text is
-            # larger, so the list path never under-reports raw's edge).
-            bytes_out += (
-                len(labels_encoded)
-                if isinstance(labels_encoded, str)
-                else int(result.labels.nbytes)
-            )
-            entry = {
-                "shape": list(result.labels.shape),
-                "num_clusters": result.num_clusters,
-                "elapsed_seconds": result.elapsed_seconds,
-                "labels": labels_encoded,
-            }
-            if decoded["include_workload"]:
-                entry["workload"] = result.workload
-            encoded.append(entry)
-        self.http_stats.record_transport(
-            decoded["path"],
-            images=len(results),
-            bytes_in=decoded["bytes_in"],
-            bytes_out=bytes_out,
+        workload = decoded["include_workload"]
+        return encode_segment_response(
+            decoded,
+            [result.labels for result in results],
+            (
+                {
+                    "num_clusters": result.num_clusters,
+                    "elapsed_seconds": result.elapsed_seconds,
+                    **({"workload": result.workload} if workload else {}),
+                }
+                for result in results
+            ),
+            self.http_stats,
         )
-        return {
-            "count": len(encoded),
-            "response_encoding": decoded["encoding"],
-            "results": encoded,
-        }
 
     def _handle_segment_stream(self, request: RawRequest) -> StreamingResponse:
         """Chunked streaming segmentation over ``SegmentationServer.map``.
@@ -1167,50 +1130,31 @@ class SegmentationHTTPServer:
         failed job is framed with a non-zero status before the stream
         ends.
         """
-        decoded = self._decode_segment_request(request, MAX_STREAM_IMAGES)
-        images = decoded["images"]
-        http_stats = self.http_stats
+        decoded = decode_segment_request(request, MAX_STREAM_IMAGES)
         control = self._control
 
-        def chunks() -> Iterator[bytes]:
-            """Produce the container header, then one frame per result."""
-            bytes_out = 0
-            try:
-                yield _CONTAINER_HEADER.pack(FRAME_MAGIC, 1, 0, len(images))
-                # Riding the control plane's map means a stream that spans
-                # a hot reconfiguration keeps flowing: later images land on
-                # the new generation, already-admitted ones finish on the
-                # old, and no frame is dropped or duplicated.
-                iterator = control.map(images)
-                while True:
-                    try:
-                        index, result = next(iterator)
-                    except StopIteration:
-                        return
-                    except Exception as exc:  # noqa: BLE001 - framed error
-                        # The index is not recoverable from map's raise, so
-                        # the error frame carries the sentinel index; the
-                        # client stops decoding at the error either way.
-                        message = f"{type(exc).__name__}: {exc}"
-                        body = message.encode("utf-8")
-                        yield _FRAME_HEADER.pack(
-                            0xFFFFFFFF, 1, len(body)
-                        ) + body
-                        return
-                    frame_body = npy_bytes(result.labels)
-                    bytes_out += len(frame_body)
-                    yield _FRAME_HEADER.pack(
-                        index, 0, len(frame_body)
-                    ) + frame_body
-            finally:
-                http_stats.record_transport(
-                    decoded["path"],
-                    images=len(images),
-                    bytes_in=decoded["bytes_in"],
-                    bytes_out=bytes_out,
-                )
+        def frames() -> Generator:
+            """One ``(index, status, body)`` frame per finished image."""
+            # Riding the control plane's map means a stream that spans a
+            # hot reconfiguration keeps flowing: later images land on the
+            # new generation, already-admitted ones finish on the old, and
+            # no frame is dropped or duplicated.
+            iterator = control.map(decoded["images"])
+            while True:
+                try:
+                    index, result = next(iterator)
+                except StopIteration:
+                    return
+                except Exception as exc:  # noqa: BLE001 - framed error
+                    # The index is not recoverable from map's raise, so the
+                    # error frame carries the sentinel index; the client
+                    # stops decoding at the error either way.
+                    message = f"{type(exc).__name__}: {exc}"
+                    yield 0xFFFFFFFF, 1, message.encode("utf-8")
+                    return
+                yield index, 0, npy_bytes(result.labels)
 
-        return StreamingResponse(chunks=chunks())
+        return framed_stream(decoded, frames(), self.http_stats)
 
     def _segment_batch_bounded(self, images: list) -> list:
         """Submit a request's images without blocking on a full queue.
@@ -1235,39 +1179,3 @@ class SegmentationHTTPServer:
                     pass
             raise
         return [handle.result() for handle in handles]
-
-    def _handle_run_spec(self, payload: dict) -> dict:
-        """Execute a JSON run-spec; never writes server-side files.
-
-        A run-spec is a whole experiment (dataset build + sweep, possibly
-        its own worker pool), so unlike ``/v1/segment`` it cannot ride the
-        wrapped server's queue — instead concurrency is bounded by a
-        semaphore (503 over :data:`MAX_CONCURRENT_RUN_SPECS` at once) and
-        the requested image count is capped, so per-connection handler
-        threads cannot multiply experiments without bound.
-        """
-        from repro.api.runner import execute_run_spec
-        from repro.api.spec import RunSpec
-
-        # A network caller must not write files on the serving host, so the
-        # spec's output field is dropped before execution.
-        payload = {k: v for k, v in payload.items() if k != "output"}
-        try:
-            spec = RunSpec.from_dict(payload)
-        except (TypeError, ValueError) as exc:
-            raise HTTPRequestError(f"invalid run spec: {exc}") from None
-        if spec.num_images > MAX_RUN_SPEC_IMAGES:
-            raise HTTPRequestError(
-                f"run spec requests {spec.num_images} images; the network "
-                f"limit is {MAX_RUN_SPEC_IMAGES}"
-            )
-        if not self._run_spec_slots.acquire(blocking=False):
-            raise HTTPRequestError(
-                f"{MAX_CONCURRENT_RUN_SPECS} run-spec executions already in "
-                "flight; retry later",
-                status=503,
-            )
-        try:
-            return execute_run_spec(spec)
-        finally:
-            self._run_spec_slots.release()

@@ -539,7 +539,24 @@ class TestTileCommand:
     @pytest.mark.parametrize("flag", ["--height", "--width"])
     def test_refuses_non_positive_image_size(self, flag):
         with pytest.raises(
-            SystemExit, match="--height/--width must be positive"
+            SystemExit, match="^seghdc: error: image size must be positive"
         ):
             main(["tile", flag, "0"])
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (["--tile", "0x64"], "tile_height must be positive"),
+            (["--overlap", "-1"], "overlap must be non-negative"),
+            (
+                ["--overlap", "200", "--tile", "128x128"],
+                "overlap 200 must be smaller than the tile shape",
+            ),
+            (["--spacing", "0"], "spacing must be at least 4"),
+        ],
+        ids=["tile-0x64", "overlap-neg", "overlap-200", "spacing-0"],
+    )
+    def test_refuses_out_of_range_arguments_in_one_line(self, args, match):
+        with pytest.raises(SystemExit, match=f"^seghdc: error: {match}"):
+            main(["tile", "--height", "96", "--width", "96", *args])
 

@@ -14,6 +14,7 @@ in ``tools/cluster_smoke.py`` where replicas are real subprocesses.
 
 from __future__ import annotations
 
+import base64
 import os
 import re
 import time
@@ -266,15 +267,11 @@ class TestGatewayRouting:
 
     def test_json_request_reports_the_serving_replica(self, fleet):
         gateway, _ = fleet
-        from repro.serving.http import array_to_b64_npy
         import json as json_module
 
         image = _image()
         body = json_module.dumps(
-            {
-                "image": {"data": array_to_b64_npy(image), "encoding": "npy"},
-                "response_encoding": "npy",
-            }
+            {"image": {"pixels": image.tolist()}, "response_encoding": "list"}
         ).encode("utf-8")
         status, payload = gateway.handle_request(
             "POST", "/v1/segment", body, content_type="application/json"
@@ -285,13 +282,42 @@ class TestGatewayRouting:
         assert entry["replica"] == expected_owner
         assert entry["num_clusters"] >= 1
         reference = SegHDCEngine(_config()).segment(image)
-        import base64
-        import io
-
-        served = np.load(
-            io.BytesIO(base64.b64decode(entry["labels"])), allow_pickle=False
-        )
+        served = np.asarray(entry["labels"])
         assert np.array_equal(served, reference.labels)
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            (
+                {
+                    "image": {
+                        "data": base64.b64encode(npy_bytes(_image())).decode(),
+                        "encoding": "npy",
+                    }
+                },
+                "'data'.*retired",
+            ),
+            (
+                {"image": [[0, 1], [2, 3]], "response_encoding": "npy"},
+                "response_encoding 'npy'.*\\('list', 'raw'\\)",
+            ),
+        ],
+        ids=["data-image", "npy-response"],
+    )
+    def test_retired_wire_forms_are_400_naming_the_form(
+        self, fleet, payload, match
+    ):
+        import json as json_module
+
+        gateway, _ = fleet
+        status, body = gateway.handle_request(
+            "POST",
+            "/v1/segment",
+            json_module.dumps(payload).encode("utf-8"),
+            content_type="application/json",
+        )
+        assert status == 400
+        assert re.search(match, body["error"]), body["error"]
 
     def test_stream_interleaves_every_frame_exactly_once(self, fleet):
         gateway, _ = fleet

@@ -2,11 +2,11 @@
 
 Four layers of coverage:
 
-* payload codecs — both wire forms of an image (base64 ``.npy`` and nested
-  lists), both response encodings, and the validation errors;
+* payload codecs — both wire forms of an image (raw ``.npy`` and nested
+  lists), both response encodings, the validation errors and the
+  refusal of the retired ``"data"`` / ``"npy"`` forms;
 * socket-free dispatch — ``handle_request`` routing, every endpoint's
-  payload shape, error statuses, run-spec execution with the ``output``
-  field stripped;
+  payload shape and error statuses;
 * a real ``ThreadingHTTPServer`` socket round-trip via ``urllib``, with
   label-map parity against a direct :class:`SegHDCEngine` run on both
   compute backends, plus the process-mode shared grid cache observed
@@ -18,6 +18,7 @@ Four layers of coverage:
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
 import socket
@@ -38,10 +39,10 @@ from repro.serving.http import (
     FRAME_MAGIC,
     RawResponse,
     StreamingResponse,
+    RawRequest,
     array_from_npy_bytes,
-    array_to_b64_npy,
     decode_image_payload,
-    encode_labels,
+    decode_segment_request,
     npy_bytes,
     pack_frames,
     unpack_frames,
@@ -63,19 +64,18 @@ def _image(shape=(20, 24), seed=0):
     return rng.integers(0, 256, size=shape, dtype=np.uint8)
 
 
-def _npy_payload(array):
-    return {"data": array_to_b64_npy(array), "encoding": "npy"}
+def _pixels_payload(array):
+    return {"pixels": array.tolist()}
 
 
-def _labels_from(entry, encoding):
-    if encoding == "npy":
-        import base64
-        import io
-
-        return np.load(
-            io.BytesIO(base64.b64decode(entry["labels"])), allow_pickle=False
-        )
+def _labels_from(entry):
     return np.asarray(entry["labels"])
+
+
+def _retired_data_payload(array):
+    """The retired base64 ``.npy`` image form, well-formed."""
+    data = base64.b64encode(npy_bytes(array)).decode("ascii")
+    return {"data": data, "encoding": "npy"}
 
 
 @pytest.fixture()
@@ -90,7 +90,8 @@ def app():
 class TestPayloadCodecs:
     def test_npy_roundtrip_preserves_pixels(self):
         image = _image((8, 10))
-        decoded = decode_image_payload(_npy_payload(image))
+        request = RawRequest(npy_bytes(image), _OCTET, "")
+        [decoded] = decode_segment_request(request, 1)["images"]
         assert decoded.dtype == np.uint8
         assert np.array_equal(decoded, image)
 
@@ -108,34 +109,24 @@ class TestPayloadCodecs:
 
     def test_rgb_payloads_keep_three_dimensions(self):
         image = _image((6, 7, 3))
-        assert decode_image_payload(_npy_payload(image)).shape == (6, 7, 3)
+        assert decode_image_payload(_pixels_payload(image)).shape == (6, 7, 3)
 
     @pytest.mark.parametrize(
         "payload, match",
         [
-            ({"data": "!!!not-base64!!!"}, "base64"),
-            ({"data": "aGVsbG8="}, ".npy"),
+            ({"data": "aGVsbG8="}, "'data'.*retired"),
+            (_retired_data_payload(_image()), "'data'.*retired"),
             ({"pixels": [[1, 2], [3]]}, "rectangular"),
             ({"pixels": "text"}, "rectangular|numeric"),
-            ({"wrong": 1}, "'data'.*'pixels'|'pixels'"),
+            ({"wrong": 1}, "'pixels'"),
             (42, "object or a nested list"),
-            ({"data": array_to_b64_npy(np.zeros(4)), }, "2-D or 3-D"),
-            ({"data": array_to_b64_npy(_image()), "encoding": "jpeg"}, "encoding"),
+            ({"pixels": [0, 1, 2, 3]}, "2-D or 3-D"),
+            ([[[[1]]]], "2-D or 3-D"),
         ],
     )
     def test_bad_image_payloads_raise_clean_errors(self, payload, match):
         with pytest.raises(HTTPRequestError, match=match):
             decode_image_payload(payload)
-
-    def test_encode_labels_both_encodings(self):
-        labels = np.arange(6).reshape(2, 3)
-        assert encode_labels(labels, "list") == [[0, 1, 2], [3, 4, 5]]
-        restored = _labels_from(
-            {"labels": encode_labels(labels, "npy")}, "npy"
-        )
-        assert np.array_equal(restored, labels)
-        with pytest.raises(HTTPRequestError, match="response_encoding"):
-            encode_labels(labels, "protobuf")
 
 
 class TestZeroCopyCodecs:
@@ -278,16 +269,11 @@ class TestRawWireDispatch:
 
     def _json_reference(self, app, images):
         body = json.dumps(
-            {
-                "images": [_npy_payload(image) for image in images],
-                "response_encoding": "npy",
-            }
+            {"images": [_pixels_payload(image) for image in images]}
         ).encode()
         status, payload = app.handle_request("POST", "/v1/segment", body)
         assert status == 200, payload.get("error")
-        return [
-            _labels_from(entry, "npy") for entry in payload["results"]
-        ]
+        return [_labels_from(entry) for entry in payload["results"]]
 
     def test_raw_single_image_gets_a_bare_npy_body(self, app):
         image = _image(seed=5)
@@ -315,11 +301,12 @@ class TestRawWireDispatch:
         for (_, labels), reference in zip(entries, expected):
             assert np.array_equal(labels, reference)
 
-    def test_raw_request_with_accept_json_opts_back_into_the_envelope(
-        self, app
-    ):
+    def test_raw_request_with_accept_json_gets_the_list_envelope(self, app):
         image = _image(seed=6)
         [expected] = self._json_reference(app, [image])
+        _, raw = app.handle_request(
+            "POST", "/v1/segment", npy_bytes(image), content_type=_OCTET
+        )
         status, payload = app.handle_request(
             "POST",
             "/v1/segment",
@@ -329,15 +316,17 @@ class TestRawWireDispatch:
         )
         assert status == 200, payload
         assert isinstance(payload, dict)
-        assert payload["response_encoding"] == "npy"
-        assert np.array_equal(
-            _labels_from(payload["results"][0], "npy"), expected
-        )
+        assert payload["response_encoding"] == "list"
+        labels = payload["results"][0]["labels"]
+        assert isinstance(labels, list)
+        raw_labels = array_from_npy_bytes(raw.body)
+        assert np.array_equal(np.asarray(labels, raw_labels.dtype), raw_labels)
+        assert np.array_equal(raw_labels, expected)
 
     def test_json_request_with_accept_octet_upgrades_to_raw(self, app):
         image = _image(seed=7)
         [expected] = self._json_reference(app, [image])
-        body = json.dumps({"image": _npy_payload(image)}).encode()
+        body = json.dumps({"image": _pixels_payload(image)}).encode()
         status, payload = app.handle_request(
             "POST", "/v1/segment", body, accept=_OCTET
         )
@@ -350,7 +339,7 @@ class TestRawWireDispatch:
         expected = self._json_reference(app, images)
         body = json.dumps(
             {
-                "images": [_npy_payload(image) for image in images],
+                "images": [_pixels_payload(image) for image in images],
                 "response_encoding": "raw",
             }
         ).encode()
@@ -430,27 +419,28 @@ class TestRawWireDispatch:
         app.handle_request(
             "POST", "/v1/segment", npy_bytes(image), content_type=_OCTET
         )
-        app.handle_request(
+        status, _ = app.handle_request(
             "POST",
             "/v1/segment",
-            json.dumps(
-                {"image": _npy_payload(image), "response_encoding": "npy"}
-            ).encode(),
+            json.dumps({"image": _retired_data_payload(image)}).encode(),
         )
+        assert status == 400  # the retired form is refused, not counted
         app.handle_request(
             "POST",
             "/v1/segment",
             json.dumps({"image": image.tolist()}).encode(),
         )
         transport = app.http_stats.snapshot()["transport"]
-        assert set(transport) == {"http-raw", "http-base64", "http-json"}
+        assert set(transport) == {"http-raw", "http-json"}
         raw = transport["http-raw"]
         assert raw["images"] == 1
         assert raw["bytes_in"] == len(npy_bytes(image))
         assert raw["bytes_out"] > 0
         assert raw["bytes_per_image"] == raw["bytes_in"] + raw["bytes_out"]
-        # Base64 inflates the same pixels by 4/3 on the wire.
-        assert transport["http-base64"]["bytes_in"] > raw["bytes_in"]
+        # JSON counts the decoded pixel bytes, not the decimal text.
+        listed = transport["http-json"]
+        assert listed["images"] == 1
+        assert listed["bytes_in"] == image.nbytes
 
 
 class TestStreamingDispatch:
@@ -480,7 +470,7 @@ class TestStreamingDispatch:
         images = [_image(seed=i) for i in range(2)]
         expected = SegHDCEngine(_config()).segment_batch(images)
         body = json.dumps(
-            {"images": [_npy_payload(image) for image in images]}
+            {"images": [_pixels_payload(image) for image in images]}
         ).encode()
         status, payload = app.handle_request(
             "POST", "/v1/segment-stream", body
@@ -543,7 +533,7 @@ class TestDispatch:
             "POST",
             "/v1/segment",
             json.dumps(
-                {"image": _npy_payload(_image()), "images": []}
+                {"image": _pixels_payload(_image()), "images": []}
             ).encode(),
         )
         assert status == 400
@@ -566,23 +556,23 @@ class TestDispatch:
         status, payload = app.handle_request(
             "POST",
             "/v1/segment",
-            json.dumps({"image": _npy_payload(image)}).encode(),
+            json.dumps({"image": _pixels_payload(image)}).encode(),
         )
         assert status == 200, payload.get("error")
         assert payload["count"] == 1
         entry = payload["results"][0]
-        assert np.array_equal(_labels_from(entry, "list"), expected.labels)
+        assert np.array_equal(_labels_from(entry), expected.labels)
         assert entry["num_clusters"] == 2
         assert entry["workload"]["backend"] == "dense"
         assert "cache" in entry["workload"]
 
-    def test_segment_batch_npy_response_and_workload_toggle(self, app):
+    def test_segment_batch_list_response_and_workload_toggle(self, app):
         images = [_image(seed=i) for i in range(3)]
         expected = SegHDCEngine(_config()).segment_batch(images)
         body = json.dumps(
             {
-                "images": [_npy_payload(image) for image in images],
-                "response_encoding": "npy",
+                "images": [_pixels_payload(image) for image in images],
+                "response_encoding": "list",
                 "include_workload": False,
             }
         ).encode()
@@ -590,7 +580,7 @@ class TestDispatch:
         assert status == 200, payload.get("error")
         assert payload["count"] == 3
         for ref, entry in zip(expected, payload["results"]):
-            assert np.array_equal(_labels_from(entry, "npy"), ref.labels)
+            assert np.array_equal(_labels_from(entry), ref.labels)
             assert "workload" not in entry
 
     def test_segment_rejects_oversize_batches(self, app):
@@ -613,43 +603,33 @@ class TestDispatch:
         assert backends["packed"]["capabilities"]["storage"] == "uint64"
         assert payload["serving"]["segmenter"]["segmenter"] == "seghdc"
 
-    def test_run_spec_executes_and_never_writes_output(self, app, tmp_path):
-        out_file = tmp_path / "forbidden.json"
-        spec = {
-            "segmenter": "seghdc",
-            "config": {"dimension": 300, "num_iterations": 2, "beta": 3},
-            "dataset": "dsb2018",
-            "num_images": 2,
-            "image_shape": [24, 32],
-            "output": str(out_file),
-        }
-        status, payload = app.handle_request(
-            "POST", "/v1/run-spec", json.dumps(spec).encode()
-        )
-        assert status == 200, payload.get("error")
-        assert payload["num_images"] == 2
-        assert 0.0 <= payload["mean_iou"] <= 1.0
-        assert "output_path" not in payload
-        assert not out_file.exists()
-
-    def test_run_spec_validation_errors_are_400(self, app):
-        status, payload = app.handle_request(
-            "POST", "/v1/run-spec", json.dumps({"segmenter": "nope"}).encode()
-        )
-        assert status == 400 and "invalid run spec" in payload["error"]
-        status, _ = app.handle_request(
-            "POST",
-            "/v1/run-spec",
-            json.dumps({"segmenter": "seghdc", "bogus_field": 1}).encode(),
-        )
+    def test_retired_data_image_payload_is_400_naming_it(self, app):
+        body = json.dumps({"image": _retired_data_payload(_image())}).encode()
+        status, payload = app.handle_request("POST", "/v1/segment", body)
         assert status == 400
+        assert "'data'" in payload["error"] and "retired" in payload["error"]
+
+    def test_retired_npy_response_encoding_is_400_naming_it(self, app):
+        body = json.dumps(
+            {"image": _pixels_payload(_image()), "response_encoding": "npy"}
+        ).encode()
+        status, payload = app.handle_request("POST", "/v1/segment", body)
+        assert status == 400
+        assert "'npy'" in payload["error"]
+        assert "('list', 'raw')" in payload["error"]
+
+    def test_retired_run_spec_route_is_404_naming_the_path(self, app):
+        body = json.dumps({"segmenter": "seghdc"}).encode()
+        status, payload = app.handle_request("POST", "/v1/run-spec", body)
+        assert status == 404
+        assert "/v1/run-spec" in payload["error"]
 
     def test_stats_reports_serving_and_http_counters(self, app):
         app.handle_request("GET", "/healthz", b"")
         app.handle_request(
             "POST",
             "/v1/segment",
-            json.dumps({"image": _npy_payload(_image())}).encode(),
+            json.dumps({"image": _pixels_payload(_image())}).encode(),
         )
         status, payload = app.handle_request("GET", "/stats", b"")
         assert status == 200
@@ -674,7 +654,7 @@ class TestDispatch:
             (
                 "POST",
                 "/v1/segment",
-                json.dumps({"image": _npy_payload(_image())}).encode(),
+                json.dumps({"image": _pixels_payload(_image())}).encode(),
             ),
         ]:
             _, payload = app.handle_request(method, path, body)
@@ -745,10 +725,7 @@ class TestOverSocket:
             server.start()
             url = f"http://{server.host}:{server.port}"
             body = json.dumps(
-                {
-                    "images": [_npy_payload(image) for image in images],
-                    "response_encoding": "npy",
-                }
+                {"images": [_pixels_payload(image) for image in images]}
             ).encode()
             request = urllib.request.Request(
                 f"{url}/v1/segment",
@@ -758,7 +735,7 @@ class TestOverSocket:
             with urllib.request.urlopen(request, timeout=120) as response:
                 payload = json.load(response)
             for ref, entry in zip(expected, payload["results"]):
-                assert np.array_equal(_labels_from(entry, "npy"), ref.labels)
+                assert np.array_equal(_labels_from(entry), ref.labels)
             with urllib.request.urlopen(f"{url}/stats", timeout=30) as response:
                 stats = json.load(response)
             assert stats["serving"]["completed"] == 3
@@ -816,13 +793,13 @@ class TestOverSocket:
             server.start()
             url = f"http://{server.host}:{server.port}"
             body = json.dumps(
-                {"images": [_npy_payload(image) for image in images]}
+                {"images": [_pixels_payload(image) for image in images]}
             ).encode()
             request = urllib.request.Request(f"{url}/v1/segment", data=body)
             with urllib.request.urlopen(request, timeout=300) as response:
                 payload = json.load(response)
             for ref, entry in zip(expected, payload["results"]):
-                assert np.array_equal(_labels_from(entry, "list"), ref.labels)
+                assert np.array_equal(_labels_from(entry), ref.labels)
             with urllib.request.urlopen(f"{url}/stats", timeout=30) as response:
                 stats = json.load(response)
         cache = stats["serving"]["cache"]
@@ -831,8 +808,8 @@ class TestOverSocket:
 
     def test_raw_octet_stream_bodies_over_socket(self):
         """Raw ``.npy`` request and response over a real socket, bit-exact
-        against the base64 JSON wire form, with /stats splitting the byte
-        counters by wire form."""
+        against a direct engine run, with /stats counting the raw wire
+        form's bytes."""
         images = [_image(seed=i) for i in range(2)]
         expected = SegHDCEngine(_config()).segment_batch(images)
         with SegmentationHTTPServer(
@@ -1181,7 +1158,7 @@ class TestConfigEndpoint:
 
 
 class TestReplicaIdentity:
-    """``/healthz`` identity triple + ``bound_port`` (fleet satellite)."""
+    """``/healthz`` identity triple + the bound ephemeral ``port``."""
 
     def test_healthz_carries_the_identity_triple(self, app):
         import os
@@ -1204,9 +1181,10 @@ class TestReplicaIdentity:
             _, second = other.handle_request("GET", "/healthz", b"")
             assert first["instance_id"] != second["instance_id"]
 
-    def test_bound_port_reports_the_ephemeral_port(self):
+    def test_port_reports_the_ephemeral_port(self):
         with SegmentationHTTPServer(
             _config(), port=0, serving={"mode": "thread", "num_workers": 1}
         ).start() as server:
-            assert server.bound_port == server.port
-            assert server.bound_port != 0
+            assert server.port == server._httpd.socket.getsockname()[1]
+            assert server.port != 0
+            assert not hasattr(server, "bound_port")

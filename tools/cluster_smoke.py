@@ -7,7 +7,7 @@ sockets):
 1. **Fleet parity + shape affinity** — a :class:`ClusterGateway` over 2
    supervised ``seghdc serve`` replicas serves a 3-shape workload; every
    label map must be bit-exact against a direct :class:`SegHDCEngine` run
-   of the same config (raw framed wire and base64 JSON both), and the
+   of the same config (raw framed wire and nested-list JSON both), and the
    ``/stats`` fleet rollup must show **exactly one** position-grid build
    per shape fleet-wide — each shape's grid was built on the one replica
    the ring routes it to, and each replica's build count equals the number
@@ -115,11 +115,7 @@ def smoke_parity_and_affinity(output_dir: Path) -> None:
     """Pass 1: bit-exact fleet parity + one grid build per shape."""
     from repro.seghdc import SegHDCEngine
     from repro.serving.cluster import ReplicaClient
-    from repro.serving.http import (
-        array_to_b64_npy,
-        pack_frames,
-        unpack_frames,
-    )
+    from repro.serving.http import pack_frames, unpack_frames
 
     images = _images(12, seed=7)
     reference = SegHDCEngine(_config()).segment_batch(images)
@@ -138,14 +134,14 @@ def smoke_parity_and_affinity(output_dir: Path) -> None:
                 f"fleet: raw label map {index} diverged from the direct "
                 "engine run"
             )
-        # The JSON/base64 wire form answers identically.
+        # The nested-list JSON wire form answers identically.
         body = json.dumps(
             {
                 "images": [
-                    {"data": array_to_b64_npy(image), "encoding": "npy"}
+                    {"pixels": image.tolist()}
                     for image in images[: len(_SHAPES)]
                 ],
-                "response_encoding": "npy",
+                "response_encoding": "list",
             }
         ).encode("utf-8")
         request = urllib.request.Request(
@@ -156,14 +152,8 @@ def smoke_parity_and_affinity(output_dir: Path) -> None:
         with urllib.request.urlopen(request, timeout=600) as response:
             payload = json.load(response)
         assert payload["count"] == len(_SHAPES), payload
-        import base64
-        import io
-
         for index, entry in enumerate(payload["results"]):
-            served = np.load(
-                io.BytesIO(base64.b64decode(entry["labels"])),
-                allow_pickle=False,
-            )
+            served = np.asarray(entry["labels"])
             assert np.array_equal(served, reference[index].labels), (
                 f"fleet: JSON label map {index} diverged"
             )

@@ -2,7 +2,7 @@
 """Seeded mutation fuzzer for the HTTP wire decoders.
 
 Starts from valid seed bodies — raw ``.npy`` images, framed (SHDC) batches
-and JSON envelopes carrying nested-list and base64 ``.npy`` images — and
+and JSON envelopes carrying nested-list images — and
 stacks random byte-level mutations on them with a stdlib
 :class:`random.Random`, so one ``--seed`` always replays the same inputs.
 Every mutant goes through :func:`repro.serving.http.array_from_npy_bytes`,
@@ -40,7 +40,6 @@ from repro.serving.http import (
     HTTPRequestError,
     RawRequest,
     array_from_npy_bytes,
-    array_to_b64_npy,
     decode_segment_request,
     npy_bytes,
     pack_frames,
@@ -91,10 +90,10 @@ def seed_bodies() -> list:
             json.dumps(
                 {
                     "images": [
-                        {"data": array_to_b64_npy(gray), "encoding": "npy"},
+                        {"pixels": gray.tolist()},
                         [[1, 2], [3, 4]],
                     ],
-                    "response_encoding": "npy",
+                    "response_encoding": "list",
                 }
             ).encode(),
         ),

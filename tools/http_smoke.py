@@ -5,18 +5,19 @@ What it proves, end to end (real subprocess, real sockets, stdlib clients only):
 
 1. **Parity on both backends** — for ``dense`` and ``packed``, a thread-mode
    ``seghdc serve`` is booted, a 2-image batch is POSTed to
-   ``/v1/segment`` (base64 ``.npy`` payloads), and the returned label maps
-   must be bit-exact against a direct :class:`SegHDCEngine` run of the same
-   config.  A ``/v1/run-spec`` POST and ``/healthz`` / ``/stats`` sanity
+   ``/v1/segment`` as a raw framed ``.npy`` body, and the returned label
+   maps must be bit-exact against a direct :class:`SegHDCEngine` run of
+   the same config; the same batch sent as nested-list JSON must return
+   the same labels as the raw reply.  ``/healthz`` / ``/stats`` sanity
    checks ride along.
-2. **Process pool** — a 4-worker *process-mode* server serves a batch of
-   same-shape images bit-exact against the dense engine, and ``/stats``
-   must report between one and one-per-worker position-grid builds (each
-   worker builds the shape once) and no ``shared_*`` keys.
+2. **Process pool** — a 4-worker *process-mode* server serves a raw
+   framed batch of same-shape images bit-exact against the dense engine,
+   and ``/stats`` must report between one and one-per-worker position-grid
+   builds (each worker builds the shape once) and no ``shared_*`` keys.
 3. **Raw wire** — a 4-worker process-mode server around the ``threshold``
    probe serves a 512x512 batch; raw octet-stream responses must be
-   bit-exact against base64, the streaming endpoint must agree, the raw
-   wire form must sustain >= 1.2x the base64 form's images/sec, and
+   bit-exact against the ``"list"`` envelope of the same raw request
+   (``Accept: application/json``), the streaming endpoint must agree, and
    ``/stats`` must show every image pickled to its worker at exactly its
    pixel bytes (512 x 512 per image).
 4. **Hot reconfiguration** — a ``--allow-reconfig`` server streams a long
@@ -46,9 +47,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import base64
 import http.client
-import io
 import json
 import os
 import statistics
@@ -85,19 +84,12 @@ def _images(count: int, seed: int = 7) -> list:
     ]
 
 
-def _npy_payload(array: np.ndarray) -> dict:
-    buffer = io.BytesIO()
-    np.save(buffer, array, allow_pickle=False)
-    return {
-        "data": base64.b64encode(buffer.getvalue()).decode("ascii"),
-        "encoding": "npy",
-    }
+def _pixels_payload(array: np.ndarray) -> dict:
+    return {"pixels": array.tolist()}
 
 
 def _labels(entry: dict) -> np.ndarray:
-    return np.load(
-        io.BytesIO(base64.b64decode(entry["labels"])), allow_pickle=False
-    )
+    return np.asarray(entry["labels"])
 
 
 def _post(url: str, payload: dict, timeout: float = 300.0) -> dict:
@@ -186,48 +178,35 @@ class _Server:
 def smoke_backend_parity(backend: str, port: int, output_dir: Path) -> None:
     """Thread-mode server: HTTP label maps bit-exact vs a direct engine."""
     from repro.seghdc import SegHDCEngine
+    from repro.serving.http import pack_frames, unpack_frames
 
     images = _images(2)
     reference = SegHDCEngine(_config(backend)).segment_batch(images)
     with _Server(
         port, "--mode", "thread", "--workers", "2", "--backend", backend
     ) as server:
+        segment_url = f"{server.url}/v1/segment"
+        raw = dict(
+            unpack_frames(_post_raw(segment_url, pack_frames(enumerate(images))))
+        )
+        assert sorted(raw) == list(range(len(images))), sorted(raw)
         payload = _post(
-            f"{server.url}/v1/segment",
-            {
-                "images": [_npy_payload(image) for image in images],
-                "response_encoding": "npy",
-            },
+            segment_url,
+            {"images": [_pixels_payload(image) for image in images]},
         )
         assert payload["count"] == len(images), payload
         for index, (expected, entry) in enumerate(
             zip(reference, payload["results"])
         ):
-            served = _labels(entry)
-            assert np.array_equal(served, expected.labels), (
+            assert np.array_equal(raw[index], expected.labels), (
                 f"{backend}: HTTP label map {index} diverged from the direct "
                 "engine run"
             )
+            assert np.array_equal(_labels(entry), raw[index]), (
+                f"{backend}: list label map {index} diverged from the raw "
+                "reply"
+            )
             assert entry["workload"]["backend"] == backend, entry["workload"]
-
-        # A declarative run-spec through the same server.
-        run = _post(
-            f"{server.url}/v1/run-spec",
-            {
-                "segmenter": "seghdc",
-                "config": {
-                    "dimension": _DIMENSION,
-                    "num_iterations": _ITERATIONS,
-                    "beta": 3,
-                    "backend": backend,
-                },
-                "dataset": "dsb2018",
-                "num_images": 2,
-                "image_shape": list(_SHAPE),
-            },
-        )
-        assert run["num_images"] == 2, run
-        assert 0.0 <= run["mean_iou"] <= 1.0, run
 
         health = _get(f"{server.url}/healthz")
         assert health["status"] == "ok", health
@@ -244,7 +223,7 @@ def smoke_backend_parity(backend: str, port: int, output_dir: Path) -> None:
         (output_dir / f"stats_thread_{backend}.json").write_text(
             json.dumps(stats, indent=2) + "\n"
         )
-    print(f"[http-smoke] {backend}: parity + run-spec + stats OK")
+    print(f"[http-smoke] {backend}: raw + list parity + stats OK")
 
 
 def _keys(node) -> "set[str]":
@@ -259,23 +238,22 @@ def _keys(node) -> "set[str]":
 def smoke_process_pool(port: int, output_dir: Path) -> None:
     """4-worker process mode: bit-exact, one grid build per worker engine."""
     from repro.seghdc import SegHDCEngine
+    from repro.serving.http import pack_frames, unpack_frames
 
     images = _images(8, seed=11)
     reference = SegHDCEngine(_config("dense")).segment_batch(images)
     with _Server(
         port, "--mode", "process", "--workers", "4", "--batch-size", "1"
     ) as server:
-        payload = _post(
-            f"{server.url}/v1/segment",
-            {
-                "images": [_npy_payload(image) for image in images],
-                "response_encoding": "npy",
-            },
+        entries = dict(
+            unpack_frames(
+                _post_raw(
+                    f"{server.url}/v1/segment", pack_frames(enumerate(images))
+                )
+            )
         )
-        for index, (expected, entry) in enumerate(
-            zip(reference, payload["results"])
-        ):
-            assert np.array_equal(_labels(entry), expected.labels), (
+        for index, expected in enumerate(reference):
+            assert np.array_equal(entries[index], expected.labels), (
                 f"process mode: HTTP label map {index} diverged"
             )
         stats = _get(f"{server.url}/stats")
@@ -304,31 +282,32 @@ def _post_expecting_error(url: str, payload: dict) -> tuple:
     raise SystemExit(f"POST {url} unexpectedly succeeded")
 
 
-def _post_raw(url: str, body: bytes, timeout: float = 300.0) -> bytes:
+def _post_raw(
+    url: str,
+    body: bytes,
+    timeout: float = 300.0,
+    accept: str = "application/octet-stream",
+) -> bytes:
     """POST an octet-stream body; returns the raw response body."""
     request = urllib.request.Request(
         url,
         data=body,
-        headers={"Content-Type": "application/octet-stream"},
+        headers={"Content-Type": "application/octet-stream", "Accept": accept},
     )
     with urllib.request.urlopen(request, timeout=timeout) as response:
         return response.read()
 
 
 def smoke_raw_wire(port: int, output_dir: Path) -> None:
-    """Raw-wire acceptance: parity and throughput, measured end to end.
+    """Raw-wire acceptance: parity and transport accounting, end to end.
 
     A 4-worker process-mode server wrapped around the Otsu ``threshold``
     probe (compute ~ 0, so transport dominates) serves a 512x512 batch, and
-    three things must hold:
+    two things must hold:
 
     1. raw octet-stream responses (plain and streamed) are bit-exact
-       against the base64 JSON wire form;
-    2. the raw wire form sustains at least 1.2x the base64 form's
-       images/sec on the same server (best of three, since CI runners are
-       noisy neighbours) — base64 pays a 4/3 inflation plus an encode and
-       a JSON parse per image;
-    3. the serving stats account every image on the ``pickle`` path at
+       against the ``"list"`` JSON envelope of the same raw request;
+    2. the serving stats account every image on the ``pickle`` path at
        exactly its pixel bytes to the workers (512 x 512 uint8).
     """
     from repro.serving.http import npy_bytes, pack_frames, unpack_frames
@@ -340,11 +319,6 @@ def smoke_raw_wire(port: int, output_dir: Path) -> None:
         for _ in range(8)
     ]
     framed = pack_frames(enumerate(images))
-    json_body = {
-        "images": [_npy_payload(image) for image in images],
-        "response_encoding": "npy",
-        "include_workload": False,
-    }
     with _Server(
         port,
         "--mode", "process",
@@ -354,28 +328,18 @@ def smoke_raw_wire(port: int, output_dir: Path) -> None:
         seghdc_flags=False,
     ) as server:
         segment_url = f"{server.url}/v1/segment"
-        # Parity: raw framed vs base64 JSON, bit-exact per image.
-        reference = _post(segment_url, json_body)
+        # Parity: raw framed vs the list envelope, bit-exact per image.
         raw_entries = dict(unpack_frames(_post_raw(segment_url, framed)))
         assert len(raw_entries) == len(images), sorted(raw_entries)
-        for index, entry in enumerate(reference["results"]):
+        listed = json.loads(
+            _post_raw(segment_url, framed, accept="application/json")
+        )
+        assert listed["response_encoding"] == "list", listed.keys()
+        for index, entry in enumerate(listed["results"]):
             assert np.array_equal(raw_entries[index], _labels(entry)), (
-                f"raw-wire: raw label map {index} diverged from base64"
+                f"raw-wire: raw label map {index} diverged from the list "
+                "envelope"
             )
-
-        # Throughput: same server, same images, only the wire form differs.
-        best_ratio = 0.0
-        raw_ips = b64_ips = 0.0
-        for _ in range(3):
-            start = time.perf_counter()
-            _post(segment_url, json_body)
-            b64_ips = len(images) / (time.perf_counter() - start)
-            start = time.perf_counter()
-            _post_raw(segment_url, framed)
-            raw_ips = len(images) / (time.perf_counter() - start)
-            best_ratio = max(best_ratio, raw_ips / b64_ips)
-            if best_ratio >= 1.2:
-                break
 
         # Streaming endpoint sanity: same framed body, chunked response.
         stream_entries = dict(
@@ -399,12 +363,6 @@ def smoke_raw_wire(port: int, output_dir: Path) -> None:
         )
         http_transport = stats["http"]["transport"]
         assert http_transport["http-raw"]["images"] >= len(images)
-        assert http_transport["http-base64"]["images"] >= len(images)
-        # Raw moves fewer wire bytes per image than base64, by construction.
-        assert (
-            http_transport["http-raw"]["bytes_per_image"]
-            < http_transport["http-base64"]["bytes_per_image"]
-        ), http_transport
         expected_raw = len(framed) + sum(
             len(npy_bytes(labels)) for labels in raw_entries.values()
         )
@@ -414,12 +372,7 @@ def smoke_raw_wire(port: int, output_dir: Path) -> None:
     print(
         f"[http-smoke] raw-wire: {pickled['images']} images pickled at "
         f"{pickled['bytes_in'] // pickled['images']} B each, raw parity OK, "
-        f"raw {raw_ips:.1f} img/s vs base64 {b64_ips:.1f} img/s "
-        f"({best_ratio:.2f}x), ~{expected_raw // len(images)} raw B/img"
-    )
-    assert best_ratio >= 1.2, (
-        f"raw-wire: raw wire form reached only {best_ratio:.2f}x base64 "
-        "images/sec (gate: 1.2x)"
+        f"~{expected_raw // len(images)} raw B/img"
     )
 
 
@@ -489,7 +442,7 @@ def smoke_hot_reconfig(port: int, output_dir: Path) -> None:
 
         # Post-swap traffic runs generation 2 on the packed backend.
         payload = _post(
-            f"{server.url}/v1/segment", {"image": _npy_payload(images[0])}
+            f"{server.url}/v1/segment", {"image": _pixels_payload(images[0])}
         )
         workload = payload["results"][0]["workload"]
         assert workload["config_generation"] == 2, workload
