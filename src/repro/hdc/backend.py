@@ -65,11 +65,6 @@ __all__ = [
 #: model imports it so the modelled peak memory matches the implementation.
 ASSIGN_CHUNK_ROWS = 8192
 
-#: Bytes of packed rows :meth:`PackedBackend.dots` ANDs against every
-#: centroid bit-plane in turn; small enough that the rows and their masked
-#: copy stay cache-resident across the planes.
-_DOTS_TILE_BYTES = 1 << 19
-
 
 def validate_bundling_tunables(
     counter_depth: int, bundle_chunk_rows: int
@@ -129,14 +124,12 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     """
     if words.ndim != 2:
         raise ValueError(f"expected a 2-D word array, got shape {words.shape}")
-    # A row holds at most 64 * words set bits: reducing in the narrowest
-    # dtype that fits is about twice as fast as an int64 reduction.
-    narrow = np.min_scalar_type(64 * words.shape[1])
     if _HAS_BITWISE_COUNT:
-        counts = np.bitwise_count(words)
-    else:
-        counts = popcount16_table()[np.ascontiguousarray(words).view(np.uint16)]
-    return counts.sum(axis=1, dtype=narrow).astype(np.int64)
+        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    table = popcount16_table()
+    return table[np.ascontiguousarray(words).view(np.uint16)].sum(
+        axis=1, dtype=np.int64
+    )
 
 
 def _integer_centroids(centroids: np.ndarray) -> np.ndarray:
@@ -663,27 +656,21 @@ class PackedBackend(HDCBackend):
         return pack_hvs((narrow & weights[:, None, None]) != 0, dimension=dimension)
 
     def dots(self, storage: HVStorage, centroids: np.ndarray) -> np.ndarray:
-        """Integer dots via AND + popcount over the centroid bit-planes.
-
-        Rows are taken in tiles of at most :data:`ASSIGN_CHUNK_ROWS` rows
-        and ``_DOTS_TILE_BYTES`` bytes, and each tile meets every plane
-        before the next is read, so the planes reuse it from cache.
-        """
+        """Integer dots via AND + popcount over the centroid bit-planes."""
+        step = ASSIGN_CHUNK_ROWS
         words = storage.data
-        step = max(
-            1, min(ASSIGN_CHUNK_ROWS, _DOTS_TILE_BYTES // max(1, words[:1].nbytes))
-        )
         planes = self.centroid_bit_planes(centroids, storage.dimension)
         num_clusters = planes.shape[1]
         out = np.zeros((words.shape[0], num_clusters), dtype=np.int64)
         for start in range(0, words.shape[0], step):
             chunk = words[start : start + step]
             block = out[start : start + step]
-            masked = np.empty_like(chunk)
             for plane_index in range(planes.shape[0]):
                 for cluster in range(num_clusters):
-                    np.bitwise_and(chunk, planes[plane_index, cluster], out=masked)
-                    block[:, cluster] += popcount_words(masked) << plane_index
+                    block[:, cluster] += (
+                        popcount_words(chunk & planes[plane_index, cluster])
+                        << plane_index
+                    )
         return out
 
     def bundle_masked(

@@ -573,7 +573,7 @@ class ClusterGateway:
                         # immediately.
                         last_error = exc
                         break
-            except Exception as exc:  # noqa: BLE001 - must not hang chunks()
+            except Exception as exc:  # noqa: BLE001 - must not hang frames()
                 last_error = exc
             for global_index in sorted(remaining):
                 message = (
@@ -594,13 +594,14 @@ class ClusterGateway:
                 )
                 for shape, indices in groups.items()
             ]
-            for thread in threads:
-                thread.start()
             try:
+                for thread in threads:
+                    thread.start()
                 for _ in range(len(images)):
                     yield results.get()
             finally:
                 for thread in threads:
-                    thread.join(timeout=10.0)
+                    if thread.is_alive():
+                        thread.join(timeout=10.0)
 
         return framed_stream(decoded, frames(), self.http_stats)
