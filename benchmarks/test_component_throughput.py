@@ -24,7 +24,6 @@ from repro.seghdc import (
     HDKMeans,
     ManhattanColorEncoder,
     PixelHVProducer,
-    SegHDC,
     SegHDCConfig,
     SegHDCEngine,
     make_position_encoder,
@@ -88,7 +87,7 @@ def test_bench_end_to_end_segmentation(benchmark, sample):
         dimension=_DIM, num_clusters=2, num_iterations=3, alpha=0.2, beta=9, seed=0
     )
     result = benchmark.pedantic(
-        SegHDC(config).segment, args=(sample.image,), rounds=3, iterations=1
+        SegHDCEngine(config).segment, args=(sample.image,), rounds=3, iterations=1
     )
     assert result.labels.shape == (_HEIGHT, _WIDTH)
 

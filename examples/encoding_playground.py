@@ -24,7 +24,12 @@ import numpy as np
 from repro.datasets import make_dataset
 from repro.hdc import HypervectorSpace, hamming_distance
 from repro.metrics import best_foreground_iou
-from repro.seghdc import ManhattanColorEncoder, SegHDC, SegHDCConfig, make_position_encoder
+from repro.seghdc import (
+    ManhattanColorEncoder,
+    SegHDCConfig,
+    SegHDCEngine,
+    make_position_encoder,
+)
 
 GRID = 6
 
@@ -60,7 +65,7 @@ def segment_with_every_variant() -> None:
         config = SegHDCConfig.paper_defaults("dsb2018").with_overrides(
             dimension=1000, num_iterations=5, beta=10, position_encoding=variant
         )
-        labels = SegHDC(config).segment(sample.image).labels
+        labels = SegHDCEngine(config).segment(sample.image).labels
         iou = best_foreground_iou(labels, sample.mask)
         print(f"   {variant:12s} IoU {iou:.4f}")
 

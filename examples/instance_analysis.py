@@ -32,7 +32,7 @@ from repro.postprocess import (
     instance_sizes,
     remove_small_objects,
 )
-from repro.seghdc import SegHDC, SegHDCConfig
+from repro.seghdc import SegHDCConfig, SegHDCEngine
 
 
 def binary_foreground(labels: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -47,7 +47,7 @@ def main() -> None:
     config = SegHDCConfig.paper_defaults("bbbc005").with_overrides(
         dimension=1000, num_iterations=5, beta=7
     )
-    result = SegHDC(config).segment(sample.image)
+    result = SegHDCEngine(config).segment(sample.image)
     print(f"pixel-level IoU: {best_foreground_iou(result.labels, sample.mask):.4f}")
 
     # Post-process the foreground and split it into instances.

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.baseline import CNNBaselineConfig, CNNUnsupervisedSegmenter
 from repro.datasets import make_dataset
 from repro.metrics import best_foreground_iou, evaluate_dataset
-from repro.seghdc import SegHDC, SegHDCConfig
+from repro.seghdc import SegHDCConfig, SegHDCEngine
 
 #: Per-dataset settings: image shape for this study and the block size beta
 #: rescaled from the paper's value to the smaller images.
@@ -44,7 +44,7 @@ def main() -> None:
         seghdc_config = SegHDCConfig.paper_defaults(dataset_name).with_overrides(
             dimension=1000, num_iterations=5, beta=settings["beta"]
         )
-        seghdc = SegHDC(seghdc_config)
+        seghdc = SegHDCEngine(seghdc_config)
         seghdc_score = evaluate_dataset(
             lambda sample: seghdc.segment(sample.image).labels,
             samples,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.datasets import make_dataset
 from repro.metrics import best_foreground_iou
-from repro.seghdc import SegHDC, SegHDCConfig
+from repro.seghdc import SegHDCConfig, SegHDCEngine
 from repro.viz import ascii_mask, mask_to_grayscale, save_panel
 
 
@@ -36,7 +36,7 @@ def main() -> None:
     config = SegHDCConfig.paper_defaults("dsb2018").with_overrides(
         dimension=2000, num_iterations=5, beta=13
     )
-    result = SegHDC(config).segment(sample.image)
+    result = SegHDCEngine(config).segment(sample.image)
 
     # 3. Score against the ground truth.
     iou = best_foreground_iou(result.labels, sample.mask)

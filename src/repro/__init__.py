@@ -21,11 +21,11 @@ from repro.api import (
     available_segmenters,
     make_segmenter,
 )
-from repro.seghdc import SegHDC, SegHDCConfig
+from repro.seghdc import SegHDCConfig, SegHDCEngine
 
 # After repro.seghdc on purpose: resolving SegmentationResult first imports
 # repro.imaging before this thread holds the repro.seghdc module lock, long
-# enough for a concurrent first ``import repro.seghdc.pipeline`` to take it
+# enough for a concurrent first ``import repro.seghdc.engine`` to take it
 # and deadlock the two imports.
 from repro.api import SegmentationResult
 from repro.metrics import best_foreground_iou
@@ -34,8 +34,8 @@ __version__ = "1.1.0"
 
 __all__ = [
     "RunSpec",
-    "SegHDC",
     "SegHDCConfig",
+    "SegHDCEngine",
     "SegmentationResult",
     "Segmenter",
     "available_segmenters",

@@ -17,7 +17,7 @@ load-bearing, not an optimisation: the algorithm packages import
 ``repro.api.registry`` at module level to self-register, so an eager
 ``repro.api`` package init holds this package's import lock across the
 whole submodule chain and deadlocks concurrent first imports of e.g.
-``repro.api.registry`` and ``repro.seghdc.pipeline`` on the module locks
+``repro.api.registry`` and ``repro.seghdc.engine`` on the module locks
 (reproducible deterministically with two threads; Python's deadlock
 breaker then surfaces partially initialized modules).  It does not make a
 bare ``import repro`` cheap — ``repro/__init__`` eagerly re-exports from

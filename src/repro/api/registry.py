@@ -11,7 +11,7 @@ any algorithm from a declarative spec instead of importing concrete classes:
 ...                             "config": {"dimension": 800}})
 
 Registration is done by the packages that own the algorithms
-(``repro.seghdc.pipeline`` and ``repro.baseline.segmenter`` register
+(``repro.seghdc.engine`` and ``repro.baseline.segmenter`` register
 themselves at import time); the registry lazily imports both on first use so
 ``import repro.api`` stays light and free of import cycles.  Third-party
 algorithms call :func:`register_segmenter` with their own factory.
@@ -85,7 +85,7 @@ def _ensure_builtins() -> None:
             # silently empty.
             import repro.baseline.segmenter  # noqa: F401 - registers "cnn_baseline"
             import repro.baseline.threshold  # noqa: F401 - registers "threshold"
-            import repro.seghdc.pipeline  # noqa: F401 - registers "seghdc"
+            import repro.seghdc.engine  # noqa: F401 - registers "seghdc"
             import repro.tiling.segmenter  # noqa: F401 - registers "tiled"
 
             _BUILTINS_LOADED = True

@@ -241,14 +241,6 @@ class HVStorage:
     backend: "HDCBackend"
     _row_popcounts: np.ndarray | None = field(default=None, repr=False)
 
-    def __getstate__(self) -> dict:
-        # Process pools pickle storages across worker boundaries; the cached
-        # per-row popcounts are derived data and can be a large fraction of a
-        # packed payload, so they are recomputed lazily on the other side.
-        state = self.__dict__.copy()
-        state["_row_popcounts"] = None
-        return state
-
     @property
     def num_rows(self) -> int:
         """Number of hypervector rows stored."""
@@ -470,19 +462,6 @@ class HDCBackend(ABC):
         """
         return {"name": self.name, "tunables": {}}
 
-    def __reduce__(self):
-        """Pickle backends by name, not by state.
-
-        Worker processes of the serving layer receive backends inside
-        configs, engines, and :class:`HVStorage` payloads.  Reconstructing
-        through :func:`make_backend` keeps the pickle tiny and guarantees a
-        future backend with heavy derived state (lookup tables, device
-        handles) rebuilds it natively in the receiving process instead of
-        shipping it over the wire.  Backends with constructor parameters
-        override this to preserve them.
-        """
-        return (make_backend, (self.name,))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}()"
 
@@ -597,12 +576,6 @@ class PackedBackend(HDCBackend):
                 "bundle_chunk_rows": self.bundle_chunk_rows,
             },
         }
-
-    def __reduce__(self):
-        return (
-            _rebuild_packed_backend,
-            (self.counter_depth, self.bundle_chunk_rows),
-        )
 
     def storage_nbytes(self, num_rows: int, dimension: int) -> int:
         """Eight bytes per ``ceil(d / 64)`` uint64 words per row."""
@@ -808,15 +781,6 @@ def _weight_digits(
         if rows.size:
             digits.append((bit, rows))
     return digits
-
-
-def _rebuild_packed_backend(
-    counter_depth: int, bundle_chunk_rows: int
-) -> "PackedBackend":
-    """Unpickle helper preserving :class:`PackedBackend` constructor state."""
-    return PackedBackend(
-        counter_depth=counter_depth, bundle_chunk_rows=bundle_chunk_rows
-    )
 
 
 _BACKENDS = {

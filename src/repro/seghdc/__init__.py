@@ -2,7 +2,8 @@
 
 This is the paper's primary contribution: the four-component pipeline of
 position encoder, color encoder, pixel-HV producer, and HD K-Means clusterer.
-The public entry point is :class:`SegHDC` configured by :class:`SegHDCConfig`.
+The public entry point is :class:`SegHDCEngine` configured by
+:class:`SegHDCConfig`; it is registered as ``"seghdc"``.
 
 Segmentation results are :class:`repro.api.SegmentationResult`, the one
 output type every registered segmenter shares; import it (and
@@ -24,7 +25,6 @@ from repro.seghdc.color_encoder import (
 from repro.seghdc.pixel_producer import PixelHVProducer
 from repro.seghdc.clusterer import HDKMeans, ClusteringResult
 from repro.seghdc.engine import SegHDCEngine
-from repro.seghdc.pipeline import SegHDC
 from repro.seghdc.video import VideoSession, synthetic_video, warm_start_cut
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "PixelHVProducer",
     "RandomColorEncoder",
     "RandomPositionEncoder",
-    "SegHDC",
     "SegHDCConfig",
     "UniformPositionEncoder",
     "VideoSession",

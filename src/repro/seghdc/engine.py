@@ -1,8 +1,10 @@
-"""Reusable segmentation engine with cross-call encoder-grid caching.
+"""The SegHDC segmenter (Fig. 2): encoders -> pixel HVs -> HD K-Means.
 
-:class:`SegHDCEngine` is the throughput-oriented entry point of the SegHDC
-pipeline.  Where the one-shot :class:`repro.seghdc.pipeline.SegHDC` facade
-used to rebuild the hypervector space, both encoders, and the full position
+:class:`SegHDCEngine` is the pipeline's one entry point, registered as
+``"seghdc"`` in the central registry, so serving, experiments, and the CLI
+build it from a declarative spec
+(``make_segmenter({"segmenter": "seghdc", "config": {...}})``).  Rather
+than rebuilding the hypervector space, both encoders, and the full position
 grid on every call, the engine builds them once per ``(height, width,
 channels)`` image shape and reuses them for every subsequent image of that
 shape:
@@ -35,10 +37,6 @@ constants :attr:`SegHDCEngine.cache_size` (entries) and
 exposed via :meth:`SegHDCEngine.cache_info` and recorded in every
 ``SegmentationResult.workload`` so callers can assert reuse.
 
-Because the encoders are constructed from a freshly seeded
-:class:`HypervectorSpace` exactly as the one-shot path did, cached and
-uncached runs produce bit-identical label maps.
-
 Concurrency
 -----------
 
@@ -50,8 +48,9 @@ far more than the brief serialisation, and it keeps the counters exact for
 tests.  The heavy per-image work (keys, color bind, clustering) runs
 outside the lock on shared read-only grids.
 
-Across *processes* pickling an engine drops the cache and the lock, so a
-freshly unpickled engine starts cold and builds each shape's grid once in
+Across *processes* an engine pickles by spec: it ships :meth:`describe`,
+not its state, so an unpickled copy starts with a cold cache, fresh
+counters, and no warm-start centroids, and builds each shape's grid once in
 its own LRU.  The grid depends only on the config and the shape, so every
 engine rebuilds it bit-exactly; the serving layer's process workers rely on
 exactly that (one build per worker per shape).
@@ -66,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api.registry import make_segmenter, register_segmenter
 from repro.api.result import SegmentationResult, normalize_image
 from repro.hdc.backend import HDCBackend, HVStorage, make_backend
 from repro.hdc.hypervector import HypervectorSpace
@@ -183,24 +183,15 @@ class SegHDCEngine:
             "position_grid_builds": 0,
         }
 
-    def __getstate__(self) -> dict:
-        """Pickle without the lock or the cached grids.
+    def describe(self) -> dict:
+        """Spec dict that :func:`make_segmenter` turns back into an
+        equivalent (cold-cache) engine."""
+        return {"segmenter": "seghdc", "config": self._config.to_dict()}
 
-        Process pools ship engines (or configs that build them) to workers;
-        locks are not picklable and a multi-hundred-MB grid cache should not
-        ride along.  The unpickled engine starts with a cold cache and fresh
-        counters — each worker process warms its own.
-        """
-        state = self.__dict__.copy()
-        state["_lock"] = None
-        state["_cache"] = OrderedDict()
-        state["_warm_centroids"] = OrderedDict()
-        state["_counters"] = {key: 0 for key in self._counters}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
+    def __reduce__(self):
+        # Pickle-by-spec: locks, cached grids and warm-start centroids never
+        # cross a process boundary; the copy rebuilds from the config.
+        return (make_segmenter, (self.describe(),))
 
     @property
     def config(self) -> SegHDCConfig:
@@ -275,8 +266,8 @@ class SegHDCEngine:
         self._counters["misses"] += 1
         config = self.config
         # Fresh seeded space, position encoder first, color encoder second —
-        # the exact construction order of the historical one-shot path, so
-        # cached runs stay bit-identical to uncached ones.
+        # one fixed construction order, so every build of a shape (cached,
+        # evicted and rebuilt, or in another process) is bit-identical.
         space = HypervectorSpace(config.dimension, seed=config.seed)
         position_encoder = make_position_encoder(
             config.position_encoding,
@@ -433,3 +424,12 @@ class SegHDCEngine:
         keys, the table-gather XOR bind, and the clustering.  Results come back in input order.
         """
         return [self.segment(image) for image in images]
+
+
+register_segmenter(
+    "seghdc",
+    factory=SegHDCEngine,
+    config_cls=SegHDCConfig,
+    description="Binary-HDC unsupervised segmentation (the paper's method)",
+    overwrite=True,  # module re-import (e.g. after a failed first import) is idempotent
+)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.api.result import SegmentationResult
 from repro.seghdc.config import SegHDCConfig
-from repro.seghdc.pipeline import SegHDC
+from repro.seghdc.engine import SegHDCEngine
 
 __all__ = ["VideoSession", "synthetic_video", "warm_start_cut"]
 
@@ -115,13 +115,8 @@ class VideoSession:
     def __init__(self, config: "SegHDCConfig | None" = None) -> None:
         base = config or SegHDCConfig()
         self.config = base.with_overrides(warm_start=True)
-        self._segmenter = SegHDC(self.config)
+        self._segmenter = SegHDCEngine(self.config)
         self.iterations_per_frame: list[int] = []
-
-    @property
-    def segmenter(self) -> SegHDC:
-        """The underlying (stateful) SegHDC instance."""
-        return self._segmenter
 
     def segment(self, frame) -> SegmentationResult:
         """Segment the next frame, seeding from the previous one."""
@@ -141,7 +136,7 @@ class VideoSession:
 
     def reset(self) -> None:
         """Forget warm centroids and iteration history (scene cut)."""
-        self._segmenter.engine.reset_warm_state()
+        self._segmenter.reset_warm_state()
         self.iterations_per_frame.clear()
 
 

@@ -72,6 +72,8 @@ from repro.serving.http import (
     encode_segment_response,
     framed_stream,
     npy_bytes,
+    request_route,
+    resolve_route,
 )
 
 __all__ = ["ClusterGateway"]
@@ -102,6 +104,14 @@ class ClusterGateway:
     replica_timeout:
         Socket timeout for gateway→replica requests, seconds.
     """
+
+    #: ``(method, route)`` -> handler method name (see ``resolve_route``).
+    ROUTES = {
+        ("GET", "/healthz"): "_handle_healthz",
+        ("GET", "/stats"): "_handle_stats",
+        ("POST", "/v1/segment"): "_handle_segment",
+        ("POST", "/v1/segment-stream"): "_handle_segment_stream",
+    }
 
     def __init__(
         self,
@@ -343,27 +353,13 @@ class ClusterGateway:
         :class:`~repro.serving.http._Handler` drives both — so the gateway
         is unit-testable without sockets too.
         """
-        route = path.split("?", 1)[0].rstrip("/") or "/"
         request = RawRequest(
             body=body,
             content_type=(content_type or "").split(";", 1)[0].strip().lower(),
             accept=(accept or "").split(";", 1)[0].strip().lower(),
         )
-        routes = {
-            ("GET", "/healthz"): self._handle_healthz,
-            ("GET", "/stats"): self._handle_stats,
-            ("POST", "/v1/segment"): self._handle_segment,
-            ("POST", "/v1/segment-stream"): self._handle_segment_stream,
-        }
-        known_paths = {r for _, r in routes}
-        handler = routes.get((method, route))
         try:
-            if handler is None:
-                if route in known_paths:
-                    raise HTTPRequestError(
-                        f"method {method} not allowed for {route}", status=405
-                    )
-                raise HTTPRequestError(f"unknown path {route!r}", status=404)
+            handler = resolve_route(self, method, request_route(path))
             if method == "POST":
                 return 200, handler(request)
             return 200, handler()

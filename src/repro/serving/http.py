@@ -72,14 +72,16 @@ Endpoints
 ``GET /stats``
     The wrapped server's :class:`ServerStats` (latency percentiles, cache
     counters summed over the worker engines, and queue depth) plus
-    HTTP-level request/error counters, ``disconnects`` (clients that hung
+    HTTP-level request/error counters (``by_route`` counts unknown paths
+    under one ``"(unmatched)"`` key), ``disconnects`` (clients that hung
     up before their reply was written), request latency percentiles, and
     per-wire-form transport byte counters (``http-raw`` / ``http-json``,
     each with measured ``bytes_per_image``).
 
 Errors are JSON too: ``{"error": "..."}`` with 400 for malformed payloads,
-404/405 for unknown routes/methods, 503 when the queue is saturated, and
-500 for unexpected faults.
+404/405 for unknown routes/methods, 411 (then close) for a request with
+``Transfer-Encoding``, 503 when the queue is saturated, and 500 for
+unexpected faults.
 
 Usage::
 
@@ -684,6 +686,32 @@ class _HttpStats:
         }
 
 
+#: The ``/stats`` ``http.by_route`` key of every path no route matches, so
+#: requests for unknown paths cannot grow the table without bound.
+UNMATCHED_ROUTE = "(unmatched)"
+
+
+def request_route(path: str) -> str:
+    """A request path's route: query stripped, trailing ``/`` trimmed."""
+    return path.split("?", 1)[0].rstrip("/") or "/"
+
+
+def resolve_route(app, method: str, route: str):
+    """The bound method ``app.ROUTES`` maps ``(method, route)`` to.
+
+    Raises :class:`HTTPRequestError`: 405 when ``route`` is served under
+    another method, 404 when no route serves it at all.
+    """
+    name = app.ROUTES.get((method, route))
+    if name is not None:
+        return getattr(app, name)
+    if any(route == known for _, known in app.ROUTES):
+        raise HTTPRequestError(
+            f"method {method} not allowed for {route}", status=405
+        )
+    raise HTTPRequestError(f"unknown path {route!r}", status=404)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Thin request handler: parse the body, dispatch to the app, reply.
 
@@ -713,7 +741,12 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             length = -1
-        if length < 0:
+        if "Transfer-Encoding" in self.headers:
+            # An unread transfer-coded body would parse as the next request.
+            error = "Transfer-Encoding bodies are refused; send Content-Length"
+            status, payload = 411, {"error": error}
+            self.close_connection = True
+        elif length < 0:
             # Negative or non-integer Content-Length: answering without
             # reading is the only safe move (read(-1) would block until
             # the client hangs up, pinning a handler thread).
@@ -758,11 +791,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(encoded)))
             for name, value in extra_headers.items():
                 self.send_header(name, value)
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(encoded)
-        self.app.http_stats.record(
-            self.path.split("?", 1)[0], status, time.perf_counter() - start
-        )
+        route = request_route(self.path)
+        if all(route != known for _, known in self.app.ROUTES):
+            route = UNMATCHED_ROUTE
+        self.app.http_stats.record(route, status, time.perf_counter() - start)
 
     def _write_stream(self, status: int, payload: StreamingResponse) -> None:
         """Send a chunked response, one HTTP chunk per produced body chunk.
@@ -827,9 +863,9 @@ class SegmentationHTTPServer:
     segmenter:
         Anything :class:`SegmentationServer` accepts: a ``SegHDCConfig``, a
         registered name or spec dict, a ready segmenter instance, or
-        ``None`` for a default SegHDC.  Specs keep the whole stack
-        pickle-safe, so process mode works over HTTP exactly as it does in
-        the library.
+        ``None`` for a default :class:`SegHDCEngine`.  Specs keep the whole
+        stack pickle-safe, so process mode works over HTTP exactly as it
+        does in the library.
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (the bound port is
         available as :attr:`port`).
@@ -842,6 +878,16 @@ class SegmentationHTTPServer:
         decision, so the endpoint answers 403 unless the deployment opted
         in (``seghdc serve --allow-reconfig``).
     """
+
+    #: ``(method, route)`` -> handler method name (see :func:`resolve_route`).
+    ROUTES = {
+        ("GET", "/healthz"): "_handle_healthz",
+        ("GET", "/stats"): "_handle_stats",
+        ("GET", "/v1/segmenters"): "_handle_segmenters",
+        ("POST", "/v1/segment"): "_handle_segment",
+        ("POST", "/v1/segment-stream"): "_handle_segment_stream",
+        ("POST", "/v1/config"): "_handle_config",
+    }
 
     def __init__(
         self,
@@ -953,29 +999,14 @@ class SegmentationHTTPServer:
         ``accept`` are the request headers of the same names (both
         optional, defaulting to the JSON wire form).
         """
-        route = path.split("?", 1)[0].rstrip("/") or "/"
+        route = request_route(path)
         request = RawRequest(
             body=body,
             content_type=(content_type or "").split(";", 1)[0].strip().lower(),
             accept=(accept or "").split(";", 1)[0].strip().lower(),
         )
-        routes = {
-            ("GET", "/healthz"): self._handle_healthz,
-            ("GET", "/stats"): self._handle_stats,
-            ("GET", "/v1/segmenters"): self._handle_segmenters,
-            ("POST", "/v1/segment"): self._handle_segment,
-            ("POST", "/v1/segment-stream"): self._handle_segment_stream,
-            ("POST", "/v1/config"): self._handle_config,
-        }
-        known_paths = {r for _, r in routes}
-        handler = routes.get((method, route))
         try:
-            if handler is None:
-                if route in known_paths:
-                    raise HTTPRequestError(
-                        f"method {method} not allowed for {route}", status=405
-                    )
-                raise HTTPRequestError(f"unknown path {route!r}", status=404)
+            handler = resolve_route(self, method, route)
             if route in ("/v1/segment", "/v1/segment-stream"):
                 # The segment endpoints negotiate their own wire form, so
                 # they get the raw body + headers instead of parsed JSON.

@@ -9,10 +9,11 @@ aggregates queue depth, end-to-end latency percentiles, and cache hit rates
 from the result workloads.
 
 The server is algorithm-agnostic: the first argument can be a
-``SegHDCConfig`` (historical API), a registered segmenter name or spec dict
-(``{"segmenter": "cnn_baseline", "config": {...}}``), or any
-:class:`repro.api.Segmenter` instance.  SegHDC and the CNN baseline go
-through the exact same submit/poll, ``segment_batch``, and ``map`` paths.
+``SegHDCConfig`` (served by a :class:`SegHDCEngine`), a registered
+segmenter name or spec dict (``{"segmenter": "cnn_baseline", "config":
+{...}}``), or any :class:`repro.api.Segmenter` instance.  SegHDC and the
+CNN baseline go through the exact same submit/poll, ``segment_batch``, and
+``map`` paths.
 
 Two execution modes share the queueing/batching front end:
 
@@ -67,7 +68,7 @@ from repro.api.result import SegmentationResult, normalize_image
 from repro.api.spec import ServingOptions
 from repro.imaging.image import Image
 from repro.seghdc.config import SegHDCConfig
-from repro.seghdc.pipeline import SegHDC
+from repro.seghdc.engine import SegHDCEngine
 from repro.serving.batcher import ShapeBatcher
 from repro.serving.jobqueue import BoundedJobQueue
 from repro.serving.stats import ServerStats, StatsCollector
@@ -376,12 +377,12 @@ class SegmentationServer:
     Parameters
     ----------
     segmenter:
-        What to serve: a :class:`SegHDCConfig` (historical API — the server
-        builds a SegHDC), a registered segmenter name or spec dict (built
-        through :func:`repro.api.make_segmenter`), or a ready
+        What to serve: a :class:`SegHDCConfig` (the server builds a
+        :class:`SegHDCEngine` from it), a registered segmenter name or spec
+        dict (built through :func:`repro.api.make_segmenter`), or a ready
         :class:`repro.api.Segmenter` instance (which must be thread-safe in
         thread mode and spec-picklable — ``describe()`` — in process mode).
-        ``None`` serves a default-config SegHDC.
+        ``None`` serves a default-config :class:`SegHDCEngine`.
     mode:
         ``"thread"`` (shared engine, GIL-releasing kernels) or ``"process"``
         (one engine per worker process; see the module docstring).
@@ -464,7 +465,7 @@ class SegmentationServer:
     @staticmethod
     def _resolve_segmenter(segmenter) -> Segmenter:
         if segmenter is None or isinstance(segmenter, SegHDCConfig):
-            return SegHDC(segmenter)
+            return SegHDCEngine(segmenter)
         if isinstance(segmenter, (str, Mapping)):
             return make_segmenter(segmenter)
         if isinstance(segmenter, Segmenter):
@@ -489,12 +490,12 @@ class SegmentationServer:
         return getattr(self._segmenter, "config", None)
 
     @property
-    def engine(self):
-        """The shared SegHDC engine (thread mode only; ``None`` in process
-        mode or for segmenters without an engine)."""
-        if self.mode != "thread":
-            return None
-        return getattr(self._segmenter, "engine", None)
+    def engine(self) -> "SegHDCEngine | None":
+        """The served segmenter when it is a :class:`SegHDCEngine` in thread
+        mode (its cache counters are live); ``None`` otherwise."""
+        if self.mode == "thread" and isinstance(self._segmenter, SegHDCEngine):
+            return self._segmenter
+        return None
 
     def __enter__(self) -> "SegmentationServer":
         return self
@@ -677,10 +678,9 @@ class SegmentationServer:
             queue_depth=self._queue.depth(),
         )
         engine = self.engine
-        if engine is not None and hasattr(engine, "cache_info"):
-            # Thread mode with a caching engine (SegHDC): the shared engine's
-            # counters are authoritative and current even before the first
-            # result lands.
+        if engine is not None:
+            # Thread mode with a shared SegHDCEngine: its counters are
+            # authoritative and current even before the first result lands.
             cache = dict(engine.cache_info())
             lookups = cache.get("hits", 0) + cache.get("misses", 0)
             cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0

@@ -29,7 +29,7 @@ from repro.api import (
 )
 from repro.api.registry import _REGISTRY
 from repro.baseline import CNNBaselineConfig, CNNUnsupervisedSegmenter
-from repro.seghdc import SegHDC, SegHDCConfig
+from repro.seghdc import SegHDCConfig, SegHDCEngine
 
 
 def _image(shape=(16, 20), seed=0):
@@ -57,7 +57,7 @@ class TestRegistry:
 
     def test_make_by_name_with_default_config(self):
         segmenter = make_segmenter("seghdc")
-        assert isinstance(segmenter, SegHDC)
+        assert isinstance(segmenter, SegHDCEngine)
         assert segmenter.config == SegHDCConfig()
 
     def test_make_by_name_with_config_instance_and_dict(self):
@@ -88,7 +88,7 @@ class TestRegistry:
         # must leave sys.modules so the lazy import re-registers them).
         monkeypatch.setattr(registry_module, "_REGISTRY", {})
         monkeypatch.setattr(registry_module, "_BUILTINS_LOADED", False)
-        for mod in ("repro.baseline.segmenter", "repro.seghdc.pipeline"):
+        for mod in ("repro.baseline.segmenter", "repro.seghdc.engine"):
             monkeypatch.delitem(sys.modules, mod, raising=False)
         with pytest.raises(ValueError, match="already registered"):
             register_segmenter(
@@ -170,7 +170,7 @@ class TestConcurrentImports:
     def test_concurrent_first_imports_do_not_deadlock(self):
         """repro.api's lazy (PEP 562) package init is load-bearing: with
         eager submodule imports, two threads cold-importing
-        repro.api.registry and repro.seghdc.pipeline deadlock on the module
+        repro.api.registry and repro.seghdc.engine deadlock on the module
         locks and Python's deadlock breaker surfaces partially initialized
         modules (ImportError / KeyError).  Probe in a fresh interpreter."""
         import os
@@ -189,7 +189,7 @@ class TestConcurrentImports:
             "        errors.append(repr(e))\n"
             "def b():\n"
             "    try:\n"
-            "        import repro.seghdc.pipeline\n"
+            "        import repro.seghdc.engine\n"
             "    except Exception as e:\n"
             "        errors.append(repr(e))\n"
             "ta = threading.Thread(target=a); tb = threading.Thread(target=b)\n"
@@ -212,7 +212,7 @@ class TestConcurrentImports:
 class TestSegmenterProtocol:
     @pytest.mark.parametrize(
         "segmenter",
-        [SegHDC(_seghdc_config()), CNNUnsupervisedSegmenter(_cnn_config())],
+        [SegHDCEngine(_seghdc_config()), CNNUnsupervisedSegmenter(_cnn_config())],
         ids=["seghdc", "cnn_baseline"],
     )
     def test_builtins_satisfy_the_protocol(self, segmenter):
@@ -220,7 +220,7 @@ class TestSegmenterProtocol:
 
     @pytest.mark.parametrize(
         "segmenter",
-        [SegHDC(_seghdc_config()), CNNUnsupervisedSegmenter(_cnn_config())],
+        [SegHDCEngine(_seghdc_config()), CNNUnsupervisedSegmenter(_cnn_config())],
         ids=["seghdc", "cnn_baseline"],
     )
     def test_describe_rebuilds_an_equivalent_segmenter(self, segmenter):
@@ -231,14 +231,14 @@ class TestSegmenterProtocol:
         assert np.array_equal(rebuilt.segment(image).labels, expected)
 
     def test_describe_survives_json(self):
-        segmenter = SegHDC(_seghdc_config(backend="packed"))
+        segmenter = SegHDCEngine(_seghdc_config(backend="packed"))
         spec = json.loads(json.dumps(segmenter.describe()))
         rebuilt = make_segmenter(spec)
         assert rebuilt.config == segmenter.config
 
     @pytest.mark.parametrize(
         "segmenter",
-        [SegHDC(_seghdc_config()), CNNUnsupervisedSegmenter(_cnn_config())],
+        [SegHDCEngine(_seghdc_config()), CNNUnsupervisedSegmenter(_cnn_config())],
         ids=["seghdc", "cnn_baseline"],
     )
     def test_pickle_by_spec_round_trip(self, segmenter):
@@ -249,11 +249,11 @@ class TestSegmenterProtocol:
         assert np.array_equal(clone.segment(image).labels, expected)
 
     def test_pickled_seghdc_starts_with_a_cold_cache(self):
-        segmenter = SegHDC(_seghdc_config())
+        segmenter = SegHDCEngine(_seghdc_config())
         segmenter.segment(_image())
-        assert segmenter.engine.cache_info()["entries"] == 1
+        assert segmenter.cache_info()["entries"] == 1
         clone = pickle.loads(pickle.dumps(segmenter))
-        assert clone.engine.cache_info()["entries"] == 0
+        assert clone.cache_info()["entries"] == 0
 
     def test_segment_batch_matches_sequential_segment(self):
         images = [_image(seed=i) for i in range(3)]
@@ -435,7 +435,7 @@ class TestRunSpec:
         spec = self._spec()
         image = _image((24, 32))
         via_spec = spec.build_segmenter().segment(image).labels
-        direct = SegHDC(spec.build_config()).segment(image).labels
+        direct = SegHDCEngine(spec.build_config()).segment(image).labels
         assert np.array_equal(via_spec, direct)
 
     def test_unknown_top_level_field_is_named(self):

@@ -306,7 +306,7 @@ class TestConfigPlumbing:
                 },
             }
         )
-        assert segmenter.engine.backend.counter_depth == 4
+        assert segmenter.backend.counter_depth == 4
 
 
 class TestBundleCostModel:

@@ -76,11 +76,11 @@ class TestParser:
 
     def test_iterations_with_third_party_segmenter_errors(self):
         from repro.api import register_segmenter
-        from repro.seghdc import SegHDC, SegHDCConfig
+        from repro.seghdc import SegHDCConfig, SegHDCEngine
 
         register_segmenter(
             "thirdparty_test",
-            factory=lambda config=None, **kw: SegHDC(config, **kw),
+            factory=lambda config=None, **kw: SegHDCEngine(config, **kw),
             config_cls=SegHDCConfig,
             overwrite=True,
         )

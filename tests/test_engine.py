@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import DSB2018Synthetic
-from repro.seghdc import SegHDC, SegHDCConfig, SegHDCEngine
+from repro.seghdc import SegHDCConfig, SegHDCEngine
 
 
 def _config(**overrides):
@@ -399,50 +399,43 @@ class TestEngineConcurrency:
         assert info["entries"] == 2
 
     def test_engine_pickles_with_cold_cache(self):
-        """Process pools pickle engines: locks and cached grids must not
-        ride along, and the clone must still segment identically."""
+        """Engines pickle by spec: locks, cached grids and warm-start
+        centroids must not ride along, and the clone must still segment
+        identically."""
         import pickle
 
-        engine = SegHDCEngine(_config(backend="packed"))
+        from repro.api import make_segmenter
+
+        engine = SegHDCEngine(_config(backend="packed", warm_start=True))
         original = engine.segment(_two_tone())
+        assert engine.segment(_two_tone()).workload["warm_started"] is True
         assert engine.cache_info()["entries"] == 1
+        assert engine.__reduce__() == (make_segmenter, (engine.describe(),))
         clone = pickle.loads(pickle.dumps(engine))
+        assert clone.describe() == engine.describe()
         info = clone.cache_info()
         assert info["entries"] == 0
         assert info["hits"] == 0
         assert info["position_grid_builds"] == 0
+        assert len(clone._warm_centroids) == 0
         result = clone.segment(_two_tone())
+        assert result.workload["warm_started"] is False
         assert np.array_equal(result.labels, original.labels)
         assert clone.cache_info()["position_grid_builds"] == 1
 
 
-class TestSegHDCFacade:
-    def test_facade_exposes_engine_and_batch(self):
-        pipeline = SegHDC(_config())
-        assert isinstance(pipeline.engine, SegHDCEngine)
-        results = pipeline.segment_batch([_two_tone(), _two_tone()])
-        assert len(results) == 2
-        assert pipeline.engine.cache_info()["position_grid_builds"] == 1
+class TestRegisteredSegmenter:
+    def test_registry_builds_an_engine_and_describe_round_trips(self):
+        from repro.api import make_segmenter
 
-    def test_facade_repeated_calls_reuse_cache(self):
-        pipeline = SegHDC(_config())
-        first = pipeline.segment(_two_tone())
-        second = pipeline.segment(_two_tone())
-        assert np.array_equal(first.labels, second.labels)
-        assert pipeline.engine.cache_info()["hits"] == 1
-
-    def test_facade_config_replacement_rebuilds_engine(self):
-        """Replacing `config` must not serve grids cached for the old
-        hyper-parameters (the pre-engine facade honored the new config)."""
-        pipeline = SegHDC(_config())
-        pipeline.segment(_two_tone())
-        old_engine = pipeline.engine
-        pipeline.config = _config(backend="packed", alpha=0.9)
-        result = pipeline.segment(_two_tone())
-        assert pipeline.engine is not old_engine
-        assert pipeline.config.alpha == 0.9
-        assert result.workload["backend"] == "packed"
-        assert pipeline.engine.cache_info()["misses"] == 1
+        assert isinstance(make_segmenter("seghdc"), SegHDCEngine)
+        engine = SegHDCEngine(_config(backend="dense", alpha=0.9))
+        spec = engine.describe()
+        assert spec == {"segmenter": "seghdc", "config": engine.config.to_dict()}
+        rebuilt = make_segmenter(spec)
+        assert isinstance(rebuilt, SegHDCEngine)
+        assert rebuilt.config == engine.config
+        assert rebuilt.backend.name == "dense"
 
     def test_engine_config_is_read_only(self):
         engine = SegHDCEngine(_config())

@@ -36,6 +36,7 @@ from repro.seghdc import SegHDCConfig, SegHDCEngine
 from repro.serving import HTTPRequestError, SegmentationHTTPServer
 from repro.serving.cluster import ClusterGateway
 from repro.serving.http import (
+    UNMATCHED_ROUTE,
     FRAME_MAGIC,
     RawResponse,
     StreamingResponse,
@@ -1022,6 +1023,77 @@ class TestWireDiscipline:
                 time.sleep(0.01)
         assert server.http_stats.snapshot()["disconnects"] == 1
         assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.fixture(params=["replica", "gateway"])
+def front_door(request):
+    """A started replica or gateway; both speak through the shared handler."""
+    if request.param == "replica":
+        app = _threshold_server()
+    else:
+        app = ClusterGateway(port=0, probe_interval=0.5).start()
+    with app:
+        yield app
+
+
+def _read_until_closed(conn: socket.socket) -> bytes:
+    """Everything the peer sends before closing (fails on a 10 s stall)."""
+    conn.settimeout(10)
+    received = b""
+    while True:
+        data = conn.recv(65536)
+        if not data:
+            return received
+        received += data
+
+
+class TestRequestHygiene:
+    """What the shared handler keeps bounded and in sync, on both apps."""
+
+    def test_unknown_paths_share_one_by_route_key(self, front_door):
+        connection = http.client.HTTPConnection(
+            front_door.host, front_door.port, timeout=30
+        )
+        try:
+            for index in range(60):
+                connection.request("GET", f"/nope/{index}")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 404
+            connection.request("GET", "/healthz/?probe=1")
+            connection.getresponse().read()
+        finally:
+            connection.close()
+        # A request is counted just after its reply is written.
+        deadline = time.monotonic() + 10
+        while (
+            front_door.http_stats.snapshot()["requests"] < 61
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        by_route = front_door.http_stats.snapshot()["by_route"]
+        assert by_route == {UNMATCHED_ROUTE: 60, "/healthz": 1}, sorted(by_route)
+
+    def test_transfer_encoding_body_gets_one_json_411_then_close(
+        self, front_door
+    ):
+        with socket.create_connection(
+            (front_door.host, front_door.port), timeout=10
+        ) as conn:
+            conn.sendall(
+                b"POST /v1/segment HTTP/1.1\r\n"
+                b"Host: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"d\r\n{\"images\": []}\r\n0\r\n\r\n"
+            )
+            received = _read_until_closed(conn)
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        head, body = received.split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 411 "), head
+        assert b"Content-Type: application/json" in head
+        assert b"Connection: close" in head
+        assert "Transfer-Encoding" in json.loads(body)["error"]
 
 
 class TestConfigEndpoint:

@@ -123,12 +123,12 @@ class TestCleanup:
 class TestPostprocessOnSegHDCOutput:
     def test_cleanup_does_not_hurt_iou_much(self, small_bbbc005_sample):
         from repro.metrics import best_foreground_iou
-        from repro.seghdc import SegHDC, SegHDCConfig
+        from repro.seghdc import SegHDCConfig, SegHDCEngine
 
         config = SegHDCConfig(
             dimension=600, num_clusters=2, num_iterations=4, alpha=0.2, beta=2, seed=0
         )
-        labels = SegHDC(config).segment(small_bbbc005_sample.image).labels
+        labels = SegHDCEngine(config).segment(small_bbbc005_sample.image).labels
         raw_iou = best_foreground_iou(labels, small_bbbc005_sample.mask)
         # Build the binary foreground, clean it, and rescore.
         from repro.metrics.matching import match_clusters_to_classes

@@ -7,7 +7,7 @@ import pytest
 
 from repro.imaging import Image
 from repro.metrics import best_foreground_iou
-from repro.seghdc import SegHDC, SegHDCConfig
+from repro.seghdc import SegHDCConfig, SegHDCEngine
 
 
 class TestSegHDCConfig:
@@ -76,27 +76,27 @@ class TestSegHDCPipeline:
         image = np.full((24, 32), 20, dtype=np.uint8)
         image[6:18, 8:24] = 220
         mask = (image > 128).astype(np.uint8)
-        result = SegHDC(self._config()).segment(image)
+        result = SegHDCEngine(self._config()).segment(image)
         assert result.labels.shape == (24, 32)
         assert best_foreground_iou(result.labels, mask) > 0.9
 
     def test_accepts_image_objects_and_arrays(self, small_dsb2018_sample):
         config = self._config(beta=5)
-        from_image = SegHDC(config).segment(small_dsb2018_sample.image)
-        from_array = SegHDC(config).segment(small_dsb2018_sample.image.pixels)
+        from_image = SegHDCEngine(config).segment(small_dsb2018_sample.image)
+        from_array = SegHDCEngine(config).segment(small_dsb2018_sample.image.pixels)
         assert np.array_equal(from_image.labels, from_array.labels)
 
     def test_deterministic_given_seed(self, small_dsb2018_sample):
         config = self._config(beta=5)
-        a = SegHDC(config).segment(small_dsb2018_sample.image)
-        b = SegHDC(config).segment(small_dsb2018_sample.image)
+        a = SegHDCEngine(config).segment(small_dsb2018_sample.image)
+        b = SegHDCEngine(config).segment(small_dsb2018_sample.image)
         assert np.array_equal(a.labels, b.labels)
 
     def test_history_recording(self):
         image = np.full((16, 16), 10, dtype=np.uint8)
         image[4:12, 4:12] = 240
         config = self._config(record_history=True, num_iterations=3)
-        result = SegHDC(config).segment(image)
+        result = SegHDCEngine(config).segment(image)
         assert len(result.history) == 3
         assert result.labels_after(1).shape == (16, 16)
         assert np.array_equal(result.labels_after(3), result.labels)
@@ -104,19 +104,19 @@ class TestSegHDCPipeline:
     def test_labels_after_requires_history(self):
         image = np.zeros((8, 8), dtype=np.uint8)
         image[2:6, 2:6] = 250
-        result = SegHDC(self._config(num_iterations=1)).segment(image)
+        result = SegHDCEngine(self._config(num_iterations=1)).segment(image)
         with pytest.raises(ValueError):
             result.labels_after(1)
 
     def test_labels_after_range_check(self):
         image = np.zeros((8, 8), dtype=np.uint8)
         image[2:6, 2:6] = 250
-        result = SegHDC(self._config(num_iterations=2, record_history=True)).segment(image)
+        result = SegHDCEngine(self._config(num_iterations=2, record_history=True)).segment(image)
         with pytest.raises(ValueError):
             result.labels_after(3)
 
     def test_workload_summary(self, small_dsb2018_sample):
-        result = SegHDC(self._config(beta=5)).segment(small_dsb2018_sample.image)
+        result = SegHDCEngine(self._config(beta=5)).segment(small_dsb2018_sample.image)
         workload = result.workload
         assert workload["height"] == small_dsb2018_sample.image.height
         assert workload["channels"] == 3
@@ -125,18 +125,18 @@ class TestSegHDCPipeline:
 
     def test_rejects_bad_input_shape(self):
         with pytest.raises(ValueError):
-            SegHDC(self._config()).segment(np.zeros((2, 2, 2, 2)))
+            SegHDCEngine(self._config()).segment(np.zeros((2, 2, 2, 2)))
 
     def test_three_cluster_configuration(self, small_monuseg_sample):
         config = self._config(num_clusters=3, beta=4)
-        result = SegHDC(config).segment(small_monuseg_sample.image)
+        result = SegHDCEngine(config).segment(small_monuseg_sample.image)
         assert result.num_clusters == 3
         assert result.labels.max() <= 2
 
     def test_random_position_ablation_degrades_quality(self, small_bbbc005_sample):
         """RPos must be clearly worse than the full encoding (Table I)."""
-        full = SegHDC(self._config(beta=2)).segment(small_bbbc005_sample.image)
-        rpos = SegHDC(self._config(beta=2, position_encoding="random")).segment(
+        full = SegHDCEngine(self._config(beta=2)).segment(small_bbbc005_sample.image)
+        rpos = SegHDCEngine(self._config(beta=2, position_encoding="random")).segment(
             small_bbbc005_sample.image
         )
         iou_full = best_foreground_iou(full.labels, small_bbbc005_sample.mask)
@@ -144,16 +144,16 @@ class TestSegHDCPipeline:
         assert iou_full > iou_rpos + 0.2
 
     def test_elapsed_time_is_positive(self, small_dsb2018_sample):
-        result = SegHDC(self._config(beta=5)).segment(small_dsb2018_sample.image)
+        result = SegHDCEngine(self._config(beta=5)).segment(small_dsb2018_sample.image)
         assert result.elapsed_seconds > 0.0
 
     def test_grayscale_image_single_channel_encoder(self, small_bbbc005_sample):
-        result = SegHDC(self._config(beta=2)).segment(small_bbbc005_sample.image)
+        result = SegHDCEngine(self._config(beta=2)).segment(small_bbbc005_sample.image)
         assert result.workload["channels"] == 1
         assert best_foreground_iou(result.labels, small_bbbc005_sample.mask) > 0.6
 
     def test_accepts_image_with_explicit_single_channel_axis(self):
         image = np.zeros((12, 12, 1), dtype=np.uint8)
         image[3:9, 3:9, 0] = 200
-        result = SegHDC(self._config(num_iterations=2)).segment(Image(image))
+        result = SegHDCEngine(self._config(num_iterations=2)).segment(Image(image))
         assert result.labels.shape == (12, 12)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.baseline import CNNBaselineConfig, CNNUnsupervisedSegmenter
-from repro.seghdc import SegHDC, SegHDCConfig, SegHDCEngine
+from repro.seghdc import SegHDCConfig, SegHDCEngine
 from repro.serving import (
     BoundedJobQueue,
     SegmentationServer,
@@ -622,10 +622,10 @@ class TestUnifiedSegmenterServing:
         module_name = "thirdparty_spawn_fixture"
         (tmp_path / f"{module_name}.py").write_text(
             "from repro.api import register_segmenter\n"
-            "from repro.seghdc import SegHDC, SegHDCConfig\n"
+            "from repro.seghdc import SegHDCConfig, SegHDCEngine\n"
             "register_segmenter(\n"
             "    'thirdparty_spawn',\n"
-            "    factory=lambda config=None: SegHDC(config),\n"
+            "    factory=lambda config=None: SegHDCEngine(config),\n"
             "    config_cls=SegHDCConfig,\n"
             "    overwrite=True,\n"
             ")\n"
@@ -641,11 +641,11 @@ class TestUnifiedSegmenterServing:
             server_module._init_process_worker(spec, module_name)
             # Importing the provider module registered the name, so the
             # spec resolved to a working segmenter.
-            assert isinstance(server_module._PROCESS_SEGMENTER, SegHDC)
+            assert isinstance(server_module._PROCESS_SEGMENTER, SegHDCEngine)
             # The built-ins ship their registering modules too.
             assert server_module._provider_module(
                 {"segmenter": "seghdc"}
-            ) == "repro.seghdc.pipeline"
+            ) == "repro.seghdc.engine"
         finally:
             server_module._PROCESS_SEGMENTER = None
             registry_module._REGISTRY.pop("thirdparty_spawn", None)
@@ -678,8 +678,11 @@ class TestUnifiedSegmenterServing:
             SegmentationServer(object())
 
     def test_thread_mode_engine_exposed_for_seghdc_only(self):
-        with SegmentationServer(_config(), num_workers=1) as seghdc_server:
-            assert seghdc_server.engine is seghdc_server.segmenter.engine
+        with SegmentationServer(
+            _config(), mode="thread", num_workers=1
+        ) as seghdc_server:
+            assert isinstance(seghdc_server.segmenter, SegHDCEngine)
+            assert seghdc_server.engine is seghdc_server.segmenter
         with SegmentationServer(_cnn_spec(), num_workers=1) as cnn_server:
             assert cnn_server.engine is None
             cnn_server.segment_batch([_image((16, 20))])

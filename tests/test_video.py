@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.seghdc import (
-    SegHDC,
     SegHDCConfig,
+    SegHDCEngine,
     VideoSession,
     synthetic_video,
     warm_start_cut,
@@ -92,7 +92,7 @@ class TestVideoSession:
 
     def test_warm_state_never_crosses_pickle(self):
         config = _CONFIG.with_overrides(warm_start=True)
-        segmenter = SegHDC(config)
+        segmenter = SegHDCEngine(config)
         segmenter.segment(_frames(1)[0])
         rebuilt = pickle.loads(pickle.dumps(segmenter))
         result = rebuilt.segment(_frames(1)[0])
