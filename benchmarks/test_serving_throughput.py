@@ -7,12 +7,6 @@ maps.  The speedup gate needs real cores to scale onto (the numpy kernels
 release the GIL, but they cannot out-run a single CPU), so it is skipped on
 hosts with fewer than four cores; the scaling profile and the bit-exactness
 checks run everywhere.
-
-The **network-term consistency check** adds one more measurement: the
-HTTP wire bytes the serving codecs actually produce must match
-:func:`repro.device.http_wire_bytes`, and feeding either number into
-:func:`serving_estimate` must predict the same network-bound throughput.
-Pure accounting, runs everywhere.
 """
 
 from __future__ import annotations
@@ -24,10 +18,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import DSB2018Synthetic
-from repro.device import http_wire_bytes, seghdc_cost, serving_estimate
 from repro.seghdc import SegHDCConfig, SegHDCEngine
 from repro.serving import SegmentationServer
-from repro.serving.http import npy_bytes
 
 BATCH = 10
 SHAPE = (64, 64)
@@ -139,59 +131,4 @@ def test_4_worker_thread_pool_at_least_2x_serial(backend):
     assert best >= 2.0, (
         f"{backend}: 4-worker thread pool reached only {best:.2f}x serial "
         f"images/sec on {_CPUS} cpus"
-    )
-
-
-_WIRE_SHAPE = (512, 512)
-
-
-def test_network_term_consistent_with_measured_wire_bytes():
-    """The cost model's ``http_wire_bytes`` must agree with the bytes the
-    serving codecs actually put on the wire, and a network-bound
-    ``serving_estimate`` fed either number must predict the same
-    throughput — otherwise the /stats ``bytes_per_image`` counters and the
-    analytical network term would silently drift apart."""
-    height, width = _WIRE_SHAPE
-    rng = np.random.default_rng(23)
-    image = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
-    labels = rng.integers(0, 2, size=(height, width)).astype(np.int32)
-
-    measured = len(npy_bytes(image)) + len(npy_bytes(labels))
-    modeled = http_wire_bytes(height, width, wire="raw")
-    assert measured == pytest.approx(modeled, rel=0.01), (
-        f"raw: measured {measured} B/image vs modeled {modeled} B/image"
-    )
-
-    # Feed the measured raw bytes into the estimator with a NIC slow enough
-    # to dominate: the pool must be network-bound at bandwidth / bytes.
-    cost = seghdc_cost(
-        height, width, dimension=1000, num_clusters=2, num_iterations=3,
-        channels=1,
-    )
-    bandwidth = 1e7  # 10 MB/s: slower than any compute term at this size
-    estimate = serving_estimate(
-        cost,
-        num_workers=4,
-        compute_throughput_flops=1e14,
-        memory_bandwidth_bytes=1e14,
-        num_cores=4,
-        network_bandwidth_bytes=bandwidth,
-        network_bytes_per_image=float(measured),
-    )
-    assert estimate.bottleneck == "network"
-    assert estimate.images_per_second == pytest.approx(
-        bandwidth / measured
-    )
-    # The modeled wire bytes predict the same rate within 1%.
-    modeled_estimate = serving_estimate(
-        cost,
-        num_workers=4,
-        compute_throughput_flops=1e14,
-        memory_bandwidth_bytes=1e14,
-        num_cores=4,
-        network_bandwidth_bytes=bandwidth,
-        network_bytes_per_image=http_wire_bytes(height, width, wire="raw"),
-    )
-    assert modeled_estimate.images_per_second == pytest.approx(
-        estimate.images_per_second, rel=0.01
     )

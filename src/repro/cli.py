@@ -22,6 +22,7 @@ drivers under ``tools/`` (``http_smoke.py``, ``cluster_smoke.py``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -532,12 +533,19 @@ def _segmenter_spec_from_args(args: argparse.Namespace) -> dict:
 
 
 def _run_segment(args: argparse.Namespace) -> int:
-    dataset = make_dataset(
-        args.dataset,
-        num_images=args.index + 1,
-        image_shape=(args.height, args.width),
-        seed=0,
-    )
+    if args.index < 0:
+        raise SystemExit(
+            f"seghdc: error: --index must be non-negative, got {args.index}"
+        )
+    try:
+        dataset = make_dataset(
+            args.dataset,
+            num_images=args.index + 1,
+            image_shape=(args.height, args.width),
+            seed=0,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"seghdc: error: {exc}") from None
     sample = dataset[args.index]
     spec = _segmenter_spec_from_args(args)
     segmenter = make_segmenter(spec)
@@ -590,23 +598,45 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.api import ServingOptions
     from repro.serving import SegmentationHTTPServer, SpecWatcher
 
+    def _print_outcome(outcome: dict) -> None:
+        print(f"watch-spec: {outcome}", flush=True)
+
     spec = _segmenter_spec_from_args(args)
     batch_size = args.batch_size
     if batch_size is None:
         batch_size = 1 if args.mode == "thread" else 4
-    options = ServingOptions(
-        mode=args.mode,
-        num_workers=args.workers,
-        max_queue_depth=args.max_queue_depth,
-        max_batch_size=batch_size,
-    )
-    with SegmentationHTTPServer(
-        spec,
-        host=args.host,
-        port=args.port,
-        serving=options,
-        allow_reconfig=args.allow_reconfig,
-    ) as server:
+    with contextlib.ExitStack() as stack:
+        try:
+            options = ServingOptions(
+                mode=args.mode,
+                num_workers=args.workers,
+                max_queue_depth=args.max_queue_depth,
+                max_batch_size=batch_size,
+            )
+            server = stack.enter_context(
+                SegmentationHTTPServer(
+                    spec,
+                    host=args.host,
+                    port=args.port,
+                    serving=options,
+                    allow_reconfig=args.allow_reconfig,
+                )
+            )
+            # The watcher goes through the operator's own file, so it works
+            # with or without --allow-reconfig (which gates the *network*
+            # reconfiguration path only).  It needs the server's control
+            # plane, so it is built right after the bind and before the
+            # port line: a refused flag never announces a port.
+            watcher = None
+            if args.watch_spec is not None:
+                watcher = SpecWatcher(
+                    server.control,
+                    args.watch_spec,
+                    interval=args.watch_interval,
+                    on_outcome=_print_outcome,
+                )
+        except ValueError as exc:
+            raise SystemExit(f"seghdc: error: {exc}") from None
         # Machine-parsable bound-port line, printed first and flushed: with
         # --port 0 the kernel picks the port, and supervisors/smoke tests
         # read it back from this line instead of racing for a free one.
@@ -623,20 +653,8 @@ def _run_serve(args: argparse.Namespace) -> int:
             + ("  POST /v1/config" if args.allow_reconfig else ""),
             flush=True,
         )
-        watcher = None
-        if args.watch_spec is not None:
-            # The watcher goes through the operator's own file, so it works
-            # with or without --allow-reconfig (which gates the *network*
-            # reconfiguration path only).
-            def _print_outcome(outcome: dict) -> None:
-                print(f"watch-spec: {outcome}", flush=True)
-
-            watcher = SpecWatcher(
-                server.control,
-                args.watch_spec,
-                interval=args.watch_interval,
-                on_outcome=_print_outcome,
-            ).start()
+        if watcher is not None:
+            watcher.start()
             print(
                 f"watching {args.watch_spec} every {args.watch_interval}s "
                 "for config changes",
@@ -700,19 +718,30 @@ def _run_cluster(args: argparse.Namespace) -> int:
 
     from repro.serving.cluster import ClusterGateway, ReplicaSupervisor
 
-    gateway = ClusterGateway(
-        host=args.host, port=args.port, probe_interval=args.probe_interval
-    )
-    supervisor = ReplicaSupervisor(
-        gateway,
-        replicas=args.replicas,
-        replica_args=_replica_serve_args(args),
-        max_restarts=args.max_restarts,
-    )
-    # Same machine-parsable contract as `seghdc serve`: the gateway's bound
-    # port comes first, flushed, before the slow part (booting replicas).
-    print(f"SEGHDC_GATEWAY_PORT={gateway.port}", flush=True)
-    try:
+    with contextlib.ExitStack() as stack:
+        try:
+            gateway = stack.enter_context(
+                ClusterGateway(
+                    host=args.host,
+                    port=args.port,
+                    probe_interval=args.probe_interval,
+                )
+            )
+            # The supervisor registers replicas with the bound gateway, so
+            # it is built right after the bind and before the port line.
+            supervisor = ReplicaSupervisor(
+                gateway,
+                replicas=args.replicas,
+                replica_args=_replica_serve_args(args),
+                max_restarts=args.max_restarts,
+            )
+        except ValueError as exc:
+            raise SystemExit(f"seghdc: error: {exc}") from None
+        stack.callback(supervisor.stop)
+        # Same machine-parsable contract as `seghdc serve`: the gateway's
+        # bound port comes first, flushed, before the slow part (booting
+        # replicas).
+        print(f"SEGHDC_GATEWAY_PORT={gateway.port}", flush=True)
         supervisor.start()
         gateway.wait_ready(timeout=120.0)
         print(
@@ -738,9 +767,6 @@ def _run_cluster(args: argparse.Namespace) -> int:
             print("shutting down", flush=True)
         finally:
             signal.signal(signal.SIGTERM, previous_handler)
-    finally:
-        supervisor.stop()
-        gateway.close()
     return 0
 
 
@@ -814,23 +840,25 @@ def _run_loadgen(args: argparse.Namespace) -> int:
             "duration": args.duration,
             "seed": args.seed,
         }
-    schedule = make_schedule(spec)
-    mix = ShapeMix.parse(args.mix, seed=args.seed)
-    folder = ResultFolder(args.out_dir, "loadgen")
-    with HttpTarget(
-        host,
-        port,
-        request_timeout=60.0,
-        pool_size=args.concurrency,
-    ) as target:
-        report = LoadGenerator(
+    try:
+        schedule = make_schedule(spec)
+        mix = ShapeMix.parse(args.mix, seed=args.seed)
+        target = HttpTarget(
+            host, port, request_timeout=60.0, pool_size=args.concurrency
+        )
+        generator = LoadGenerator(
             target,
             schedule,
             mix,
             mode=args.loop,
             concurrency=args.concurrency,
             stats_interval=0.2,
-        ).run()
+        )
+    except ValueError as exc:
+        raise SystemExit(f"seghdc: error: {exc}") from None
+    folder = ResultFolder(args.out_dir, "loadgen")
+    with target:
+        report = generator.run()
     summary = report.summary(slo_p99_seconds=args.slo)
     folder.write_run(
         folder.new_run(),
@@ -860,8 +888,6 @@ def _run_loadgen(args: argparse.Namespace) -> int:
 
 
 def _run_tile(args: argparse.Namespace) -> int:
-    import contextlib
-
     import numpy as np
 
     from repro.api.result import SegmentationResult

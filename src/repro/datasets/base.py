@@ -63,11 +63,17 @@ class SyntheticNucleiDataset(ABC):
     #: number of segmentation classes including background
     num_classes: int = 2
 
-    def __init__(self, *, num_images: int, seed: int = 0) -> None:
+    def __init__(
+        self, *, num_images: int, seed: int = 0, image_shape: tuple[int, int]
+    ) -> None:
         if num_images <= 0:
             raise ValueError(f"num_images must be positive, got {num_images}")
+        height, width = int(image_shape[0]), int(image_shape[1])
+        if height < 1 or width < 1:
+            raise ValueError(f"image size must be positive, got {height}x{width}")
         self.num_images = int(num_images)
         self.seed = int(seed)
+        self.image_shape = (height, width)
 
     def __len__(self) -> int:
         return self.num_images

@@ -40,8 +40,7 @@ class BBBC005Synthetic(SyntheticNucleiDataset):
         foreground_level: float = 215.0,
         noise_sigma: float = 4.0,
     ) -> None:
-        super().__init__(num_images=num_images, seed=seed)
-        self.image_shape = (int(image_shape[0]), int(image_shape[1]))
+        super().__init__(num_images=num_images, seed=seed, image_shape=image_shape)
         self.cell_count_range = cell_count_range
         self.cell_radius_range = cell_radius_range
         self.blur_sigma_range = blur_sigma_range

@@ -40,8 +40,7 @@ class DSB2018Synthetic(SyntheticNucleiDataset):
         noise_sigma: float = 9.0,
         background_texture: float = 7.0,
     ) -> None:
-        super().__init__(num_images=num_images, seed=seed)
-        self.image_shape = (int(image_shape[0]), int(image_shape[1]))
+        super().__init__(num_images=num_images, seed=seed, image_shape=image_shape)
         self.nuclei_count_range = nuclei_count_range
         self.nuclei_radius_range = nuclei_radius_range
         self.background_level = float(background_level)

@@ -48,8 +48,7 @@ class MoNuSegSynthetic(SyntheticNucleiDataset):
         noise_sigma: float = 10.0,
         stain_variation: float = 0.12,
     ) -> None:
-        super().__init__(num_images=num_images, seed=seed)
-        self.image_shape = (int(image_shape[0]), int(image_shape[1]))
+        super().__init__(num_images=num_images, seed=seed, image_shape=image_shape)
         self.nuclei_count_range = nuclei_count_range
         self.nuclei_radius_range = nuclei_radius_range
         self.noise_sigma = float(noise_sigma)

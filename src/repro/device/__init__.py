@@ -25,15 +25,10 @@ principles.
 from repro.device.errors import DeviceOutOfMemoryError
 from repro.device.profile import DeviceProfile, HOST_PROFILE, RASPBERRY_PI_4
 from repro.device.cost_model import (
-    ServingEstimate,
-    WorkerRecommendation,
     WorkloadCost,
     cnn_baseline_cost,
-    http_wire_bytes,
     packed_bundle_cost,
-    recommend_workers,
     seghdc_cost,
-    serving_estimate,
 )
 from repro.device.executor import EdgeDeviceSimulator, EdgeRunEstimate
 from repro.device.energy import EnergyEstimate, EnergyModel, RASPBERRY_PI_4_ENERGY
@@ -48,13 +43,8 @@ __all__ = [
     "HOST_PROFILE",
     "RASPBERRY_PI_4",
     "RASPBERRY_PI_4_ENERGY",
-    "ServingEstimate",
-    "WorkerRecommendation",
     "WorkloadCost",
     "cnn_baseline_cost",
-    "http_wire_bytes",
     "packed_bundle_cost",
-    "recommend_workers",
     "seghdc_cost",
-    "serving_estimate",
 ]

@@ -24,15 +24,10 @@ from repro.hdc.backend import (
 from repro.hdc.hypervector import packed_words_per_hv
 
 __all__ = [
-    "ServingEstimate",
-    "WorkerRecommendation",
     "WorkloadCost",
     "cnn_baseline_cost",
-    "http_wire_bytes",
     "packed_bundle_cost",
-    "recommend_workers",
     "seghdc_cost",
-    "serving_estimate",
 ]
 
 _FLOAT_BYTES = 4  # float32 element size
@@ -262,256 +257,6 @@ def seghdc_cost(
         peak_memory_bytes=peak_memory,
         kind="hdc",
     )
-
-
-@dataclass(frozen=True)
-class ServingEstimate:
-    """Steady-state throughput of a worker pool serving one workload.
-
-    ``images_per_second`` is the pool's sustained rate; ``latency_seconds``
-    is the per-image completion latency with the pool saturated
-    (Little's law: ``num_workers`` jobs in flight / throughput).
-    ``speedup`` compares against one worker on the same device, and
-    ``bottleneck`` names which resource caps the pool.
-    """
-
-    num_workers: int
-    parallel_workers: int
-    images_per_second: float
-    latency_seconds: float
-    serial_images_per_second: float
-    speedup: float
-    bottleneck: str
-    peak_memory_bytes: float
-
-    def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be positive")
-
-
-def serving_estimate(
-    cost: WorkloadCost,
-    *,
-    num_workers: int,
-    compute_throughput_flops: float,
-    memory_bandwidth_bytes: float,
-    num_cores: int,
-    network_bandwidth_bytes: "float | None" = None,
-    network_bytes_per_image: float = 0.0,
-) -> ServingEstimate:
-    """Concurrency-aware roofline estimate for a pool of identical workers.
-
-    The single-run model charges ``max(compute, memory)`` time per image;
-    with ``W`` workers the resources scale differently:
-
-    * **compute** multiplies — ``min(W, num_cores)`` workers add arithmetic
-      in parallel (extra workers beyond the core count only deepen the
-      queue, they add no rate);
-    * **memory bandwidth is shared** — the aggregate traffic rate is capped
-      by the one memory bus regardless of worker count, which is exactly why
-      thread pools of numpy kernels stop scaling before the core count on
-      bandwidth-bound workloads;
-    * **the network term** (optional) models an HTTP front end: when
-      ``network_bytes_per_image`` is positive — the request image plus the
-      label-map response on the wire — the device's single NIC caps the
-      pool at ``network_bandwidth_bytes / network_bytes_per_image``
-      images/s, shared across workers exactly like the memory bus.  A
-      device without a modelled NIC (``network_bandwidth_bytes=None``)
-      rejects a network workload loudly rather than estimating garbage.
-
-    Peak memory is the conservative bound of every parallel worker holding a
-    full working set; thread-mode serving shares the cached position grid
-    between workers, so the true peak sits below this.
-    """
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be positive, got {num_workers}")
-    if num_cores < 1:
-        raise ValueError(f"num_cores must be positive, got {num_cores}")
-    if compute_throughput_flops <= 0 or memory_bandwidth_bytes <= 0:
-        raise ValueError("throughput and bandwidth must be positive")
-    if network_bytes_per_image < 0:
-        raise ValueError(
-            f"network_bytes_per_image must be non-negative, got "
-            f"{network_bytes_per_image}"
-        )
-    network_seconds = 0.0
-    if network_bytes_per_image:
-        if network_bandwidth_bytes is None or network_bandwidth_bytes <= 0:
-            raise ValueError(
-                "a network workload needs a positive network_bandwidth_bytes "
-                f"(got {network_bandwidth_bytes!r} with "
-                f"{network_bytes_per_image} bytes/image)"
-            )
-        network_seconds = network_bytes_per_image / network_bandwidth_bytes
-    compute_seconds = cost.operations / compute_throughput_flops
-    memory_seconds = cost.bytes_moved / memory_bandwidth_bytes
-    serial_rate = 1.0 / max(compute_seconds, memory_seconds, network_seconds)
-    parallel_workers = min(num_workers, num_cores)
-    compute_rate = parallel_workers / compute_seconds if compute_seconds else math.inf
-    memory_rate = 1.0 / memory_seconds if memory_seconds else math.inf
-    network_rate = 1.0 / network_seconds if network_seconds else math.inf
-    images_per_second = min(compute_rate, memory_rate, network_rate)
-    if network_seconds and network_rate <= min(compute_rate, memory_rate):
-        bottleneck = "network"
-    elif memory_rate < compute_rate:
-        bottleneck = "memory"
-    else:
-        bottleneck = "compute"
-    return ServingEstimate(
-        num_workers=num_workers,
-        parallel_workers=parallel_workers,
-        images_per_second=images_per_second,
-        latency_seconds=num_workers / images_per_second,
-        serial_images_per_second=serial_rate,
-        speedup=images_per_second / serial_rate,
-        bottleneck=bottleneck,
-        peak_memory_bytes=cost.peak_memory_bytes * parallel_workers,
-    )
-
-
-@dataclass(frozen=True)
-class WorkerRecommendation:
-    """Outcome of sizing a worker pool for a target arrival rate.
-
-    ``num_workers`` is the smallest pool whose modelled throughput covers
-    ``target_images_per_second`` (or the largest pool considered when the
-    target is unreachable — see ``feasible``); ``estimate`` is that pool's
-    full :class:`ServingEstimate` so callers can inspect the predicted
-    bottleneck and headroom.
-    """
-
-    num_workers: int
-    feasible: bool
-    target_images_per_second: float
-    estimate: ServingEstimate
-
-    def as_dict(self) -> dict:
-        """JSON-ready form for result payloads."""
-        return {
-            "num_workers": self.num_workers,
-            "feasible": self.feasible,
-            "target_images_per_second": self.target_images_per_second,
-            "predicted_images_per_second": self.estimate.images_per_second,
-            "bottleneck": self.estimate.bottleneck,
-        }
-
-
-def recommend_workers(
-    cost: WorkloadCost,
-    *,
-    target_images_per_second: float,
-    compute_throughput_flops: float,
-    memory_bandwidth_bytes: float,
-    num_cores: int,
-    network_bandwidth_bytes: "float | None" = None,
-    network_bytes_per_image: float = 0.0,
-    max_workers: "int | None" = None,
-) -> WorkerRecommendation:
-    """Smallest worker pool whose roofline throughput meets a target rate.
-
-    Inverts :func:`serving_estimate`: throughput is non-decreasing in the
-    worker count (compute multiplies up to the core count; the memory bus
-    and NIC are shared ceilings independent of workers), so a linear scan
-    from one worker up finds the minimal pool.  Beyond
-    ``min(max_workers, num_cores)`` extra workers add queue depth but no
-    rate, so the scan never looks past it; an unreachable target — the
-    shared memory/network ceiling sits below it — returns that largest
-    useful pool with ``feasible=False`` instead of pretending a bigger pool
-    would help.
-
-    This is the autoscaler's prediction seam: the control loop's measured
-    converged worker count is checked against this recommendation (see
-    ``tests/test_device.py``).
-    """
-    if target_images_per_second <= 0:
-        raise ValueError(
-            f"target_images_per_second must be positive, got "
-            f"{target_images_per_second}"
-        )
-    ceiling = num_cores if max_workers is None else min(max_workers, num_cores)
-    if ceiling < 1:
-        raise ValueError(
-            f"max_workers must allow at least one worker, got {max_workers}"
-        )
-
-    def estimate_for(workers: int) -> ServingEstimate:
-        return serving_estimate(
-            cost,
-            num_workers=workers,
-            compute_throughput_flops=compute_throughput_flops,
-            memory_bandwidth_bytes=memory_bandwidth_bytes,
-            num_cores=num_cores,
-            network_bandwidth_bytes=network_bandwidth_bytes,
-            network_bytes_per_image=network_bytes_per_image,
-        )
-
-    estimate = estimate_for(1)
-    for workers in range(1, ceiling + 1):
-        estimate = estimate_for(workers)
-        if estimate.images_per_second >= target_images_per_second:
-            return WorkerRecommendation(
-                num_workers=workers,
-                feasible=True,
-                target_images_per_second=float(target_images_per_second),
-                estimate=estimate,
-            )
-    return WorkerRecommendation(
-        num_workers=ceiling,
-        feasible=False,
-        target_images_per_second=float(target_images_per_second),
-        estimate=estimate,
-    )
-
-
-#: ``.npy`` headers are padded to a multiple of 64 bytes; one header per
-#: array on the wire.  128 covers every shape the serving stack produces.
-_NPY_HEADER_BYTES = 128
-#: Average wire characters per element when arrays travel as JSON decimal
-#: text (digits + separator, for uint8 pixels and small label ids alike).
-_JSON_CHARS_PER_ELEMENT = 4
-
-_WIRE_FORMS = ("raw", "json")
-
-
-def http_wire_bytes(
-    height: int,
-    width: int,
-    *,
-    channels: int = 1,
-    wire: str = "raw",
-    label_bytes: int = 4,
-) -> float:
-    """Per-image HTTP wire bytes of one segment request/response pair.
-
-    Models the image payload bytes of the serving front end's wire forms —
-    the request's uint8 pixels plus the response's label map (``int32`` by
-    default, matching the clusterer's output) — for feeding
-    :func:`serving_estimate`'s ``network_bytes_per_image`` and for
-    cross-checking the measured ``bytes_per_image`` the HTTP transport
-    counters report:
-
-    * ``"raw"`` — bare ``.npy`` octet-stream bodies: payload plus one
-      ``.npy`` header each way, no inflation (the zero-copy wire form);
-    * ``"json"`` — nested decimal lists, approximated at
-      ``4`` characters per element (digits plus separator).
-
-    The JSON envelope around the image fields is deliberately excluded,
-    matching what the transport counters measure.
-    """
-    if height < 1 or width < 1 or channels < 1:
-        raise ValueError(
-            f"image dims must be positive, got {height}x{width}x{channels}"
-        )
-    if label_bytes < 1:
-        raise ValueError(f"label_bytes must be positive, got {label_bytes}")
-    pixels = height * width * channels
-    if wire == "raw":
-        return float(
-            pixels + height * width * label_bytes + 2 * _NPY_HEADER_BYTES
-        )
-    if wire == "json":
-        return float(_JSON_CHARS_PER_ELEMENT * (pixels + height * width))
-    raise ValueError(f"wire must be one of {_WIRE_FORMS}, got {wire!r}")
 
 
 def cnn_baseline_cost(

@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.device.cost_model import (
-    ServingEstimate,
-    WorkerRecommendation,
-    WorkloadCost,
-    cnn_baseline_cost,
-    recommend_workers,
-    seghdc_cost,
-    serving_estimate,
-)
+from repro.device.cost_model import WorkloadCost, cnn_baseline_cost, seghdc_cost
 from repro.device.errors import DeviceOutOfMemoryError
 from repro.device.profile import DeviceProfile
 
@@ -82,86 +74,6 @@ class EdgeDeviceSimulator:
             peak_memory_bytes=cost.peak_memory_bytes,
             usable_memory_bytes=profile.usable_memory_bytes,
             fits_in_memory=fits,
-        )
-
-    def estimate_serving(
-        self,
-        cost: WorkloadCost,
-        *,
-        num_workers: int,
-        network_bytes_per_image: float = 0.0,
-        strict: bool = True,
-    ) -> ServingEstimate:
-        """Throughput of a ``num_workers`` pool serving ``cost``-shaped images.
-
-        Uses the profile's core count to cap parallel compute and its single
-        memory bus as the shared bandwidth ceiling (see
-        :func:`repro.device.cost_model.serving_estimate`).  A positive
-        ``network_bytes_per_image`` — request image plus label-map response
-        on the wire, i.e. the HTTP front end's per-image traffic — adds the
-        NIC as a third shared ceiling; profiles without a modelled NIC
-        reject it loudly.  With ``strict=True`` the conservative pool-wide
-        peak working set (every parallel worker resident at once) must fit
-        in usable memory — serving is a steady-state workload, so an
-        over-budget pool is a deployment error rather than a tabulated OOM
-        row.
-        """
-        profile = self.profile
-        if cost.kind == "tensor":
-            throughput = profile.tensor_throughput_flops
-        elif cost.kind == "hdc":
-            throughput = profile.hdc_throughput_flops
-        else:
-            raise ValueError(f"unknown workload kind {cost.kind!r}")
-        estimate = serving_estimate(
-            cost,
-            num_workers=num_workers,
-            compute_throughput_flops=throughput,
-            memory_bandwidth_bytes=profile.memory_bandwidth_bytes,
-            num_cores=profile.num_cores,
-            network_bandwidth_bytes=profile.network_bandwidth_bytes,
-            network_bytes_per_image=network_bytes_per_image,
-        )
-        if strict and estimate.peak_memory_bytes > profile.usable_memory_bytes:
-            raise DeviceOutOfMemoryError(
-                int(estimate.peak_memory_bytes),
-                profile.usable_memory_bytes,
-                profile.name,
-            )
-        return estimate
-
-    def recommend_serving_workers(
-        self,
-        cost: WorkloadCost,
-        *,
-        target_images_per_second: float,
-        network_bytes_per_image: float = 0.0,
-        max_workers: "int | None" = None,
-    ) -> WorkerRecommendation:
-        """Smallest pool on this device that sustains a target arrival rate.
-
-        The device-profile front end of
-        :func:`repro.device.cost_model.recommend_workers` — the autoscaler
-        uses this as its predicted scale target and the measured converged
-        worker count is asserted against it (within a documented tolerance)
-        in the prediction-accuracy tests.
-        """
-        profile = self.profile
-        if cost.kind == "tensor":
-            throughput = profile.tensor_throughput_flops
-        elif cost.kind == "hdc":
-            throughput = profile.hdc_throughput_flops
-        else:
-            raise ValueError(f"unknown workload kind {cost.kind!r}")
-        return recommend_workers(
-            cost,
-            target_images_per_second=target_images_per_second,
-            compute_throughput_flops=throughput,
-            memory_bandwidth_bytes=profile.memory_bandwidth_bytes,
-            num_cores=profile.num_cores,
-            network_bandwidth_bytes=profile.network_bandwidth_bytes,
-            network_bytes_per_image=network_bytes_per_image,
-            max_workers=max_workers,
         )
 
     def estimate_seghdc(

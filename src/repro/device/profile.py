@@ -43,17 +43,6 @@ class DeviceProfile:
         the Python runtime, and the framework have taken their share.
     startup_overhead_seconds:
         Fixed per-run overhead (interpreter + library start-up, image I/O).
-    num_cores:
-        Physical cores available to a worker pool.  The single-run latency
-        model ignores this (the throughput figures are calibrated against
-        single-image runs); the serving model uses it to cap how many
-        workers can add compute in parallel, while memory bandwidth stays a
-        shared resource.
-    network_bandwidth_bytes:
-        Sustained NIC bandwidth in bytes/s, shared by all workers — the
-        ceiling of the serving model's network term when images arrive and
-        label maps leave over HTTP.  ``None`` means "no NIC modelled";
-        estimating a network workload on such a profile fails loudly.
     """
 
     name: str
@@ -63,16 +52,8 @@ class DeviceProfile:
     total_memory_bytes: int
     usable_memory_fraction: float = 0.8
     startup_overhead_seconds: float = 0.0
-    num_cores: int = 4
-    network_bandwidth_bytes: "float | None" = None
 
     def __post_init__(self) -> None:
-        if self.num_cores < 1:
-            raise ValueError("num_cores must be positive")
-        if self.network_bandwidth_bytes is not None and (
-            self.network_bandwidth_bytes <= 0
-        ):
-            raise ValueError("network_bandwidth_bytes must be positive or None")
         if self.tensor_throughput_flops <= 0 or self.hdc_throughput_flops <= 0:
             raise ValueError("throughput figures must be positive")
         if self.memory_bandwidth_bytes <= 0:
@@ -100,9 +81,6 @@ RASPBERRY_PI_4 = DeviceProfile(
     total_memory_bytes=4 * 1024**3,
     usable_memory_fraction=0.80,
     startup_overhead_seconds=2.0,
-    num_cores=4,
-    # True gigabit Ethernet on the Pi 4 (measured ~940 Mbit/s sustained).
-    network_bandwidth_bytes=1.17e8,
 )
 
 #: A generic x86 development machine (used for "host wall-clock" context).
@@ -114,7 +92,4 @@ HOST_PROFILE = DeviceProfile(
     total_memory_bytes=16 * 1024**3,
     usable_memory_fraction=0.85,
     startup_overhead_seconds=0.2,
-    num_cores=8,
-    # 10 GbE-class connectivity on a development host.
-    network_bandwidth_bytes=1.25e9,
 )

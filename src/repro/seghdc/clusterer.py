@@ -48,24 +48,6 @@ from repro.hdc.backend import DenseBackend, HDCBackend, HVStorage, make_backend
 __all__ = ["ClusteringResult", "HDKMeans", "select_initial_centroid_indices"]
 
 
-def _fill_missing_positions(positions: np.ndarray, size: int, count: int) -> np.ndarray:
-    """Top ``positions`` up to ``count`` distinct entries in ``[0, size)``.
-
-    Guard for pathological tiny inputs: if quantile picks ever collapse onto
-    the same sorted position, the smallest unused positions are appended so
-    exactly ``count`` distinct seeds come back.  (For valid inputs with
-    ``size >= count`` the evenly spaced picks are already distinct, so this
-    is a safety net rather than a hot path.)
-    """
-    positions = np.unique(positions)
-    while positions.size < count:
-        extras = np.setdiff1d(np.arange(size), positions, assume_unique=False)
-        positions = np.sort(
-            np.concatenate([positions, extras[: count - positions.size]])
-        )
-    return positions
-
-
 def select_initial_centroid_indices(
     intensities: np.ndarray, num_clusters: int
 ) -> np.ndarray:
@@ -84,9 +66,9 @@ def select_initial_centroid_indices(
         )
     order = np.argsort(flat, kind="stable")
     # Evenly spaced picks along the sorted intensity axis: first, last, and
-    # interior quantiles, all distinct because the picks are sorted positions.
+    # interior quantiles.  With n >= k pixels their spacing (n-1)/(k-1) is
+    # exactly 1 or above 1, so the rounded picks are distinct.
     positions = np.linspace(0, flat.size - 1, num_clusters).round().astype(int)
-    positions = _fill_missing_positions(positions, flat.size, num_clusters)
     return order[positions]
 
 

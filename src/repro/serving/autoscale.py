@@ -36,13 +36,6 @@ latencies, integrated SLO-violation seconds — into the shape the
 single-host chaos scenario (``seghdc loadgen``) records.  The loop is
 fully deterministic under an injected ``clock`` + scripted observations,
 which is how ``tests/test_autoscale.py`` pins the hysteresis behavior.
-
-The *predictor* seam ties the loop to the device cost model: a callable
-mapping an observed arrival rate to a recommended worker count (built on
-:func:`repro.device.cost_model.recommend_workers`) lets a breach jump
-straight to the predicted pool size instead of climbing one worker per
-cooldown window; the prediction-accuracy tests assert the loop converges to
-the model's recommendation within a documented tolerance.
 """
 
 from __future__ import annotations
@@ -236,12 +229,6 @@ class Autoscaler:
         The :class:`AutoscalePolicy` thresholds.
     clock:
         Monotonic time source; injectable so tests script time.
-    predictor:
-        Optional ``predictor(observation) -> int | None``: a recommended
-        worker count (e.g. from the device cost model's
-        ``recommend_workers`` fed with the observed arrival rate).  When it
-        returns a count above the current pool, a breach jumps straight to
-        it (clamped to the policy bounds) instead of stepping by one.
     """
 
     def __init__(
@@ -251,13 +238,11 @@ class Autoscaler:
         policy: AutoscalePolicy,
         *,
         clock: Callable[[], float] = time.monotonic,
-        predictor: "Callable[[Observation], int | None] | None" = None,
     ) -> None:
         self._observe = observe
         self._actuator = actuator
         self.policy = policy
         self._clock = clock
-        self._predictor = predictor
         self.decisions: list[dict] = []
         self._breach_streak = 0
         self._calm_streak = 0
@@ -360,7 +345,7 @@ class Autoscaler:
                 self._heals += 1
                 self._after_action(now)
         elif self._breach_streak >= policy.breach_rounds:
-            target = self._scale_up_target(obs)
+            target = min(policy.max_workers, obs.workers + 1)
             if target <= obs.workers:
                 record.update(
                     action="none",
@@ -412,18 +397,6 @@ class Autoscaler:
                 self._after_action(now)
         self.decisions.append(record)
         return record
-
-    def _scale_up_target(self, obs: Observation) -> int:
-        """Next pool size on a confirmed breach (prediction-aware)."""
-        policy = self.policy
-        target = obs.workers + 1
-        if self._predictor is not None:
-            predicted = self._predictor(obs)
-            if predicted is not None:
-                # Never *shrink* on a breach, even if the model claims the
-                # current pool suffices — the measurements outrank it.
-                target = max(target, int(predicted))
-        return min(policy.max_workers, target)
 
     def _after_action(self, now: float) -> None:
         self._last_action_at = now

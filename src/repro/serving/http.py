@@ -624,7 +624,11 @@ class _HttpStats:
         self._transport: dict = {}
 
     def record(self, route: str, status: int, seconds: float) -> None:
-        """Count one finished request with its status and wall time."""
+        """Count one request with its status and wall time.
+
+        The time ends when the reply is encoded, before its body is
+        written; a streamed reply's ends after its last chunk.
+        """
         with self._lock:
             self._requests += 1
             if status >= 400:
@@ -645,8 +649,7 @@ class _HttpStats:
         ``path`` names the request's image encoding — ``"http-raw"``
         (octet-stream ``.npy``/framed bodies) or ``"http-json"`` (nested
         pixel lists) — and the byte counts cover the image payloads only,
-        not the JSON envelope, so ``bytes_per_image`` is directly
-        comparable to the cost model's per-image network term.
+        not the JSON envelope.
         """
         with self._lock:
             record_transport_locked(
@@ -773,32 +776,33 @@ class _Handler(BaseHTTPRequestHandler):
                 content_type=self.headers.get("Content-Type"),
                 accept=self.headers.get("Accept"),
             )
-        if isinstance(payload, StreamingResponse):
-            self._write_stream(status, payload)
-        else:
-            if isinstance(payload, RawResponse):
-                encoded = payload.body
-                content_type = payload.content_type
-                extra_headers = payload.headers
-            else:
-                encoded = json.dumps(payload, default=_json_default).encode(
-                    "utf-8"
-                )
-                content_type = "application/json"
-                extra_headers = {}
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(encoded)))
-            for name, value in extra_headers.items():
-                self.send_header(name, value)
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(encoded)
         route = request_route(self.path)
         if all(route != known for _, known in self.app.ROUTES):
             route = UNMATCHED_ROUTE
+        if isinstance(payload, StreamingResponse):
+            self._write_stream(status, payload)
+            self.app.http_stats.record(route, status, time.perf_counter() - start)
+            return
+        if isinstance(payload, RawResponse):
+            encoded = payload.body
+            content_type = payload.content_type
+            extra_headers = payload.headers
+        else:
+            encoded = json.dumps(payload, default=_json_default).encode("utf-8")
+            content_type = "application/json"
+            extra_headers = {}
+        # Counted before the reply leaves, so a client that has read its
+        # reply always finds its request in /stats.
         self.app.http_stats.record(route, status, time.perf_counter() - start)
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(encoded)))
+        for name, value in extra_headers.items():
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(encoded)
 
     def _write_stream(self, status: int, payload: StreamingResponse) -> None:
         """Send a chunked response, one HTTP chunk per produced body chunk.

@@ -174,8 +174,7 @@ def aggregate_transport(counters: dict) -> dict:
     ``counters`` maps a transport path (``"pickle"``, ``"inline"``,
     ``"http-raw"``, ...) to its raw ``images`` / ``bytes_in`` / ``bytes_out``
     totals; the copy adds ``bytes_per_image`` — total bytes moved over that
-    path divided by the images that rode it — which is the number the
-    serving benchmarks compare against the cost model's network term.
+    path divided by the images that rode it.
     Shared between :class:`StatsCollector` and the HTTP front end's counter
     set so both report the same transport shape.
     """

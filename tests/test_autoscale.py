@@ -6,10 +6,9 @@ scale-up after ``breach_rounds`` consecutive breaches, scale-down only
 after ``calm_rounds`` calm ones, the dead band between the watermark and
 the SLO holding steady (no flapping), cooldown deferring actuation,
 failure-triggered heals outranking scale decisions, the ``min_samples``
-noise guard, queue-pressure breaches without a latency signal, and the
-predictor jump.  The live-loop integration (real control plane, real
-load, a worker SIGKILL) rides in ``tests/test_loadgen_chaos.py``; the
-model-predicted pool size is gated in ``tests/test_device.py``.
+noise guard, queue-pressure breaches without a latency signal, and one-worker
+scale-up steps.  The live-loop integration (real control plane, real
+load, a worker SIGKILL) rides in ``tests/test_loadgen_chaos.py``.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ def _scaler(
     script: "list[Observation]",
     *,
     actuator: "FakeActuator | None" = None,
-    predictor=None,
     tick: float = 1.0,
 ):
     """An autoscaler fed a scripted observation sequence on a fake clock.
@@ -96,9 +94,7 @@ def _scaler(
     clock = FakeClock()
     feed = iter(script)
     actuator = actuator or FakeActuator()
-    scaler = Autoscaler(
-        lambda: next(feed), actuator, policy, clock=clock, predictor=predictor
-    )
+    scaler = Autoscaler(lambda: next(feed), actuator, policy, clock=clock)
 
     def run() -> list:
         records = []
@@ -166,30 +162,28 @@ class TestScaleUp:
             "max_scale_up_reaction_seconds"
         ] == pytest.approx(1.0)
 
-    def test_predictor_jumps_to_recommended_count(self):
+    def test_sustained_breach_climbs_one_worker_per_step_to_the_cap(self):
+        """Every scale-up adds exactly one worker, however deep the breach,
+        and the climb stops at ``max_workers``."""
         policy = AutoscalePolicy(
             slo_p99_seconds=SLO,
-            max_workers=8,
+            max_workers=4,
             breach_rounds=1,
             cooldown_seconds=0.0,
         )
-        bad = _obs(p99=2.0, workers=2)
-        _, actuator, run = _scaler(policy, [bad], predictor=lambda obs: 6)
-        run()
-        assert actuator.scale_calls == [6]
+        script = [_obs(p99=50.0, queue=100, workers=w) for w in (1, 2, 3, 4)]
+        _, actuator, run = _scaler(policy, script)
+        records = run()
+        assert actuator.scale_calls == [2, 3, 4]
+        assert [r["action"] for r in records] == [
+            "scale_up", "scale_up", "scale_up", "none"
+        ]
+        assert "max_workers" in records[-1]["reason"]
 
-    def test_predictor_never_shrinks_a_breach(self):
-        policy = AutoscalePolicy(
-            slo_p99_seconds=SLO, breach_rounds=1, cooldown_seconds=0.0
-        )
-        bad = _obs(p99=2.0, workers=4)
-        actuator = FakeActuator(workers=4)
-        _, actuator, run = _scaler(
-            policy, [bad], actuator=actuator, predictor=lambda obs: 1
-        )
-        run()
-        # The model said 1 worker suffices; measurements outrank it.
-        assert actuator.scale_calls == [5]
+    def test_predictor_keyword_is_gone(self):
+        policy = AutoscalePolicy(slo_p99_seconds=SLO)
+        with pytest.raises(TypeError, match="predictor"):
+            Autoscaler(_obs, FakeActuator(), policy, predictor=lambda obs: 6)
 
 
 class TestScaleDownHysteresis:

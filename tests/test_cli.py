@@ -254,6 +254,77 @@ class TestParser:
             main([command, "--url", url])
 
 
+class TestUsageErrors:
+    """Out-of-range flags end in one ``seghdc: error:`` line, before any
+    port is announced, result folder created or connection opened."""
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (["--mix", "bad"], "bad shape-mix entry 'bad'"),
+            (["--mix", "0x64"], "image shape must be positive"),
+            (["--mix", "48x64:0"], "shape weight must be positive"),
+            (["--rate", "0"], "rate must be positive"),
+            (["--concurrency", "0"], "pool_size must be positive"),
+        ],
+        ids=["mix-bad", "mix-0x64", "mix-weight-0", "rate-0", "concurrency-0"],
+    )
+    def test_loadgen(self, args, match, tmp_path, monkeypatch):
+        import socket
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused flag opened a connection")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        out_dir = tmp_path / "results"
+        with pytest.raises(SystemExit, match=f"^seghdc: error: {match}"):
+            main(
+                ["loadgen", "--url", "127.0.0.1:1", "--out-dir", str(out_dir)]
+                + args
+            )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (["--workers", "0"], "num_workers must be positive"),
+            (["--max-queue-depth", "0"], "max_queue_depth must be positive"),
+            (["--batch-size", "0"], "max_batch_size must be positive"),
+            (
+                ["--watch-interval", "0", "--watch-spec", "spec.json"],
+                "interval must be positive",
+            ),
+        ],
+        ids=["workers-0", "queue-depth-0", "batch-size-0", "watch-interval-0"],
+    )
+    def test_serve(self, args, match, capsys):
+        with pytest.raises(SystemExit, match=f"^seghdc: error: {match}"):
+            main(
+                ["serve", "--port", "0", "--mode", "thread",
+                 "--segmenter", "threshold"] + args
+            )
+        assert "SEGHDC_SERVE_PORT=" not in capsys.readouterr().out
+
+    def test_cluster(self, capsys):
+        with pytest.raises(
+            SystemExit, match="^seghdc: error: replicas must be positive"
+        ):
+            main(["cluster", "--port", "0", "--replicas", "0"])
+        assert "SEGHDC_GATEWAY_PORT=" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (["--height", "0"], "image size must be positive, got 0x160"),
+            (["--index", "-1"], "--index must be non-negative, got -1"),
+        ],
+        ids=["height-0", "index-neg"],
+    )
+    def test_segment(self, args, match):
+        with pytest.raises(SystemExit, match=f"^seghdc: error: {match}"):
+            main(["segment", *args])
+
+
 class TestMain:
     def test_list_output(self, capsys):
         assert main(["list"]) == 0

@@ -14,9 +14,7 @@ from repro.device import (
     HOST_PROFILE,
     RASPBERRY_PI_4,
     cnn_baseline_cost,
-    recommend_workers,
     seghdc_cost,
-    serving_estimate,
 )
 
 
@@ -218,487 +216,110 @@ class TestEdgeDeviceSimulator:
         assert error.device == "pi"
 
 
-class TestServingEstimate:
-    """Concurrency-aware throughput model for the serving worker pool."""
-
-    def _cost(self):
-        return seghdc_cost(64, 64, dimension=1000, num_clusters=2, num_iterations=3)
-
-    def test_compute_bound_workload_scales_to_core_count_and_no_further(self):
-        cost = self._cost()
-        kwargs = dict(
-            compute_throughput_flops=1e8,
-            memory_bandwidth_bytes=1e12,  # bandwidth effectively unlimited
-            num_cores=4,
-        )
-        one = serving_estimate(cost, num_workers=1, **kwargs)
-        four = serving_estimate(cost, num_workers=4, **kwargs)
-        eight = serving_estimate(cost, num_workers=8, **kwargs)
-        assert one.speedup == pytest.approx(1.0)
-        assert four.speedup == pytest.approx(4.0)
-        # Workers beyond the core count add queue depth, not rate.
-        assert eight.images_per_second == pytest.approx(four.images_per_second)
-        assert eight.parallel_workers == 4
-        assert four.bottleneck == "compute"
-
-    def test_memory_bound_workload_does_not_scale(self):
-        cost = self._cost()
-        estimate = serving_estimate(
-            cost,
-            num_workers=4,
-            compute_throughput_flops=1e14,  # compute effectively free
-            memory_bandwidth_bytes=1e8,
-            num_cores=4,
-        )
-        assert estimate.bottleneck == "memory"
-        # The shared memory bus caps the pool at the single-worker rate.
-        assert estimate.speedup == pytest.approx(1.0)
-
-    def test_latency_follows_littles_law(self):
-        cost = self._cost()
-        estimate = serving_estimate(
-            cost,
-            num_workers=4,
-            compute_throughput_flops=1e8,
-            memory_bandwidth_bytes=1e12,
-            num_cores=4,
-        )
-        assert estimate.latency_seconds == pytest.approx(
-            estimate.num_workers / estimate.images_per_second
-        )
-
-    def test_network_term_caps_the_pool_like_a_shared_bus(self):
-        """A slow NIC bounds images/s at bandwidth / bytes-per-image no
-        matter how many workers the pool has."""
-        cost = self._cost()
-        kwargs = dict(
-            compute_throughput_flops=1e14,  # compute effectively free
-            memory_bandwidth_bytes=1e14,  # memory effectively free
-            num_cores=8,
-            network_bandwidth_bytes=1e6,
-            network_bytes_per_image=250_000.0,  # request + response bytes
-        )
-        four = serving_estimate(cost, num_workers=4, **kwargs)
-        eight = serving_estimate(cost, num_workers=8, **kwargs)
-        assert four.bottleneck == "network"
-        assert four.images_per_second == pytest.approx(1e6 / 250_000.0)
-        # The NIC is shared: more workers add no rate.
-        assert eight.images_per_second == pytest.approx(four.images_per_second)
-        # Serial rate pays the network too, so the speedup stays 1x.
-        assert four.speedup == pytest.approx(1.0)
-
-    def test_network_term_is_inert_when_traffic_is_zero(self):
-        cost = self._cost()
-        base = serving_estimate(
-            cost,
-            num_workers=4,
-            compute_throughput_flops=1e8,
-            memory_bandwidth_bytes=1e12,
-            num_cores=4,
-        )
-        with_nic = serving_estimate(
-            cost,
-            num_workers=4,
-            compute_throughput_flops=1e8,
-            memory_bandwidth_bytes=1e12,
-            num_cores=4,
-            network_bandwidth_bytes=1e6,  # slow NIC, but nothing on the wire
-            network_bytes_per_image=0.0,
-        )
-        assert with_nic.images_per_second == pytest.approx(
-            base.images_per_second
-        )
-        assert with_nic.bottleneck == base.bottleneck == "compute"
-
-    def test_network_workload_without_a_nic_fails_loudly(self):
-        cost = self._cost()
-        with pytest.raises(ValueError, match="network_bandwidth_bytes"):
-            serving_estimate(
-                cost,
-                num_workers=2,
-                compute_throughput_flops=1e8,
-                memory_bandwidth_bytes=1e9,
-                num_cores=4,
-                network_bandwidth_bytes=None,
-                network_bytes_per_image=1024.0,
-            )
-        profile = DeviceProfile("no-nic", 1e9, 1e8, 1e9, 2**30)
-        with pytest.raises(ValueError, match="network_bandwidth_bytes"):
-            EdgeDeviceSimulator(profile).estimate_serving(
-                cost, num_workers=2, network_bytes_per_image=1024.0
-            )
-        with pytest.raises(ValueError, match="network_bandwidth_bytes"):
-            DeviceProfile("bad-nic", 1e9, 1e8, 1e9, 2**30,
-                          network_bandwidth_bytes=0.0)
-
-    def test_simulator_passes_the_profile_nic_through(self):
-        """The Pi profile models gigabit Ethernet; a megapixel-per-image
-        HTTP workload lands on the NIC ceiling."""
-        simulator = EdgeDeviceSimulator(RASPBERRY_PI_4)
-        cost = self._cost()
-        # Enormous per-image traffic so the NIC dominates compute/memory.
-        estimate = simulator.estimate_serving(
-            cost, num_workers=4, network_bytes_per_image=1e9
-        )
-        assert estimate.bottleneck == "network"
-        assert estimate.images_per_second == pytest.approx(
-            RASPBERRY_PI_4.network_bandwidth_bytes / 1e9
-        )
-        # Modest traffic leaves the old compute/memory answer untouched.
-        light = simulator.estimate_serving(
-            cost, num_workers=4, network_bytes_per_image=64 * 64.0
-        )
-        plain = simulator.estimate_serving(cost, num_workers=4)
-        assert light.bottleneck == plain.bottleneck
-        assert light.images_per_second == pytest.approx(
-            plain.images_per_second
-        )
-
-    def test_simulator_wrapper_uses_profile_cores_and_checks_memory(self):
-        simulator = EdgeDeviceSimulator(RASPBERRY_PI_4)
-        cost = self._cost()
-        estimate = simulator.estimate_serving(cost, num_workers=8)
-        assert estimate.parallel_workers == RASPBERRY_PI_4.num_cores
-        assert estimate.images_per_second > estimate.serial_images_per_second
-        # A pool whose aggregate working set exceeds usable memory is a
-        # deployment error under strict mode.
-        big = seghdc_cost(
-            520, 696, dimension=10_000, num_clusters=2, num_iterations=10
-        )
-        with pytest.raises(DeviceOutOfMemoryError):
-            simulator.estimate_serving(big, num_workers=4)
-        relaxed = simulator.estimate_serving(big, num_workers=4, strict=False)
-        assert relaxed.peak_memory_bytes > RASPBERRY_PI_4.usable_memory_bytes
-
-    def test_validation(self):
-        cost = self._cost()
-        with pytest.raises(ValueError):
-            serving_estimate(
-                cost,
-                num_workers=0,
-                compute_throughput_flops=1e8,
-                memory_bandwidth_bytes=1e9,
-                num_cores=4,
-            )
-        with pytest.raises(ValueError):
-            serving_estimate(
-                cost,
-                num_workers=2,
-                compute_throughput_flops=0,
-                memory_bandwidth_bytes=1e9,
-                num_cores=4,
-            )
-        with pytest.raises(ValueError):
-            DeviceProfile("x", 1, 1, 1, 1, num_cores=0)
-
-
-class TestWireBytesModel:
-    """``http_wire_bytes`` against the serving codecs' actual output."""
+class TestSingleRunModelPins:
+    """The single-run model's figures, pinned to the values Table II and
+    Fig. 7 are built from, so a change to the device package that is not
+    meant to move the model cannot move it unnoticed."""
 
     @pytest.mark.parametrize(
-        "spec, shape",
+        "shape, kwargs, operations, bytes_moved, peak_bytes, pi_seconds",
         [
-            ({"segmenter": "threshold"}, (128, 128)),
             (
-                {
-                    "segmenter": "seghdc",
-                    "config": {
-                        "dimension": 256,
-                        "num_iterations": 2,
-                        "backend": "packed",
-                    },
-                },
-                (64, 64),
+                (256, 320),
+                dict(dimension=800, num_clusters=2, num_iterations=3),
+                1507328000.0, 458752000, 207278080.0, 35.79659192825112,
+            ),
+            (
+                (520, 696),
+                dict(dimension=2000, num_clusters=2, num_iterations=3,
+                     channels=1),
+                16648320000.0, 5066880000, 2220573440.0, 375.28071748878926,
+            ),
+            (
+                (256, 320),
+                dict(dimension=2048, num_clusters=2, num_iterations=3,
+                     backend="packed"),
+                580321280.0, 272629760.0, 62789632.0, 15.011687892376681,
+            ),
+            (
+                (1000, 1000),
+                dict(dimension=10000, num_clusters=3, num_iterations=10,
+                     backend="packed", counter_depth=8,
+                     bundle_chunk_rows=4096),
+                202839200000.0, 51496000000.0, 3128807680.0,
+                4549.964125560538,
             ),
         ],
-        ids=["threshold-128", "seghdc-packed-64"],
+        ids=["dsb2018-dense", "bbbc005-dense", "dsb2018-packed",
+             "packed-depth8-chunk4096"],
     )
-    def test_model_equals_encoded_pixels_plus_labels(self, spec, shape):
-        """Exact, not approximate: the model counts the same ``.npy``
-        headers the codec emits, for the label map a real segmenter
-        returns."""
-        import numpy as np
-
-        from repro.api import make_segmenter
-        from repro.device import http_wire_bytes
-        from repro.serving.http import npy_bytes
-
-        image = np.random.default_rng(5).integers(
-            0, 256, size=shape, dtype=np.uint8
+    def test_seghdc(
+        self, shape, kwargs, operations, bytes_moved, peak_bytes, pi_seconds
+    ):
+        cost = seghdc_cost(*shape, **kwargs)
+        assert cost.kind == "hdc"
+        assert cost.operations == operations
+        assert cost.bytes_moved == bytes_moved
+        assert cost.peak_memory_bytes == peak_bytes
+        estimate = EdgeDeviceSimulator(RASPBERRY_PI_4).estimate_seghdc(
+            *shape, **kwargs
         )
-        labels = make_segmenter(spec).segment(image).labels
-        measured = len(npy_bytes(image)) + len(npy_bytes(labels))
-        assert http_wire_bytes(*shape, wire="raw") == measured
+        assert estimate.latency_seconds == pytest.approx(pi_seconds, rel=1e-12)
+        assert estimate.peak_memory_bytes == peak_bytes
+        assert estimate.fits_in_memory
 
-
-class TestRecommendWorkers:
-    """The serving-estimate inversion that sizes worker pools."""
-
-    def _kwargs(self):
-        return dict(
-            compute_throughput_flops=1e8,
-            memory_bandwidth_bytes=1e12,  # compute-bound: rate scales with W
-            num_cores=8,
+    @pytest.mark.parametrize(
+        "shape, channels, operations, peak_bytes, pi_seconds, fits",
+        [
+            ((256, 320), 3, 50724864000000.0, 1015808000.0, 11274.192, True),
+            ((520, 696), 1, 220192128000000.0, 4487808000.0, 48933.584, False),
+        ],
+        ids=["dsb2018", "bbbc005-oom"],
+    )
+    def test_cnn_baseline(
+        self, shape, channels, operations, peak_bytes, pi_seconds, fits
+    ):
+        cost = cnn_baseline_cost(*shape, channels=channels, iterations=1000)
+        assert cost.kind == "tensor"
+        assert cost.operations == operations
+        assert cost.peak_memory_bytes == peak_bytes
+        estimate = EdgeDeviceSimulator(RASPBERRY_PI_4).estimate_cnn_baseline(
+            *shape, channels=channels, iterations=1000, strict=False
         )
-
-    def _cost(self):
-        return seghdc_cost(
-            64, 64, dimension=800, num_clusters=2, num_iterations=3
-        )
-
-    def test_minimal_feasible_pool(self):
-        cost = self._cost()
-        kwargs = self._kwargs()
-        serial = serving_estimate(cost, num_workers=1, **kwargs)
-        target = 2.5 * serial.images_per_second
-        rec = recommend_workers(
-            cost, target_images_per_second=target, **kwargs
-        )
-        assert rec.feasible
-        assert rec.num_workers == 3  # smallest W with W x serial >= 2.5x
-        assert rec.estimate.images_per_second >= target
-        # Minimality: one fewer worker would miss the target.
-        smaller = serving_estimate(
-            cost, num_workers=rec.num_workers - 1, **kwargs
-        )
-        assert smaller.images_per_second < target
-
-    def test_trivial_target_needs_one_worker(self):
-        cost = self._cost()
-        kwargs = self._kwargs()
-        rec = recommend_workers(
-            cost, target_images_per_second=1e-6, **kwargs
-        )
-        assert rec.feasible and rec.num_workers == 1
-
-    def test_unreachable_target_reports_infeasible_at_ceiling(self):
-        cost = self._cost()
-        kwargs = self._kwargs()
-        rec = recommend_workers(
-            cost, target_images_per_second=1e12, **kwargs
-        )
-        assert not rec.feasible
-        assert rec.num_workers == kwargs["num_cores"]
-        assert rec.as_dict()["feasible"] is False
-
-    def test_shared_memory_ceiling_caps_the_scan(self):
-        cost = self._cost()
-        # Memory-bound: the bus is shared, so no worker count reaches a
-        # target above the single-bus rate.
-        kwargs = dict(
-            compute_throughput_flops=1e14,
-            memory_bandwidth_bytes=cost.bytes_moved * 10.0,  # 10 img/s bus
-            num_cores=8,
-        )
-        rec = recommend_workers(
-            cost, target_images_per_second=20.0, **kwargs
-        )
-        assert not rec.feasible
-        assert rec.estimate.bottleneck == "memory"
-
-    def test_max_workers_bounds_the_recommendation(self):
-        cost = self._cost()
-        kwargs = self._kwargs()
-        serial = serving_estimate(cost, num_workers=1, **kwargs)
-        rec = recommend_workers(
-            cost,
-            target_images_per_second=6 * serial.images_per_second,
-            max_workers=2,
-            **kwargs,
-        )
-        assert not rec.feasible
-        assert rec.num_workers == 2
-
-    def test_validation(self):
-        cost = self._cost()
-        with pytest.raises(ValueError):
-            recommend_workers(
-                cost, target_images_per_second=0.0, **self._kwargs()
-            )
-        with pytest.raises(ValueError):
-            recommend_workers(
-                cost,
-                target_images_per_second=1.0,
-                max_workers=0,
-                **self._kwargs(),
-            )
-
-    def test_simulator_recommend_serving_workers(self):
-        simulator = EdgeDeviceSimulator(RASPBERRY_PI_4)
-        cost = self._cost()
-        serial = simulator.estimate_serving(cost, num_workers=1)
-        rec = simulator.recommend_serving_workers(
-            cost, target_images_per_second=1.5 * serial.images_per_second
-        )
-        assert rec.num_workers >= 2
-        assert rec.estimate.images_per_second >= rec.target_images_per_second
+        assert estimate.latency_seconds == pytest.approx(pi_seconds, rel=1e-12)
+        assert estimate.fits_in_memory is fits
 
 
-class TestPredictionAccuracy:
-    """recommend_workers vs the autoscaler's converged pool size.
+class TestNoServingPoolModel:
+    """The device package prices one run; it has no worker-pool model."""
 
-    The serving loop is simulated *from the cost model itself*: an
-    observation reports a breaching p99 whenever the offered rate exceeds
-    the modelled throughput of the current pool, calm otherwise.  Driving
-    the real Autoscaler over that feedback must converge onto a worker
-    count within +/-1 of the model inversion's recommendation (the
-    documented tolerance: the loop steps conservatively and never
-    overshoots the bound, the model knows nothing about hysteresis).
-    This is the gate on the prediction; the chaos sweep
-    (``tests/test_loadgen_chaos.py``) gates a real autoscaled pool's
-    exactly-once behaviour under a worker SIGKILL.
-    """
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "ServingEstimate",
+            "serving_estimate",
+            "WorkerRecommendation",
+            "recommend_workers",
+            "http_wire_bytes",
+        ],
+    )
+    def test_package_exports_no_serving_symbol(self, name):
+        import repro.device
+        from repro.device import cost_model
 
-    def test_autoscaler_converges_onto_recommended_workers(self):
-        from repro.serving.autoscale import AutoscalePolicy, Autoscaler
+        assert name not in repro.device.__all__
+        assert not hasattr(repro.device, name)
+        assert not hasattr(cost_model, name)
 
-        cost = seghdc_cost(
-            64, 64, dimension=800, num_clusters=2, num_iterations=3
-        )
-        kwargs = dict(
-            compute_throughput_flops=1e8,
-            memory_bandwidth_bytes=1e12,
-            num_cores=8,
-        )
-        serial = serving_estimate(cost, num_workers=1, **kwargs)
-        offered = 3.4 * serial.images_per_second
-        recommendation = recommend_workers(
-            cost, target_images_per_second=offered, **kwargs
-        )
-        assert recommendation.feasible
+    @pytest.mark.parametrize("field", ["num_cores", "network_bandwidth_bytes"])
+    def test_profile_has_no_pool_field(self, field):
+        assert not hasattr(RASPBERRY_PI_4, field)
+        assert not hasattr(HOST_PROFILE, field)
+        with pytest.raises(TypeError, match=field):
+            DeviceProfile("x", 1e9, 1e8, 1e9, 2**30, **{field: 4})
 
-        slo = 1.0
-
-        class ModelActuator:
-            """Tracks the pool size the loop actuates."""
-
-            def __init__(self):
-                self.workers = 1
-
-            def current_workers(self):
-                return self.workers
-
-            def scale_to(self, workers):
-                self.workers = workers
-                return {"status": "swapped"}
-
-        actuator = ModelActuator()
-        clock = {"now": 0.0}
-        completed = {"count": 0}
-
-        def observe():
-            estimate = serving_estimate(
-                cost, num_workers=actuator.workers, **kwargs
-            )
-            utilization = offered / estimate.images_per_second
-            # Overloaded pools breach; comfortably sized ones sit in the
-            # hysteresis dead band; only genuinely idle ones look calm
-            # (the shape real queueing latency has, coarsely).
-            if utilization > 1.0:
-                p99 = 4 * slo
-            elif utilization > 0.6:
-                p99 = 0.7 * slo
-            else:
-                p99 = 0.2 * slo
-            completed["count"] += 50
-            return {
-                "latency": {"p99": p99, "count": 50},
-                "queue_depth": (
-                    10 * actuator.workers if utilization > 1.0 else 0
-                ),
-                "completed": completed["count"],
-                "failed": 0,
-                "num_workers": actuator.workers,
-            }
-
-        scaler = Autoscaler(
-            observe,
-            actuator,
-            AutoscalePolicy(
-                slo_p99_seconds=slo,
-                max_workers=8,
-                breach_rounds=2,
-                calm_rounds=5,
-                cooldown_seconds=0.0,
-            ),
-            clock=lambda: clock["now"],
-        )
-        for _ in range(40):
-            scaler.step()
-            clock["now"] += 1.0
-
-        converged = actuator.workers
-        assert abs(converged - recommendation.num_workers) <= 1, (
-            f"autoscaler converged on {converged} workers, model "
-            f"recommended {recommendation.num_workers}"
-        )
-        # And it is genuinely converged: enough capacity, no overshoot
-        # beyond one step past the recommendation.
-        final = serving_estimate(cost, num_workers=converged, **kwargs)
-        assert final.images_per_second >= offered
-
-    def test_predictor_seam_jumps_straight_to_recommendation(self):
-        from repro.serving.autoscale import AutoscalePolicy, Autoscaler
-
-        cost = seghdc_cost(
-            64, 64, dimension=800, num_clusters=2, num_iterations=3
-        )
-        kwargs = dict(
-            compute_throughput_flops=1e8,
-            memory_bandwidth_bytes=1e12,
-            num_cores=8,
-        )
-        serial = serving_estimate(cost, num_workers=1, **kwargs)
-        offered = 3.4 * serial.images_per_second
-        recommendation = recommend_workers(
-            cost, target_images_per_second=offered, **kwargs
-        )
-
-        class ModelActuator:
-            """Tracks the pool size the loop actuates."""
-
-            def __init__(self):
-                self.workers = 1
-
-            def current_workers(self):
-                return self.workers
-
-            def scale_to(self, workers):
-                self.workers = workers
-                return {"status": "swapped"}
-
-        actuator = ModelActuator()
-        clock = {"now": 0.0}
-
-        def observe():
-            estimate = serving_estimate(
-                cost, num_workers=actuator.workers, **kwargs
-            )
-            overloaded = offered > estimate.images_per_second
-            return {
-                "latency": {
-                    "p99": 4.0 if overloaded else 0.2,
-                    "count": 50,
-                },
-                "queue_depth": 0,
-                "completed": 0,
-                "failed": 0,
-                "num_workers": actuator.workers,
-            }
-
-        scaler = Autoscaler(
-            observe,
-            actuator,
-            AutoscalePolicy(
-                slo_p99_seconds=1.0,
-                max_workers=8,
-                breach_rounds=1,
-                cooldown_seconds=0.0,
-            ),
-            clock=lambda: clock["now"],
-            predictor=lambda obs: recommendation.num_workers,
-        )
-        scaler.step()
-        # One actuation lands exactly on the model's recommendation
-        # instead of stepping one worker at a time.
-        assert actuator.workers == recommendation.num_workers
+    @pytest.mark.parametrize(
+        "method", ["estimate_serving", "recommend_serving_workers"]
+    )
+    def test_simulator_has_no_serving_method(self, method):
+        assert not hasattr(EdgeDeviceSimulator(RASPBERRY_PI_4), method)

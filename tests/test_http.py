@@ -41,6 +41,7 @@ from repro.serving.http import (
     RawResponse,
     StreamingResponse,
     RawRequest,
+    _Handler,
     array_from_npy_bytes,
     decode_image_payload,
     decode_segment_request,
@@ -1064,15 +1065,45 @@ class TestRequestHygiene:
             connection.getresponse().read()
         finally:
             connection.close()
-        # A request is counted just after its reply is written.
-        deadline = time.monotonic() + 10
-        while (
-            front_door.http_stats.snapshot()["requests"] < 61
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.01)
         by_route = front_door.http_stats.snapshot()["by_route"]
         assert by_route == {UNMATCHED_ROUTE: 60, "/healthz": 1}, sorted(by_route)
+
+    def test_request_is_counted_before_its_body_is_written(
+        self, front_door, monkeypatch
+    ):
+        """A client that has read its reply finds it in ``/stats``."""
+        counts_at_write = []
+        original_setup = _Handler.setup
+
+        class CountingWriter:
+            def __init__(self, wfile):
+                self._wfile = wfile
+
+            def write(self, data):
+                snapshot = front_door.http_stats.snapshot()
+                counts_at_write.append(snapshot["requests"])
+                return self._wfile.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._wfile, name)
+
+        def setup(handler):
+            original_setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(_Handler, "setup", setup)
+        connection = http.client.HTTPConnection(
+            front_door.host, front_door.port, timeout=30
+        )
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+        finally:
+            connection.close()
+        assert response.status == 200
+        # Headers and body are separate writes; the body write is last.
+        assert counts_at_write[-1] == 1, counts_at_write
 
     def test_transfer_encoding_body_gets_one_json_411_then_close(
         self, front_door

@@ -15,10 +15,7 @@ from repro.seghdc import (
     PixelHVProducer,
     make_position_encoder,
 )
-from repro.seghdc.clusterer import (
-    _fill_missing_positions,
-    select_initial_centroid_indices,
-)
+from repro.seghdc.clusterer import select_initial_centroid_indices
 
 
 def _producer(dimension=1024, height=6, width=8, channels=3, seed=0):
@@ -130,23 +127,11 @@ class TestCentroidSeeding:
         indices = select_initial_centroid_indices(np.array([9.0, 1.0, 5.0]), 3)
         assert sorted(indices.tolist()) == [0, 1, 2]
 
-    def test_fill_missing_positions_restores_collapsed_picks(self):
-        """The guard behind the quantile picks: when positions collapse
-        (duplicate picks), the smallest unused sorted positions are added
-        until exactly ``count`` distinct positions remain."""
-        filled = _fill_missing_positions(np.array([0, 0, 4]), size=5, count=3)
-        assert filled.tolist() == [0, 1, 4]
-        filled = _fill_missing_positions(np.array([2, 2, 2, 2]), size=4, count=4)
-        assert filled.tolist() == [0, 1, 2, 3]
-        # Already-distinct picks pass through unchanged.
-        filled = _fill_missing_positions(np.array([0, 2, 4]), size=5, count=3)
-        assert filled.tolist() == [0, 2, 4]
-
     def test_evenly_spaced_picks_never_collapse_for_valid_sizes(self):
-        """The quantile positions are already distinct for every valid
-        (num_pixels, num_clusters) pair, so the guard is a pure safety net."""
-        for num_pixels in range(2, 60):
-            for num_clusters in range(2, min(num_pixels, 8) + 1):
+        """The quantile positions are distinct for every valid
+        (num_pixels, num_clusters) pair, so the seeds need no de-duplication."""
+        for num_pixels in range(2, 501):
+            for num_clusters in range(2, min(num_pixels, 32) + 1):
                 positions = np.linspace(0, num_pixels - 1, num_clusters).round().astype(int)
                 assert np.unique(positions).size == num_clusters
 
