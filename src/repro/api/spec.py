@@ -230,6 +230,13 @@ class RunSpec:
             raise ValueError(
                 f"field 'dataset' must be a non-empty string, got {self.dataset!r}"
             )
+        from repro.datasets import available_datasets
+
+        if self.dataset.lower() not in available_datasets():
+            raise ValueError(
+                f"field 'dataset' names unknown dataset {self.dataset!r}; "
+                f"available: {', '.join(available_datasets())}"
+            )
         if not isinstance(self.num_images, int) or isinstance(self.num_images, bool) \
                 or self.num_images < 1:
             raise ValueError(

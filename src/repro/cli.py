@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 from repro.api import (
+    RunSpec,
     available_segmenters,
     execute_run_spec,
     make_segmenter,
@@ -548,7 +549,10 @@ def _run_segment(args: argparse.Namespace) -> int:
         raise SystemExit(f"seghdc: error: {exc}") from None
     sample = dataset[args.index]
     spec = _segmenter_spec_from_args(args)
-    segmenter = make_segmenter(spec)
+    try:
+        segmenter = make_segmenter(spec)
+    except ValueError as exc:
+        raise SystemExit(f"seghdc: error: {exc}") from None
     result = segmenter.segment(sample.image)
     iou = best_foreground_iou(result.labels, sample.mask)
     print(
@@ -572,7 +576,17 @@ def _run_segment(args: argparse.Namespace) -> int:
 
 
 def _run_spec_command(args: argparse.Namespace) -> int:
-    payload = execute_run_spec(args.spec, output=args.output)
+    # Only reading and validating the spec is a usage error; the run itself
+    # keeps its tracebacks.
+    try:
+        run_spec = RunSpec.load(args.spec)
+    except json.JSONDecodeError as exc:
+        raise SystemExit(
+            f"seghdc: error: --spec {args.spec} is not valid JSON: {exc}"
+        ) from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise SystemExit(f"seghdc: error: {exc}") from None
+    payload = execute_run_spec(run_spec, output=args.output)
     spec = payload["spec"]
     serving = spec.get("serving")
     topology = (

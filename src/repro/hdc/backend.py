@@ -24,6 +24,17 @@ raw bits directly:
   kernel** of word-wide 3:2 carry-save adders that never materialises the
   dense ``(n, d)`` matrix (see :meth:`PackedBackend.bundle_masked`).
 
+**Small slabs.**  Those word kernels issue a numpy call per bit-plane,
+cluster and weight level, so on a handful of rows their cost is Python
+call overhead, not arithmetic: a 64x64 tile clusters about 16 distinct
+rows.  A packed ``dots`` or ``bundle_masked`` call whose rows unpack to at
+most :data:`SMALL_SLAB_BITS` bits (``rows x d``) is therefore unpacked once
+and computed with the dense backend's exact arithmetic instead: one
+float64 matmul for the dots and one integer ``weights @ bits`` product for
+a weighted bundle.  Both are exact integers, so the results are
+bit-identical to the word kernels; larger slabs keep the word kernels,
+which win once the unpacked matrix outgrows the call overhead.
+
 Backends supply only exact integers — dots and bundle sums.  The cosine
 rule (normalisation, argmax, tie-break) exists once, in
 :meth:`HDCBackend.assign`, so both backends produce identical label maps
@@ -53,6 +64,7 @@ __all__ = [
     "HDCBackend",
     "HVStorage",
     "PackedBackend",
+    "SMALL_SLAB_BITS",
     "available_backends",
     "make_backend",
     "popcount_words",
@@ -64,6 +76,19 @@ __all__ = [
 #: the assignment's transient memory for large images.  The device cost
 #: model imports it so the modelled peak memory matches the implementation.
 ASSIGN_CHUNK_ROWS = 8192
+
+#: Largest packed slab, in unpacked bits (``rows x d``), that
+#: :class:`PackedBackend` computes by unpacking it once instead of with its
+#: word kernels.  Set at the measured crossover for d in {256, 1024, 2000,
+#: 10000} on 2 cores: up to 2^16 bits the unpack-once path wins the dots at
+#: every d and the unit-weight bundles at every d but 10000, where they tie
+#: (75 vs 71 us); at 2^17 bits the word kernels already win unit-weight
+#: bundles at d = 1024 and 10000.
+SMALL_SLAB_BITS = 1 << 16
+
+#: Largest integer a float64 holds exactly; float64 dots are exact while
+#: every partial sum stays at or below it.
+_FLOAT64_EXACT = 1 << 53
 
 
 def validate_bundling_tunables(
@@ -515,8 +540,8 @@ class DenseBackend(HDCBackend):
         out = np.empty((hvs.shape[0], centroids.shape[0]), dtype=np.int64)
         step = max(1, ASSIGN_CHUNK_ROWS // 2)
         for start in range(0, hvs.shape[0], step):
-            out[start : start + step] = (
-                hvs[start : start + step].astype(np.float64) @ centroids_t
+            out[start : start + step] = _matmul_dots(
+                hvs[start : start + step], centroids_t
             )
         return out
 
@@ -537,6 +562,14 @@ class DenseBackend(HDCBackend):
 
 class PackedBackend(HDCBackend):
     """Bit-packed ``uint64`` storage with integer-only kernels.
+
+    A ``dots`` or ``bundle_masked`` call on a *small slab* — rows that
+    unpack to at most :data:`SMALL_SLAB_BITS` bits — unpacks them once and
+    uses the dense backend's exact arithmetic (a float64 matmul, an integer
+    ``weights @ bits`` product) instead of the word kernels, whose per-plane
+    and per-level numpy calls dominate on a few rows.  The results are the
+    same exact integers either way; the limit is the measured crossover,
+    a module constant rather than a tunable.
 
     Parameters
     ----------
@@ -629,9 +662,22 @@ class PackedBackend(HDCBackend):
         return pack_hvs((narrow & weights[:, None, None]) != 0, dimension=dimension)
 
     def dots(self, storage: HVStorage, centroids: np.ndarray) -> np.ndarray:
-        """Integer dots via AND + popcount over the centroid bit-planes."""
+        """Integer dots via AND + popcount over the centroid bit-planes.
+
+        A small slab (see :data:`SMALL_SLAB_BITS`) whose dots provably stay
+        within float64's exact integers (``d * max(c) <= 2^53``) is
+        unpacked once and dotted with one float64 matmul instead.
+        """
         step = ASSIGN_CHUNK_ROWS
         words = storage.data
+        if (
+            _is_small_slab(words.shape[0], storage.dimension)
+            and int(centroids.max(initial=0)) * storage.dimension
+            <= _FLOAT64_EXACT
+        ):
+            return _matmul_dots(
+                self.unpack(storage), centroids.T.astype(np.float64)
+            )
         planes = self.centroid_bit_planes(centroids, storage.dimension)
         num_clusters = planes.shape[1]
         out = np.zeros((words.shape[0], num_clusters), dtype=np.int64)
@@ -698,12 +744,22 @@ class PackedBackend(HDCBackend):
         AND / OR, and are truncated by the flush unpack, so ``d`` not being
         a multiple of 64 never perturbs the counts.
 
+        **Small slabs.**  When the selected rows unpack to at most
+        :data:`SMALL_SLAB_BITS` bits they are unpacked once and summed
+        directly (one integer ``weights @ bits`` product when weighted),
+        which refuses bad weights with the same errors as the kernel.
+
         **Parity contract.**  The kernel is exact integer arithmetic, so its
         output is bit-identical to :meth:`DenseBackend.bundle_masked` for
         the same logical rows — asserted per kernel by the bundling tests
         and end-to-end by the dense/packed parity sweep and golden fixtures.
         """
         indices = np.flatnonzero(np.asarray(mask))
+        if _is_small_slab(indices.size, storage.dimension):
+            bits = self.unpack(storage, indices)
+            if weights is None:
+                return bits.sum(axis=0, dtype=np.int64)
+            return _selected_weights(indices, weights).astype(np.int64) @ bits
         total = np.zeros(storage.dimension, dtype=np.int64)
         block = min(self.bundle_chunk_rows, (1 << self.counter_depth) - 1)
         for start in range(0, indices.size, block):
@@ -758,6 +814,29 @@ class PackedBackend(HDCBackend):
                 )
 
 
+def _is_small_slab(rows: int, dimension: int) -> bool:
+    """Whether ``rows`` packed rows of ``dimension`` bits are a small slab."""
+    return rows * dimension <= SMALL_SLAB_BITS
+
+
+def _matmul_dots(bits: np.ndarray, centroids_t: np.ndarray) -> np.ndarray:
+    """``int64`` dots of 0/1 rows with the float64 ``(d, k)`` centroid
+    transpose, by one float64 matmul: exact while every partial sum is an
+    integer at most ``2^53``, whatever order the matmul adds in."""
+    return (bits.astype(np.float64) @ centroids_t).astype(np.int64)
+
+
+def _selected_weights(indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weights of the selected rows; refuses non-integer or negative
+    ones, the same way for every bundling path."""
+    selected = np.asarray(weights)[indices]
+    if selected.dtype.kind not in "iu":
+        raise ValueError(f"bundle weights must be integers, got {selected.dtype}")
+    if selected.min(initial=0) < 0:
+        raise ValueError("bundle weights must be non-negative")
+    return selected
+
+
 def _weight_digits(
     indices: np.ndarray, weights: np.ndarray | None
 ) -> list[tuple[int, np.ndarray]]:
@@ -770,11 +849,7 @@ def _weight_digits(
     """
     if weights is None:
         return [(0, indices)]
-    selected = np.asarray(weights)[indices]
-    if selected.dtype.kind not in "iu":
-        raise ValueError(f"bundle weights must be integers, got {selected.dtype}")
-    if selected.min(initial=0) < 0:
-        raise ValueError("bundle weights must be non-negative")
+    selected = _selected_weights(indices, weights)
     digits = []
     for bit in range(int(selected.max(initial=0)).bit_length()):
         rows = indices[((selected >> bit) & 1).astype(bool)]

@@ -18,6 +18,13 @@ coherent global result:
    :func:`partition_components` pass over the whole stitched cluster map.
    The global segments are therefore exactly that fresh component pass by
    construction; the per-tile component count is kept only as a statistic.
+
+Both steps run as whole-stack passes over the ``(T, h, w)`` array of tiles,
+not as a loop over tiles: one masked sum per label value yields every
+tile's per-cluster mean intensity for the canonical renumbering, and one
+``ndimage.label`` per cluster id counts the components of every owned
+rectangle at once, with a structure that has no coupling along the tile
+axis.
 """
 
 from __future__ import annotations
@@ -66,6 +73,56 @@ def canonical_labels(labels: np.ndarray, intensity: np.ndarray) -> np.ndarray:
     return mapping[positions].astype(np.int32)
 
 
+def _label_values(labels: np.ndarray) -> "range | np.ndarray":
+    """Every label value, ascending: ``range(min, max + 1)`` for integer
+    labels spanning fewer than 64 ids (an absent id matches no pixel), else
+    ``np.unique``, whose hash or sort over a whole image costs more than
+    the per-value passes it feeds."""
+    if labels.dtype.kind in "iu" and labels.size:
+        low, high = int(labels.min()), int(labels.max())
+        if high - low < 64:
+            return range(low, high + 1)
+    return np.unique(labels)
+
+
+def _stacked_canonical_labels(
+    labels: np.ndarray, intensity: np.ndarray
+) -> np.ndarray:
+    """:func:`canonical_labels` of every ``(h, w)`` slice of a ``(T, h, w)``
+    stack, in whole-stack passes.
+
+    One pass per label value counts each tile's members and sums their
+    intensities in ``int64``.  ``intensity`` holds integers whose tile sums
+    stay within ``2^53`` (:func:`stitch_tiles` refuses others), so those
+    sums are exact, ``sum / count`` is bit-identical to the per-tile
+    ``mean`` and so is the order (mean, then label id).
+    """
+    values = _label_values(labels)
+    counts = np.zeros((labels.shape[0], len(values)), dtype=np.int64)
+    sums = np.zeros_like(counts)
+    for column, value in enumerate(values):
+        members = labels == value
+        counts[:, column] = np.count_nonzero(members, axis=(1, 2))
+        sums[:, column] = np.where(members, intensity, 0).sum(
+            axis=(1, 2), dtype=np.int64
+        )
+    # Absent labels sort last; the stable sort breaks mean ties by label id.
+    means = np.divide(
+        sums, counts, out=np.full(counts.shape, np.inf), where=counts > 0
+    )
+    ranks = np.empty(counts.shape, dtype=np.int32)
+    np.put_along_axis(
+        ranks,
+        np.argsort(means, axis=1, kind="stable"),
+        np.arange(len(values), dtype=np.int32)[None, :],
+        axis=1,
+    )
+    canonical = np.empty(labels.shape, dtype=np.int32)
+    for column, value in enumerate(values):
+        np.copyto(canonical, ranks[:, column, None, None], where=labels == value)
+    return canonical
+
+
 def partition_components(labels: np.ndarray, *, connectivity: int = 4) -> np.ndarray:
     """Connected components of a full label partition (no background).
 
@@ -84,24 +141,24 @@ def partition_components(labels: np.ndarray, *, connectivity: int = 4) -> np.nda
     structure = STRUCTURES[connectivity]
     components = np.zeros(arr.shape, dtype=np.int32)
     offset = 0
-    for value in np.unique(arr):
+    for value in _label_values(arr):
         mask = arr == value
         labelled, count = ndimage.label(mask, structure=structure)
         if count:
             components[mask] = labelled[mask] + offset
             offset += count
-    return _renumber_by_first_appearance(components)
+    return _renumber_by_first_appearance(components, offset)
 
 
-def _renumber_by_first_appearance(components: np.ndarray) -> np.ndarray:
-    """Renumber positive component ids ``1..N`` by row-major first pixel."""
+def _renumber_by_first_appearance(components: np.ndarray, count: int) -> np.ndarray:
+    """Renumber component ids ``1..count`` (each present) by row-major
+    first pixel; one ``np.minimum.at`` finds every id's first pixel."""
     flat = components.reshape(-1)
-    ids, first_index = np.unique(flat, return_index=True)
-    order = np.argsort(first_index, kind="stable")
-    mapping = np.empty(ids.size, dtype=np.int32)
-    mapping[order] = np.arange(1, ids.size + 1, dtype=np.int32)
-    positions = np.searchsorted(ids, flat)
-    return mapping[positions].reshape(components.shape).astype(np.int32)
+    first = np.full(count + 1, flat.size)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    mapping = np.zeros(count + 1, dtype=np.int32)
+    mapping[1 + np.argsort(first[1:])] = np.arange(1, count + 1, dtype=np.int32)
+    return mapping[components]
 
 
 class StitchResult:
@@ -145,8 +202,10 @@ def stitch_tiles(
         straight from the per-tile segmenter (any label convention — they
         are canonicalised here).
     tile_intensities:
-        Matching grayscale pixel maps, used to canonicalise cluster ids by
-        mean intensity.
+        Matching integer grayscale pixel maps (``to_grayscale``'s uint8),
+        used to canonicalise cluster ids by mean intensity.  Integers keep
+        the per-cluster means exact in the stacked pass; float intensities,
+        or integers whose tile sums could pass ``2^53``, are refused.
     grid:
         The :class:`TileGrid` the tiles were cut with.
     connectivity:
@@ -166,22 +225,45 @@ def stitch_tiles(
             f"expected {grid.num_tiles} tile label/intensity maps, got "
             f"{len(tile_labels)}/{len(tile_intensities)}"
         )
-    structure = STRUCTURES[connectivity]
+    tiles = [np.asarray(labels) for labels in tile_labels]
+    grays = [np.asarray(intensity) for intensity in tile_intensities]
+    for index, (tile, gray) in enumerate(zip(tiles, grays)):
+        for name, array in (("labels", tile), ("intensities", gray)):
+            if array.shape != grid.tile_shape:
+                raise ValueError(
+                    f"tile {index} {name} have shape {array.shape}, "
+                    f"expected {grid.tile_shape}"
+                )
+    gray_stack = np.stack(grays)
+    if (
+        gray_stack.dtype.kind not in "biu"
+        or int(np.abs(gray_stack).max(initial=0)) * gray_stack[0].size > 2**53
+    ):
+        raise ValueError(
+            "tile intensities must be integer gray levels whose tile sums stay "
+            f"within 2^53, got {gray_stack.dtype}"
+        )
+    canonical = _stacked_canonical_labels(np.stack(tiles), gray_stack)
     cluster_map = np.zeros((grid.image_height, grid.image_width), dtype=np.int32)
-    pre_merge = 0
-    for box, labels, intensity in zip(grid.boxes, tile_labels, tile_intensities):
-        tile = np.asarray(labels)
-        if tile.shape != grid.tile_shape:
-            raise ValueError(
-                f"tile {box.index} labels have shape {tile.shape}, "
-                f"expected {grid.tile_shape}"
-            )
-        owned = canonical_labels(tile, intensity)[box.owned_local_slices]
-        cluster_map[box.owned_slices] = owned
-        # Count (not number) the components inside the owned rectangle:
-        # the statistic the seam merge count is measured against.
-        for value in np.unique(owned):
-            pre_merge += ndimage.label(owned == value, structure=structure)[1]
+    owned_rows = np.zeros((grid.num_tiles, grid.tile_height), dtype=bool)
+    owned_cols = np.zeros((grid.num_tiles, grid.tile_width), dtype=bool)
+    for box, tile, rows, cols in zip(grid.boxes, canonical, owned_rows, owned_cols):
+        cluster_map[box.owned_slices] = tile[box.owned_local_slices]
+        rows[box.owned_local_slices[0]] = True
+        cols[box.owned_local_slices[1]] = True
+    # Count (not number) the components inside each owned rectangle, the
+    # statistic the seam merge count is measured against: every pixel a
+    # tile does not own becomes -1, and the label structure couples pixels
+    # only within a tile.
+    owned = np.where(
+        owned_rows[:, :, None] & owned_cols[:, None, :], canonical, -1
+    )
+    structure = np.zeros((3, 3, 3), dtype=bool)
+    structure[1] = STRUCTURES[connectivity]
+    pre_merge = sum(
+        ndimage.label(owned == value, structure=structure)[1]
+        for value in range(int(canonical.max(initial=0)) + 1)
+    )
     segment_labels = partition_components(cluster_map, connectivity=connectivity)
     num_segments = int(segment_labels.max(initial=0))
     stats = {
@@ -190,6 +272,6 @@ def stitch_tiles(
         "num_segments": num_segments,
         "pre_merge_components": pre_merge,
         "seam_merges": pre_merge - num_segments,
-        "num_clusters": int(np.unique(cluster_map).size),
+        "num_clusters": int(np.count_nonzero(np.bincount(cluster_map.reshape(-1)))),
     }
     return StitchResult(cluster_map, segment_labels, stats)

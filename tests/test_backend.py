@@ -186,6 +186,8 @@ class TestKernels:
         hvs = self._hvs(rng, n=57)
         storage = backend.pack(hvs)
         centroids = hvs[[0, 1, 2]].astype(np.float64) + hvs[[3, 4, 5]]
+        # A small slab is dotted unchunked; chunking is the word kernel's.
+        monkeypatch.setattr(backend_module, "SMALL_SLAB_BITS", 0)
         monkeypatch.setattr(backend_module, "ASSIGN_CHUNK_ROWS", 5)
         small, _ = backend.assign(storage, centroids)
         monkeypatch.setattr(backend_module, "ASSIGN_CHUNK_ROWS", 10_000)
@@ -196,10 +198,51 @@ class TestKernels:
     def test_dots_are_exact_integers(self, backend, rng, chunk_rows, monkeypatch):
         hvs = self._hvs(rng, n=57)
         centroids = rng.integers(0, 1 << 40, size=(3, 300))
+        monkeypatch.setattr(backend_module, "SMALL_SLAB_BITS", 0)
         monkeypatch.setattr(backend_module, "ASSIGN_CHUNK_ROWS", chunk_rows)
         dots = backend.dots(backend.pack(hvs), centroids)
         assert dots.dtype == np.int64
         assert np.array_equal(dots, hvs.astype(np.int64) @ centroids.T)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["under", "at", "over"])
+    @pytest.mark.parametrize("dimension", [1024, 1001])
+    @pytest.mark.parametrize("num_clusters", [2, 5])
+    def test_dots_across_the_small_slab_limit(
+        self, backend, rng, monkeypatch, dimension, offset, num_clusters
+    ):
+        """Rows just under, at and just over ``SMALL_SLAB_BITS``: the packed
+        backend dots the first two unpacked and the third with its bit-plane
+        kernel, and every path gives the same exact integers."""
+        rows = backend_module.SMALL_SLAB_BITS // dimension + offset
+        hvs = rng.integers(0, 2, size=(rows, dimension), dtype=np.uint8)
+        centroids = rng.integers(0, 1 << 20, size=(num_clusters, dimension))
+        centroids[:, ::9] = 0
+        plane_calls = []
+        planes = PackedBackend.centroid_bit_planes
+        monkeypatch.setattr(
+            PackedBackend,
+            "centroid_bit_planes",
+            staticmethod(lambda *a: plane_calls.append(1) or planes(*a)),
+        )
+        dots = backend.dots(backend.pack(hvs), centroids)
+        assert dots.dtype == np.int64
+        assert np.array_equal(dots, hvs.astype(np.int64) @ centroids.T)
+        if backend.name == "packed":
+            assert bool(plane_calls) == (offset > 0)
+
+    def test_small_slab_dots_beyond_float64_use_the_word_kernel(self, rng):
+        """``d * max(c)`` above ``2^53`` could round in a float64 matmul, so
+        such a small slab keeps the exact bit-plane kernel."""
+        hvs = np.ones((3, 1001), dtype=np.uint8)
+        hvs[1] = rng.integers(0, 2, size=1001)
+        centroids = np.full((2, 1001), (1 << 52) + 1, dtype=np.int64)
+        centroids[1, 1:] = 1
+        expected = [
+            [sum(int(x) * int(c) for x, c in zip(row, centroid)) for centroid in centroids]
+            for row in hvs
+        ]
+        packed = PackedBackend()
+        assert packed.dots(packed.pack(hvs), centroids).tolist() == expected
 
     @pytest.mark.parametrize("high", [50, 1 << 30])
     def test_assign_exact_tie_goes_to_lowest_index(self, backend, high):

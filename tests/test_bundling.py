@@ -5,7 +5,9 @@ against two independent oracles — ``DenseBackend.bundle_masked`` and a plain
 numpy sum of the member rows — across the edge cases that stress its
 invariants: empty and all-member masks, dimensions that are not multiples of
 64 (padding bits), single-row storage, and member counts that cross the
-``2^counter_depth - 1`` block capacity (counter overflow boundary).  The
+``2^counter_depth - 1`` block capacity (counter overflow boundary).  Those
+cases are small slabs, so they run with the small-slab limit at 0 to reach
+the carry-save kernel; ``TestSmallSlabs`` covers the limit itself.  The
 plumbing tests cover the tunable surface: ``make_backend`` options,
 ``SegHDCConfig.backend_options``, the engine threading, the CLI, and the
 device-model bundling formula.
@@ -19,6 +21,8 @@ import numpy as np
 import pytest
 
 from repro.hdc import DenseBackend, PackedBackend, make_backend
+from repro.hdc import backend as backend_module
+from repro.hdc.backend import SMALL_SLAB_BITS
 from repro.seghdc import SegHDCConfig, SegHDCEngine
 
 
@@ -36,6 +40,13 @@ def _assert_bundle_exact(packed, hvs, mask):
     assert np.array_equal(sliced_total, hvs[mask].sum(0))
 
 
+@pytest.fixture
+def word_kernels(monkeypatch):
+    """Send every packed call to the word kernels, however small."""
+    monkeypatch.setattr(backend_module, "SMALL_SLAB_BITS", 0)
+
+
+@pytest.mark.usefixtures("word_kernels")
 class TestBitSlicedKernel:
     @pytest.mark.parametrize("dimension", [64, 65, 100, 333, 1000])
     def test_random_masks_match_oracles(self, rng, dimension):
@@ -117,6 +128,7 @@ def _weighted_oracle(hvs, mask, weights):
     return repeated.astype(np.int64).sum(axis=0)
 
 
+@pytest.mark.usefixtures("word_kernels")
 class TestWeightedBundle:
     """``bundle_masked(storage, mask, weights)`` equals the plain sum of the
     selected rows repeated ``weights`` times, on both backends."""
@@ -183,6 +195,87 @@ class TestWeightedBundle:
             backend.bundle_masked(storage, mask, np.array([1, -1, 1, 1]))
         with pytest.raises(ValueError, match="integers"):
             backend.bundle_masked(storage, mask, np.array([1.0, 2.0, 1.0, 1.0]))
+
+
+def _count_kernel_blocks(monkeypatch):
+    """Count the carry-save blocks ``PackedBackend`` flushes from now on."""
+    calls = []
+    kernel = PackedBackend._accumulate_block
+
+    def counted(buckets, total, dimension):
+        calls.append(dimension)
+        kernel(buckets, total, dimension)
+
+    monkeypatch.setattr(PackedBackend, "_accumulate_block", staticmethod(counted))
+    return calls
+
+
+class TestSmallSlabs:
+    """Selections that unpack to at most ``SMALL_SLAB_BITS`` bits are summed
+    unpacked, larger ones by the carry-save kernel; both are exact."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["under", "at", "over"])
+    @pytest.mark.parametrize("dimension", [1024, 1001, 65])
+    def test_weighted_bundle_across_the_limit(
+        self, rng, monkeypatch, dimension, offset
+    ):
+        members = SMALL_SLAB_BITS // dimension + offset
+        hvs = _random_hvs(rng, members + 5, dimension)
+        mask = np.ones(members + 5, dtype=bool)
+        mask[rng.choice(members + 5, size=5, replace=False)] = False
+        weights = rng.integers(0, 1 << 20, size=members + 5)
+        weights[::7] = 0
+        weights[np.flatnonzero(mask)[0]] = 1 << 20
+        blocks = _count_kernel_blocks(monkeypatch)
+        packed = PackedBackend()
+        total = packed.bundle_masked(packed.pack(hvs), mask, weights)
+        assert bool(blocks) == (members * dimension > SMALL_SLAB_BITS)
+        expected = weights[mask] @ hvs[mask].astype(np.int64)
+        assert total.dtype == np.int64
+        assert np.array_equal(total, expected)
+        dense = DenseBackend()
+        assert np.array_equal(
+            dense.bundle_masked(dense.pack(hvs), mask, weights), expected
+        )
+        assert np.array_equal(
+            packed.bundle_masked(packed.pack(hvs), mask),
+            hvs[mask].sum(axis=0, dtype=np.int64),
+        )
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_empty_mask_is_zero(self, rng, weighted):
+        hvs = _random_hvs(rng, 6, 1001)
+        weights = np.arange(6) if weighted else None
+        total = PackedBackend().bundle_masked(
+            PackedBackend().pack(hvs), np.zeros(6, dtype=bool), weights
+        )
+        assert total.dtype == np.int64
+        assert np.array_equal(total, np.zeros(1001, dtype=np.int64))
+
+    @pytest.mark.parametrize("offset", [-1, 1], ids=["under", "over"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(-1, "non-negative"), (1.0, "integers, got float64")],
+        ids=["negative", "float"],
+    )
+    def test_bad_weights_are_refused_on_both_sides(
+        self, rng, monkeypatch, offset, bad, message
+    ):
+        dimension = 1001
+        members = SMALL_SLAB_BITS // dimension + offset
+        weights = np.ones(members, dtype=type(bad))
+        weights[members // 2] = bad
+        hvs = _random_hvs(rng, members, dimension)
+        blocks = _count_kernel_blocks(monkeypatch)
+        refusals = []
+        for backend in (PackedBackend(), DenseBackend()):
+            with pytest.raises(ValueError, match=message) as refused:
+                backend.bundle_masked(
+                    backend.pack(hvs), np.ones(members, dtype=bool), weights
+                )
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        assert not blocks
 
 
 class TestTunableSurface:

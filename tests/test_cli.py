@@ -138,7 +138,9 @@ class TestParser:
             )
 
     def test_config_json_bad_field_names_the_field(self):
-        with pytest.raises(ValueError, match="'dimenson'"):
+        with pytest.raises(
+            SystemExit, match="^seghdc: error: unknown field.*'dimenson'"
+        ):
             main(["segment", "--config-json", '{"dimenson": 400}'])
 
     def test_config_json_overrides_apply_on_top_of_the_flag_path_base(self):
@@ -317,12 +319,35 @@ class TestUsageErrors:
         [
             (["--height", "0"], "image size must be positive, got 0x160"),
             (["--index", "-1"], "--index must be non-negative, got -1"),
+            (
+                ["--config-json", '{"dimenson": 400}'],
+                "unknown field\\(s\\) 'dimenson' for SegHDCConfig",
+            ),
         ],
-        ids=["height-0", "index-neg"],
+        ids=["height-0", "index-neg", "config-json-bad-field"],
     )
     def test_segment(self, args, match):
         with pytest.raises(SystemExit, match=f"^seghdc: error: {match}"):
             main(["segment", *args])
+
+    @pytest.mark.parametrize(
+        "content, match",
+        [
+            (None, "\\[Errno 2\\] No such file or directory"),
+            ("not json", "--spec .*spec.json is not valid JSON"),
+            (
+                '{"dataset": "nope"}',
+                "field 'dataset' names unknown dataset 'nope'; available: ",
+            ),
+        ],
+        ids=["missing-file", "not-json", "unknown-dataset"],
+    )
+    def test_run_spec(self, content, match, tmp_path):
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit, match=f"^seghdc: error: {match}"):
+            main(["run", "--spec", str(path)])
 
 
 class TestMain:

@@ -21,9 +21,11 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from repro.api import available_segmenters, make_segmenter
 from repro.imaging.image import to_grayscale
+from repro.postprocess.components import STRUCTURES
 from repro.tiling import (
     TileGrid,
     TiledConfig,
@@ -275,6 +277,104 @@ class TestStitchGoldens:
         assert plain.stats == permuted.stats
 
 
+def _per_tile_stitch(tile_labels, tile_intensities, grid, connectivity):
+    """The stitch spelled out one tile at a time: ``canonical_labels`` per
+    tile, a per-value component count per owned rectangle, and a
+    whole-image component pass renumbered through ``np.unique`` first
+    indices.  Returns ``(cluster_map, segment_labels, stats)``."""
+    structure = STRUCTURES[connectivity]
+    shape = (grid.image_height, grid.image_width)
+    cluster_map = np.zeros(shape, dtype=np.int32)
+    pre_merge = 0
+    for box, labels, intensity in zip(grid.boxes, tile_labels, tile_intensities):
+        owned = canonical_labels(labels, intensity)[box.owned_local_slices]
+        cluster_map[box.owned_slices] = owned
+        for value in np.unique(owned):
+            pre_merge += ndimage.label(owned == value, structure=structure)[1]
+    components = np.zeros(shape, dtype=np.int64)
+    offset = 0
+    for value in np.unique(cluster_map):
+        labelled, count = ndimage.label(cluster_map == value, structure=structure)
+        components[labelled > 0] = labelled[labelled > 0] + offset
+        offset += count
+    ids, first = np.unique(components, return_index=True)
+    ranks = np.empty(ids.size, dtype=np.int64)
+    ranks[np.argsort(first)] = np.arange(1, ids.size + 1)
+    segments = ranks[np.searchsorted(ids, components)]
+    stats = {
+        **grid.describe(),
+        "connectivity": connectivity,
+        "num_segments": int(segments.max()),
+        "pre_merge_components": int(pre_merge),
+        "seam_merges": int(pre_merge - segments.max()),
+        "num_clusters": int(np.unique(cluster_map).size),
+    }
+    return cluster_map, segments, stats
+
+
+def _stitch_case(rng, family, grid, num_clusters):
+    """Per-tile labels and intensities of one differential family."""
+    labels, intensities = [], []
+    for index in range(grid.num_tiles):
+        tile = rng.integers(0, num_clusters, size=grid.tile_shape)
+        if family == "tied-means":
+            # Every cluster of a tile has the same mean: label id decides.
+            gray = np.full(grid.tile_shape, 90 + index % 3, dtype=np.uint8)
+        elif family == "near-tied-means":
+            # Means a few counts apart out of a whole tile.
+            gray = (100 + (rng.random(grid.tile_shape) < 0.02)).astype(np.uint8)
+        elif family == "single-cluster":
+            tile = np.full(grid.tile_shape, index % num_clusters)
+            gray = rng.integers(0, 256, size=grid.tile_shape).astype(np.uint8)
+        elif family == "sparse-ids":
+            # Far-apart and negative label ids.
+            tile = (tile * 1000 - 7).astype(np.int64)
+            gray = rng.integers(0, 256, size=grid.tile_shape).astype(np.uint8)
+        else:
+            gray = rng.integers(0, 256, size=grid.tile_shape).astype(np.uint8)
+        labels.append(tile)
+        intensities.append(gray)
+    return labels, intensities
+
+
+class TestStitchDifferential:
+    """``stitch_tiles`` runs whole-stack passes; it must equal the
+    tile-by-tile stitch in every map and every statistic."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "random",
+            "tied-means",
+            "near-tied-means",
+            "single-cluster",
+            "sparse-ids",
+        ],
+    )
+    @pytest.mark.parametrize("overlap", [0, 3])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_equals_the_per_tile_stitch(self, family, overlap, connectivity):
+        rng = np.random.default_rng([sum(map(ord, family)), overlap, connectivity])
+        for shape, tile, num_clusters in (
+            ((37, 29), (16, 16), 2),
+            ((50, 41), (12, 20), 3),
+            ((24, 64), (8, 8), 3),
+        ):
+            grid = TileGrid(*shape, *tile, overlap=overlap)
+            labels, intensities = _stitch_case(rng, family, grid, num_clusters)
+            cluster_map, segments, stats = _per_tile_stitch(
+                labels, intensities, grid, connectivity
+            )
+            stitched = stitch_tiles(
+                labels, intensities, grid, connectivity=connectivity
+            )
+            assert np.array_equal(stitched.cluster_labels, cluster_map)
+            assert np.array_equal(stitched.segment_labels, segments)
+            assert stitched.stats == stats
+            assert stitched.cluster_labels.dtype == np.int32
+            assert stitched.segment_labels.dtype == np.int32
+
+
 class TestStitchRefusals:
     def _inputs(self):
         grid = TileGrid(16, 16, 8, 8)
@@ -291,6 +391,15 @@ class TestStitchRefusals:
         labels, intensity, grid = self._inputs()
         labels[2] = np.zeros((8, 7), dtype=np.int32)
         with pytest.raises(ValueError, match="tile 2 labels have shape"):
+            stitch_tiles(labels, intensity, grid)
+
+    @pytest.mark.parametrize(
+        "gray", [np.full((8, 8), 0.5), np.full((8, 8), 2**50, dtype=np.int64)]
+    )
+    def test_refuses_float_or_oversized_intensities(self, gray):
+        labels, intensity, grid = self._inputs()
+        intensity = [gray] * grid.num_tiles
+        with pytest.raises(ValueError, match="integer gray levels"):
             stitch_tiles(labels, intensity, grid)
 
     def test_refuses_connectivity_6(self):
