@@ -89,6 +89,8 @@ SMALL_SLAB_BITS = 1 << 16
 #: Largest integer a float64 holds exactly; float64 dots are exact while
 #: every partial sum stays at or below it.
 _FLOAT64_EXACT = 1 << 53
+#: float64 machine epsilon, for the cosine rule's rounding margin.
+_FLOAT64_EPS = float(np.finfo(np.float64).eps)
 
 
 def validate_bundling_tunables(
@@ -415,13 +417,16 @@ class HDCBackend(ABC):
         ``(n,)`` label vector and the intervals for the next pass.
         """
         integral = _integer_centroids(centroids)
-        norms = np.linalg.norm(integral, axis=1)
+        # ``np.linalg.norm(integral, axis=1)``'s own float64 reduction,
+        # without its per-call dispatch.
+        floats = integral.astype(np.float64)
+        norms = np.sqrt(np.add.reduce(floats * floats, axis=1))
         norms[norms == 0.0] = 1.0
         # Dots (<= d * n, far below 2^53) are exact in float64, so a key's
         # relative error is at most (d/2 + 2) unit roundoffs: the norm's
         # d-term sum, its sqrt and the division.  Keys farther apart than
         # twice that rank exactly like the cosines; the margin doubles it.
-        margin = (storage.dimension + 4) * np.finfo(np.float64).eps
+        margin = (storage.dimension + 4) * _FLOAT64_EPS
         if bounds is not None:
             lo, hi = bounds.widened(integral, storage.row_popcounts())
             lo_keys = lo / norms
@@ -655,11 +660,22 @@ class PackedBackend(HDCBackend):
         float matmul of the assignment into AND + popcount word kernels.
         """
         integral = _integer_centroids(centroids)
+        if integral.shape[-1] != dimension:
+            raise ValueError(
+                f"centroids have {integral.shape[-1]} columns, not {dimension}"
+            )
         top = int(integral.max())
-        # Mask each plane out of the narrowest dtype that holds the values.
-        narrow = integral.astype(np.min_scalar_type(top))
+        # Mask each plane out of the narrowest dtype that holds the values,
+        # zero-padded to whole words so the packed bytes view as uint64.
+        narrow = np.zeros(
+            (integral.shape[0], packed_words_per_hv(dimension) * 64),
+            dtype=np.min_scalar_type(top),
+        )
+        narrow[:, :dimension] = integral
         weights = (1 << np.arange(max(1, top.bit_length()))).astype(narrow.dtype)
-        return pack_hvs((narrow & weights[:, None, None]) != 0, dimension=dimension)
+        return np.packbits((narrow & weights[:, None, None]) != 0, axis=-1).view(
+            np.uint64
+        )
 
     def dots(self, storage: HVStorage, centroids: np.ndarray) -> np.ndarray:
         """Integer dots via AND + popcount over the centroid bit-planes.

@@ -20,9 +20,14 @@ _LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114], dtype=np.float64)
 
 
 def ensure_uint8(pixels: np.ndarray) -> np.ndarray:
-    """Clip to [0, 255] and convert to ``uint8``."""
-    arr = np.asarray(pixels, dtype=np.float64)
-    return np.clip(np.rint(arr), 0, 255).astype(np.uint8)
+    """Round, clip to [0, 255] and convert to ``uint8``, as a new array.
+
+    ``uint8`` input is already rounded and in range, so it is only copied.
+    """
+    arr = np.asarray(pixels)
+    if arr.dtype == np.uint8:
+        return arr.copy()
+    return np.clip(np.rint(arr.astype(np.float64)), 0, 255).astype(np.uint8)
 
 
 def to_float(pixels: np.ndarray) -> np.ndarray:
@@ -36,7 +41,7 @@ def to_float(pixels: np.ndarray) -> np.ndarray:
 def to_grayscale(pixels: np.ndarray) -> np.ndarray:
     """Collapse an (H, W, 3) image to (H, W) using BT.601 luma weights.
 
-    Single-channel inputs are returned unchanged (as uint8).
+    Single-channel inputs keep their values (as a new uint8 array).
     """
     arr = np.asarray(pixels)
     if arr.ndim == 2:

@@ -43,7 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.hdc.backend import DenseBackend, HDCBackend, HVStorage, make_backend
+from repro.hdc.backend import (
+    DenseBackend,
+    HDCBackend,
+    HVStorage,
+    _integer_centroids,
+    make_backend,
+)
 
 __all__ = ["ClusteringResult", "HDKMeans", "select_initial_centroid_indices"]
 
@@ -55,15 +61,25 @@ def select_initial_centroid_indices(
 
     The pixels whose mean intensities sit at evenly spaced quantile extremes
     (minimum, maximum, and intermediate quantiles for k > 2) are selected, so
-    the seed centroids are maximally spread along the intensity axis.
+    the seed centroids are maximally spread along the intensity axis.  The
+    picks index the stable argsort of the intensities; for k = 2 they are
+    its first and last entries, the first minimum and the last maximum,
+    found in O(n) without the sort.  NaN has no place on the intensity axis
+    and is refused.
     """
-    flat = np.asarray(intensities, dtype=np.float64).reshape(-1)
+    flat = np.asarray(intensities).reshape(-1)
     if num_clusters < 2:
         raise ValueError(f"num_clusters must be at least 2, got {num_clusters}")
     if flat.size < num_clusters:
         raise ValueError(
             f"need at least {num_clusters} pixels, got {flat.size}"
         )
+    if flat.dtype.kind not in "iu":
+        flat = flat.astype(np.float64)
+        if np.isnan(flat).any():
+            raise ValueError("intensities must not contain NaN")
+    if num_clusters == 2:
+        return np.array([flat.argmin(), flat.size - 1 - flat[::-1].argmax()])
     order = np.argsort(flat, kind="stable")
     # Evenly spaced picks along the sorted intensity axis: first, last, and
     # interior quantiles.  With n >= k pixels their spacing (n-1)/(k-1) is
@@ -146,10 +162,13 @@ class HDKMeans:
         by :meth:`HDCBackend.pack` / the pixel producer.  ``intensities``
         supplies the per-pixel mean color values used to seed the centroids
         with the largest-color-difference pixels.  ``initial_centroids``
-        (shape ``(num_clusters, dimension)``) overrides that seeding — the
+        (shape ``(num_clusters, dimension)``, non-negative integer bundles;
+        anything else raises ``ValueError``) overrides that seeding — the
         warm-start seam: a video session passes the previous frame's
         converged centroid bundles so the loop starts next to the fixed
-        point instead of at the intensity extremes.
+        point instead of at the intensity extremes.  Centroids stay exact
+        ``int64`` bundles throughout, as :meth:`HDCBackend.assign` takes
+        them.
 
         ``rows`` (one storage row index per pixel, covering every storage
         row) lets the storage hold each distinct pixel HV once: pixel ``i``
@@ -218,7 +237,7 @@ class HDKMeans:
                     "storage rows"
                 )
             num_pixels = rows.size
-        flat_intensity = np.asarray(intensities, dtype=np.float64).reshape(-1)
+        flat_intensity = np.asarray(intensities).reshape(-1)
         if flat_intensity.size != num_pixels:
             raise ValueError(
                 f"intensities size {flat_intensity.size} does not match "
@@ -230,7 +249,7 @@ class HDKMeans:
             )
         warm_started = initial_centroids is not None
         if warm_started:
-            centroids = np.array(initial_centroids, dtype=np.float64, copy=True)
+            centroids = _integer_centroids(initial_centroids)
             expected = (self.num_clusters, storage.dimension)
             if centroids.shape != expected:
                 raise ValueError(
@@ -243,7 +262,7 @@ class HDKMeans:
             )
             if rows is not None:
                 seed_indices = rows[seed_indices]
-            centroids = backend.unpack(storage, seed_indices).astype(np.float64)
+            centroids = backend.unpack(storage, seed_indices).astype(np.int64)
         previous_labels: np.ndarray | None = None
         member_sums: np.ndarray | None = None
         bounds = None
@@ -252,13 +271,19 @@ class HDKMeans:
             labels, pass_bounds = backend.assign(storage, centroids, bounds=bounds)
             if self.record_history:
                 history.append(labels.copy())
-            if previous_labels is not None and np.array_equal(labels, previous_labels):
-                # Fixed point: the members of every cluster are unchanged,
-                # so the centroid update below would rebuild the exact
-                # centroids this assignment just used; skip it and stop.
-                break
+            if previous_labels is None:
+                switched = True
+            else:
+                switched = labels != previous_labels
+                if not switched.any():
+                    # Fixed point: the members of every cluster are
+                    # unchanged, so the centroid update below would rebuild
+                    # the exact centroids this assignment just used; skip
+                    # it and stop.
+                    break
             member_sums = self._update_member_sums(
-                backend, storage, labels, previous_labels, member_sums, weights
+                backend, storage, labels, previous_labels, switched,
+                member_sums, weights,
             )
             # An empty cluster keeps its previous centroid.
             occupied = np.bincount(labels, minlength=self.num_clusters) > 0
@@ -288,14 +313,16 @@ class HDKMeans:
         storage: HVStorage,
         labels: np.ndarray,
         previous_labels: np.ndarray | None,
+        switched: "np.ndarray | bool",
         member_sums: np.ndarray | None,
         weights: np.ndarray | None,
     ) -> np.ndarray:
         """Exact ``(k, d)`` ``int64`` bundles of each cluster's members.
 
-        Without previous labels every row counts as switched into a zero
-        sum, so each cluster is bundled in full; otherwise ``member_sums``
-        is updated in place by the rows that switched:
+        Without previous labels every row counts as switched (``switched``
+        is ``True``) into a zero sum, so each cluster is bundled in full;
+        otherwise ``member_sums`` is updated in place by the rows that
+        switched (the mask ``labels != previous_labels``):
         ``S_c += sum(joined_c) - sum(left_c)``, each row counted ``weights``
         times (once without weights).
         """
@@ -303,14 +330,14 @@ class HDKMeans:
             member_sums = np.zeros(
                 (self.num_clusters, storage.dimension), dtype=np.int64
             )
-            previous_labels = np.full_like(labels, -1)
-        switched = labels != previous_labels
         for cluster in range(self.num_clusters):
             joined = switched & (labels == cluster)
             if joined.any():
                 member_sums[cluster] += backend.bundle_masked(
                     storage, joined, weights
                 )
+            if previous_labels is None:
+                continue
             left = switched & (previous_labels == cluster)
             if left.any():
                 member_sums[cluster] -= backend.bundle_masked(

@@ -40,8 +40,12 @@ __all__ = [
 
 
 def _quantize(channel: np.ndarray, levels: int) -> np.ndarray:
-    """Map 0..255 intensities to 0..levels-1 indices."""
-    arr = np.clip(np.asarray(channel, dtype=np.int64), 0, 255)
+    """Map 0..255 intensities to 0..levels-1 ``int64`` indices."""
+    arr = np.asarray(channel)
+    if arr.dtype == np.uint8:
+        arr = arr.astype(np.int64)  # already in 0..255
+    else:
+        arr = np.clip(arr.astype(np.int64), 0, 255)
     if levels == 256:
         return arr
     return (arr * levels) // 256
@@ -112,7 +116,9 @@ class ColorEncoder(ABC):
         """
         arr = np.asarray(pixels)
         if self.channels == 1:
-            planes = [to_grayscale(arr)]
+            # A 2-D uint8 image is its own grayscale.
+            own_gray = arr.ndim == 2 and arr.dtype == np.uint8
+            planes = [arr if own_gray else to_grayscale(arr)]
         elif arr.ndim == 2:
             planes = [arr] * 3
         elif arr.ndim == 3 and arr.shape[2] == 3:

@@ -24,12 +24,15 @@ shape:
 Every image is clustered over its **distinct pixel HVs**.  A pixel's key
 is its position key followed by its level in each channel (mixed radix),
 and pixels with equal keys have bit-identical HVs — block decay gives all
-pixels of a ``beta x beta`` block one position HV.  One ``np.unique`` over
-the keys picks a representative pixel per distinct HV; only those rows are
-bound, :class:`HDKMeans` clusters them weighted by their pixel counts, and
-the labels are broadcast back to the pixels.  The result is bit-identical
-to clustering every pixel's copy, and ``workload["hv_storage_bytes"]``
-counts the distinct rows.
+pixels of a ``beta x beta`` block one position HV.  One dedupe of the keys
+(:func:`_distinct_keys`: a table scatter when the key space is at most
+:data:`_KEY_TABLE_FACTOR` times the pixel count, ``np.unique`` otherwise)
+picks a representative pixel per distinct HV; only those rows are bound,
+:class:`HDKMeans` clusters them weighted by their pixel counts, and the
+labels are broadcast back to the pixels.  The result is bit-identical to
+clustering every pixel's copy, and ``workload["hv_storage_bytes"]``
+counts the distinct rows.  The image is grayed once per call: a gray
+image's levels and every image's seeding intensities come from that pass.
 
 The cache is a small LRU keyed by image shape, bounded by the class
 constants :attr:`SegHDCEngine.cache_size` (entries) and
@@ -79,6 +82,12 @@ __all__ = ["SegHDCEngine"]
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: Keys are deduped by a table scatter while the key space is at most this
+#: many times the pixel count, and by ``np.unique``'s sort above it.  At
+#: 4096 pixels (2 cores) the table takes 27-85 us up to 2x against 175-390
+#: us for the sort, ties it near 4x-8x, and loses beyond, because it costs
+#: O(key space).
+_KEY_TABLE_FACTOR = 2
 
 
 @dataclass
@@ -111,9 +120,10 @@ def _pixel_keys(
     position_groups: int,
     level_indices: "list[np.ndarray]",
     levels: "list[int]",
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """One ``int64`` key per pixel from its position group and its level in
-    every channel; equal keys mean bit-identical pixel HVs.
+    every channel, and the key space (every key lies below it); equal keys
+    mean bit-identical pixel HVs.
 
     The keys are mixed radix, ``key * levels + level`` per channel.  If a
     channel would overflow ``int64``, the keys so far are first renumbered
@@ -128,7 +138,29 @@ def _pixel_keys(
             groups = int(keys.max()) + 1
         keys = keys * count + indices
         groups *= count
-    return keys
+    return keys, groups
+
+
+def _distinct_keys(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)[1:]``.
+
+    ``first`` holds the first pixel of every distinct key in ascending key
+    order and ``rows[p]`` the rank of pixel ``p``'s key among them, both
+    ``intp``.  While the key space (``0 <= keys < space``) is at most
+    :data:`_KEY_TABLE_FACTOR` times the pixel count, one table indexed by
+    key finds both without a sort: ``np.minimum.at`` keeps each key's first
+    pixel, and the same table then maps each present key to its rank.
+    """
+    num_pixels = keys.size
+    if space > _KEY_TABLE_FACTOR * num_pixels:
+        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+        return first, rows
+    table = np.full(space, num_pixels, dtype=np.intp)
+    np.minimum.at(table, keys, np.arange(num_pixels))
+    first = table[table < num_pixels]
+    # Distinct targets, so no store overwrites another.
+    table[keys[first]] = np.arange(first.size)
+    return first, table[keys]
 
 
 class SegHDCEngine:
@@ -334,9 +366,11 @@ class SegHDCEngine:
         start = time.perf_counter()
 
         bundle = self._encoders_for_shape(height, width, channels)
-        pixel_storage, rows = self._bind_distinct_pixels(bundle, pixels)
+        gray = to_grayscale(pixels)
+        pixel_storage, rows = self._bind_distinct_pixels(
+            bundle, gray if channels == 1 else pixels
+        )
 
-        intensities = to_grayscale(pixels).astype(np.float64)
         clusterer = HDKMeans(
             config.num_clusters,
             config.num_iterations,
@@ -350,7 +384,7 @@ class SegHDCEngine:
                 initial_centroids = self._warm_centroids.get(shape_key)
         clustering = clusterer.fit(
             pixel_storage,
-            intensities,
+            gray,
             initial_centroids=initial_centroids,
             rows=rows,
         )
@@ -393,18 +427,18 @@ class SegHDCEngine:
         """Each distinct pixel HV of the image once, and every pixel's row.
 
         Pixels with equal :func:`_pixel_keys` have bit-identical HVs, so
-        one ``np.unique`` over the keys yields a representative pixel per
+        one :func:`_distinct_keys` dedupe yields a representative pixel per
         distinct HV (the rows :meth:`HDCBackend.bind_color` builds) and the
         pixel-to-row map :meth:`HDKMeans.fit` broadcasts labels back with.
         """
         level_indices = bundle.color_encoder.level_indices(pixels)
-        keys = _pixel_keys(
+        keys, space = _pixel_keys(
             bundle.position_keys,
             bundle.position_groups,
             level_indices,
             [table.shape[0] for _, table in bundle.color_tables],
         )
-        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+        first, rows = _distinct_keys(keys, space)
         storage = self.backend.bind_color(
             bundle.position_grid,
             [indices[first] for indices in level_indices],

@@ -200,7 +200,10 @@ class TiledSegmenter:
         tiles = [pixels[box.tile_slices] for box in grid.boxes]
         results = self._run_tiles(tiles)
         tile_labels = [result.labels for result in results]
-        tile_intensities = [to_grayscale(tile) for tile in tiles]
+        # Gray is pointwise, so slicing the grayed image equals graying
+        # each tile.
+        gray = to_grayscale(pixels)
+        tile_intensities = [gray[box.tile_slices] for box in grid.boxes]
         stitch_start = time.perf_counter()
         stitched = stitch_tiles(
             tile_labels,

@@ -22,6 +22,19 @@ def _two_tone(height=20, width=24, value=220):
     return image
 
 
+def _record_unique(monkeypatch):
+    """Record every later ``np.unique`` call (the sort the key table skips)."""
+    calls = []
+    unique = np.unique
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording)
+    return calls
+
+
 class TestDistinctPixelKeys:
     def test_keys_renumber_before_they_would_overflow(self):
         """Mixed-radix keys that would pass int64 are first renumbered
@@ -30,10 +43,89 @@ class TestDistinctPixelKeys:
 
         position = np.array([0, 0, 5, 5, 9, 9]) << 38
         levels = [np.array([1, 1, 2, 2, 1, 1]), np.array([3, 4, 3, 3, 0, 0])]
-        keys = _pixel_keys(position, 1 << 42, levels, [1 << 21, 1 << 21])
+        keys, space = _pixel_keys(position, 1 << 42, levels, [1 << 21, 1 << 21])
         assert keys.dtype == np.int64
+        assert 0 <= keys.min() and keys.max() < space
         expected = [0, 1, 2, 2, 3, 3]  # pixels 2,3 and 4,5 share a tuple
         assert np.array_equal(np.unique(keys, return_inverse=True)[1], expected)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("distinct", [3, 60])
+    def test_key_table_matches_np_unique_at_and_past_its_limit(
+        self, rng, monkeypatch, offset, distinct
+    ):
+        """At the limit the keys go through the table, one past it through
+        ``np.unique``; both give its ``first`` and ``rows``, dtypes too."""
+        from repro.seghdc import engine as engine_module
+
+        size = 97
+        space = engine_module._KEY_TABLE_FACTOR * size + offset
+        keys = rng.choice(rng.choice(space, distinct, replace=False), size)
+        keys[[3, 50]] = [space - 1, 0]  # both ends of the key space
+        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+        calls = _record_unique(monkeypatch)
+        got_first, got_rows = engine_module._distinct_keys(keys, space)
+        assert len(calls) == offset
+        assert (got_first.dtype, got_rows.dtype) == (first.dtype, rows.dtype)
+        assert np.array_equal(got_first, first)
+        assert np.array_equal(got_rows, rows)
+
+    def test_renumbered_rgb_keys_take_the_table(self, rng, monkeypatch):
+        """Keys renumbered before they overflow have a key space below the
+        pixel count times the remaining levels, so they can still use the
+        table."""
+        from repro.seghdc import engine as engine_module
+
+        position = rng.choice(np.array([1, 7, 40]) << 56, 16)
+        levels = [rng.integers(0, 2, 16) for _ in range(3)]
+        keys, space = engine_module._pixel_keys(position, 1 << 62, levels, [2, 2, 2])
+        assert space <= 3 * 8 <= engine_module._KEY_TABLE_FACTOR * keys.size
+        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+        calls = _record_unique(monkeypatch)
+        got_first, got_rows = engine_module._distinct_keys(keys, space)
+        assert not calls
+        assert np.array_equal(got_first, first)
+        assert np.array_equal(got_rows, rows)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (64, 64), (6, 5, 3)])
+    @pytest.mark.parametrize("levels", [2, 256])
+    @pytest.mark.parametrize("backend", ["dense", "packed"])
+    def test_distinct_rows_match_np_unique(
+        self, rng, monkeypatch, shape, levels, backend
+    ):
+        """The engine's rows and bound storage bytes equal those built from
+        ``np.unique`` over the same keys, on whichever path the key space
+        selects."""
+        from repro.imaging.image import to_grayscale
+        from repro.seghdc import engine as engine_module
+
+        engine = SegHDCEngine(_config(color_levels=levels, beta=4, backend=backend))
+        image = rng.integers(0, 256, shape, dtype=np.uint8)
+        height, width = shape[:2]
+        channels = shape[2] if len(shape) == 3 else 1
+        bundle = engine._encoders_for_shape(height, width, channels)
+        pixels = to_grayscale(image) if channels == 1 else image
+        level_indices = bundle.color_encoder.level_indices(pixels)
+        keys, space = engine_module._pixel_keys(
+            bundle.position_keys,
+            bundle.position_groups,
+            level_indices,
+            [table.shape[0] for _, table in bundle.color_tables],
+        )
+        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+        expected = engine.backend.bind_color(
+            bundle.position_grid,
+            [indices[first] for indices in level_indices],
+            bundle.color_tables,
+            first,
+        )
+        calls = _record_unique(monkeypatch)
+        storage, got_rows = engine._bind_distinct_pixels(bundle, pixels)
+        assert bool(calls) == (space > engine_module._KEY_TABLE_FACTOR * keys.size)
+        assert got_rows.dtype == rows.dtype
+        assert np.array_equal(got_rows, rows)
+        assert storage.data.dtype == expected.data.dtype
+        assert storage.data.tobytes() == expected.data.tobytes()
 
     def test_uniform_image_is_one_stored_row(self):
         config = _config(beta=100)

@@ -84,6 +84,25 @@ class TestColorConversions:
     def test_ensure_uint8_rounds(self):
         assert ensure_uint8(np.array([1.6]))[0] == 2
 
+    @pytest.mark.parametrize("shape", [(5, 7), (5, 7, 1)])
+    @pytest.mark.parametrize("convert", [ensure_uint8, to_grayscale])
+    def test_uint8_input_is_copied_not_aliased(self, shape, convert):
+        """uint8 input skips the float round trip but still comes back as
+        a new array with the same values."""
+        arr = np.arange(35, dtype=np.uint8).reshape(shape) * 7
+        out = convert(arr)
+        expected = arr if convert is ensure_uint8 else arr.reshape(5, 7)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, expected)
+        assert not np.shares_memory(out, arr)
+
+    @pytest.mark.parametrize("convert", [ensure_uint8, to_grayscale])
+    def test_float_input_still_rounds_and_clips(self, convert):
+        arr = np.array([[-3.0, 0.4, 0.5, 1.5], [2.5, 254.6, 255.4, 300.0]])
+        expected = [[0, 0, 0, 2], [2, 255, 255, 255]]  # rint: halves to even
+        assert np.array_equal(convert(arr), expected)
+        assert np.array_equal(convert(arr[:, :, None]).reshape(2, 4), expected)
+
 
 class TestDrawing:
     def test_ellipse_mask_and_canvas(self):

@@ -127,6 +127,44 @@ class TestCentroidSeeding:
         indices = select_initial_centroid_indices(np.array([9.0, 1.0, 5.0]), 3)
         assert sorted(indices.tolist()) == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "intensities",
+        [
+            np.full(9, 42.0),  # all equal
+            np.full(5, 7, dtype=np.uint8),
+            np.array([3, 9, 3, 1, 9, 1, 5, 9]),  # ties at both extremes
+            np.array([[1, 1, 0], [0, 2, 2]], dtype=np.uint8),
+            np.array([7.0, 7.0]),  # n == k
+            np.array([200, 10], dtype=np.uint8),
+            np.array([-0.0, 0.0, np.inf, -np.inf, np.inf]),
+        ],
+    )
+    def test_two_cluster_picks_are_the_stable_argsort_ends(self, intensities):
+        """For k = 2 the O(n) picks (first minimum, last maximum) are the
+        first and last entries of the stable argsort k > 2 still uses."""
+        order = np.argsort(intensities.reshape(-1), kind="stable")
+        indices = select_initial_centroid_indices(intensities, 2)
+        assert indices.tolist() == [order[0], order[-1]]
+
+    def test_two_cluster_picks_match_argsort_on_random_ties(self, rng):
+        for _ in range(300):
+            size = int(rng.integers(2, 40))
+            values = rng.integers(0, int(rng.integers(1, 5)), size)
+            for intensities in (values, values.astype(np.uint8), values * 0.5):
+                order = np.argsort(intensities, kind="stable")
+                indices = select_initial_centroid_indices(intensities, 2)
+                assert indices.tolist() == [order[0], order[-1]]
+
+    @pytest.mark.parametrize("num_clusters", [2, 3])
+    def test_nan_intensities_are_refused(self, num_clusters):
+        """NaN has no place on the intensity axis: every k refuses it rather
+        than seeding from wherever a sort would put it."""
+        intensities = np.array([4.0, np.nan, 1.0, 9.0])
+        with pytest.raises(ValueError, match="NaN"):
+            select_initial_centroid_indices(intensities, num_clusters)
+        with pytest.raises(ValueError, match="NaN"):
+            select_initial_centroid_indices(intensities.astype(np.float32), 2)
+
     def test_evenly_spaced_picks_never_collapse_for_valid_sizes(self):
         """The quantile positions are distinct for every valid
         (num_pixels, num_clusters) pair, so the seeds need no de-duplication."""

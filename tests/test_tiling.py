@@ -471,6 +471,38 @@ class TestTiledSegmenter:
         with pytest.raises(ValueError, match="tile runner returned"):
             segmenter.segment(np.zeros((16, 16), dtype=np.uint8))
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_sliced_gray_stitches_like_per_tile_gray(self, channels):
+        """Tile intensities sliced from the once-grayed image stitch exactly
+        like ``to_grayscale`` of every tile: same maps, stats, seam merges."""
+        rng = np.random.default_rng(5)
+        image = blob_field(72, 88, spacing=16, seed=4)
+        if channels == 3:
+            noise = rng.integers(-40, 40, image.shape + (3,))
+            image = np.clip(image[..., None] + noise, 0, 255).astype(np.uint8)
+        tile_results = []
+
+        def runner(tiles):
+            tile_results[:] = [base.segment(tile) for tile in tiles]
+            return tile_results
+
+        segmenter = TiledSegmenter(
+            TiledConfig(base="threshold", tile_height=24, tile_width=20, overlap=3),
+            tile_runner=runner,
+        )
+        base = segmenter.base
+        _result, stitched = segmenter.segment_instances(image)
+        grid = segmenter.config.grid_for(*image.shape[:2])
+        reference = stitch_tiles(
+            [result.labels for result in tile_results],
+            [to_grayscale(image[box.tile_slices]) for box in grid.boxes],
+            grid,
+        )
+        assert stitched.stats == reference.stats
+        assert stitched.stats["seam_merges"] > 0
+        assert np.array_equal(stitched.cluster_labels, reference.cluster_labels)
+        assert np.array_equal(stitched.segment_labels, reference.segment_labels)
+
     def test_segment_workload_records_tiling_stats(self):
         segmenter = TiledSegmenter(
             TiledConfig(base="threshold", tile_height=16, tile_width=16)
