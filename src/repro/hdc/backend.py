@@ -660,22 +660,11 @@ class PackedBackend(HDCBackend):
         float matmul of the assignment into AND + popcount word kernels.
         """
         integral = _integer_centroids(centroids)
-        if integral.shape[-1] != dimension:
-            raise ValueError(
-                f"centroids have {integral.shape[-1]} columns, not {dimension}"
-            )
         top = int(integral.max())
-        # Mask each plane out of the narrowest dtype that holds the values,
-        # zero-padded to whole words so the packed bytes view as uint64.
-        narrow = np.zeros(
-            (integral.shape[0], packed_words_per_hv(dimension) * 64),
-            dtype=np.min_scalar_type(top),
-        )
-        narrow[:, :dimension] = integral
+        # Mask each plane out of the narrowest dtype that holds the values.
+        narrow = integral.astype(np.min_scalar_type(top))
         weights = (1 << np.arange(max(1, top.bit_length()))).astype(narrow.dtype)
-        return np.packbits((narrow & weights[:, None, None]) != 0, axis=-1).view(
-            np.uint64
-        )
+        return pack_hvs((narrow & weights[:, None, None]) != 0, dimension=dimension)
 
     def dots(self, storage: HVStorage, centroids: np.ndarray) -> np.ndarray:
         """Integer dots via AND + popcount over the centroid bit-planes.

@@ -62,10 +62,10 @@ def select_initial_centroid_indices(
     The pixels whose mean intensities sit at evenly spaced quantile extremes
     (minimum, maximum, and intermediate quantiles for k > 2) are selected, so
     the seed centroids are maximally spread along the intensity axis.  The
-    picks index the stable argsort of the intensities; for k = 2 they are
-    its first and last entries, the first minimum and the last maximum,
-    found in O(n) without the sort.  NaN has no place on the intensity axis
-    and is refused.
+    picks index the stable argsort of the intensities.  Integer intensities
+    (the engine's uint8 gray) are sorted as they are, not as float64: for
+    8- and 16-bit integers numpy's stable sort is an O(n) radix sort.  NaN
+    has no place on the intensity axis and is refused.
     """
     flat = np.asarray(intensities).reshape(-1)
     if num_clusters < 2:
@@ -78,8 +78,6 @@ def select_initial_centroid_indices(
         flat = flat.astype(np.float64)
         if np.isnan(flat).any():
             raise ValueError("intensities must not contain NaN")
-    if num_clusters == 2:
-        return np.array([flat.argmin(), flat.size - 1 - flat[::-1].argmax()])
     order = np.argsort(flat, kind="stable")
     # Evenly spaced picks along the sorted intensity axis: first, last, and
     # interior quantiles.  With n >= k pixels their spacing (n-1)/(k-1) is
@@ -99,6 +97,10 @@ class ClusteringResult:
     ``iterations_run`` is the number of assignment passes actually
     executed: the pass that reached the fixed point, or ``num_iterations``
     if the labels were still changing.
+    ``centroids`` is the ``(k, d)`` ``int64`` array of exact cluster
+    bundles the last pass assigned against (integer member sums, or the
+    seed / warm-start rows of a cluster that never had members); divide a
+    float copy of it, not the array in place.
     ``warm_started`` records whether the run was seeded from externally
     supplied centroids instead of the intensity-extreme pixels.
     """
@@ -271,19 +273,13 @@ class HDKMeans:
             labels, pass_bounds = backend.assign(storage, centroids, bounds=bounds)
             if self.record_history:
                 history.append(labels.copy())
-            if previous_labels is None:
-                switched = True
-            else:
-                switched = labels != previous_labels
-                if not switched.any():
-                    # Fixed point: the members of every cluster are
-                    # unchanged, so the centroid update below would rebuild
-                    # the exact centroids this assignment just used; skip
-                    # it and stop.
-                    break
+            if previous_labels is not None and np.array_equal(labels, previous_labels):
+                # Fixed point: the members of every cluster are unchanged,
+                # so the centroid update below would rebuild the exact
+                # centroids this assignment just used; skip it and stop.
+                break
             member_sums = self._update_member_sums(
-                backend, storage, labels, previous_labels, switched,
-                member_sums, weights,
+                backend, storage, labels, previous_labels, member_sums, weights
             )
             # An empty cluster keeps its previous centroid.
             occupied = np.bincount(labels, minlength=self.num_clusters) > 0
@@ -313,16 +309,14 @@ class HDKMeans:
         storage: HVStorage,
         labels: np.ndarray,
         previous_labels: np.ndarray | None,
-        switched: "np.ndarray | bool",
         member_sums: np.ndarray | None,
         weights: np.ndarray | None,
     ) -> np.ndarray:
         """Exact ``(k, d)`` ``int64`` bundles of each cluster's members.
 
-        Without previous labels every row counts as switched (``switched``
-        is ``True``) into a zero sum, so each cluster is bundled in full;
-        otherwise ``member_sums`` is updated in place by the rows that
-        switched (the mask ``labels != previous_labels``):
+        Without previous labels every row counts as switched into a zero
+        sum, so each cluster is bundled in full; otherwise ``member_sums``
+        is updated in place by the rows that switched:
         ``S_c += sum(joined_c) - sum(left_c)``, each row counted ``weights``
         times (once without weights).
         """
@@ -330,14 +324,14 @@ class HDKMeans:
             member_sums = np.zeros(
                 (self.num_clusters, storage.dimension), dtype=np.int64
             )
+            previous_labels = np.full_like(labels, -1)
+        switched = labels != previous_labels
         for cluster in range(self.num_clusters):
             joined = switched & (labels == cluster)
             if joined.any():
                 member_sums[cluster] += backend.bundle_masked(
                     storage, joined, weights
                 )
-            if previous_labels is None:
-                continue
             left = switched & (previous_labels == cluster)
             if left.any():
                 member_sums[cluster] -= backend.bundle_masked(

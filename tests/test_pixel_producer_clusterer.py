@@ -139,21 +139,24 @@ class TestCentroidSeeding:
             np.array([-0.0, 0.0, np.inf, -np.inf, np.inf]),
         ],
     )
-    def test_two_cluster_picks_are_the_stable_argsort_ends(self, intensities):
-        """For k = 2 the O(n) picks (first minimum, last maximum) are the
-        first and last entries of the stable argsort k > 2 still uses."""
-        order = np.argsort(intensities.reshape(-1), kind="stable")
+    def test_picks_are_the_float_stable_argsort_ends(self, intensities):
+        """Integer intensities sort uncast; for k = 2 the picks are the first
+        and last entries of the float64 stable argsort either way."""
+        order = np.argsort(intensities.reshape(-1).astype(np.float64), kind="stable")
         indices = select_initial_centroid_indices(intensities, 2)
         assert indices.tolist() == [order[0], order[-1]]
 
-    def test_two_cluster_picks_match_argsort_on_random_ties(self, rng):
+    def test_integer_picks_match_float_picks_on_random_ties(self, rng):
         for _ in range(300):
-            size = int(rng.integers(2, 40))
+            size = int(rng.integers(4, 40))
             values = rng.integers(0, int(rng.integers(1, 5)), size)
-            for intensities in (values, values.astype(np.uint8), values * 0.5):
-                order = np.argsort(intensities, kind="stable")
-                indices = select_initial_centroid_indices(intensities, 2)
-                assert indices.tolist() == [order[0], order[-1]]
+            for num_clusters in (2, 3, 4):
+                expected = select_initial_centroid_indices(
+                    values.astype(np.float64), num_clusters
+                ).tolist()
+                for intensities in (values, values.astype(np.uint8)):
+                    indices = select_initial_centroid_indices(intensities, num_clusters)
+                    assert indices.tolist() == expected
 
     @pytest.mark.parametrize("num_clusters", [2, 3])
     def test_nan_intensities_are_refused(self, num_clusters):
@@ -231,6 +234,7 @@ class TestHDKMeans:
     def test_centroids_are_bundles_of_members(self, rng):
         hvs, intensities = self._two_blob_data(rng, per_cluster=15)
         result = HDKMeans(2, num_iterations=2).fit(hvs, intensities)
+        assert result.centroids.dtype == np.int64
         for cluster in range(2):
             members = hvs[result.labels == cluster]
             if len(members):
